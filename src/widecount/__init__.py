@@ -36,6 +36,7 @@ from .quasipoly import (
     FittedQuasipolynomial,
     NoFit,
     Quasipolynomial,
+    build_quasipolynomial,
     fit,
     fit_sequence,
     read_sequence_csv,
@@ -58,6 +59,7 @@ __all__ = [
     "StanleyPiece",
     "TooLarge",
     "WeightedLevelProblem",
+    "build_quasipolynomial",
     "canonical_form",
     "count_level",
     "cycle_contract",

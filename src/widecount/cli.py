@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -145,15 +144,6 @@ def _add_common(parser: _Parser) -> None:
                         help="state budget for brute-force oracles")
     parser.add_argument("--time-limit", type=float, default=None,
                         help="soft wall-clock limit in seconds; exceeding truncates the report")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (falls back to WIDECOUNT_THREADS; counting is deterministic)")
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("WIDECOUNT_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def build_parser() -> _Parser:
@@ -206,8 +196,6 @@ def build_parser() -> _Parser:
     pf.add_argument("--q", type=int, required=True)
     pf.add_argument("--m", type=int, required=True)
     pf.add_argument("--nmax", type=int, required=True)
-    pf.add_argument("--max-period", type=int, default=6)
-    pf.add_argument("--max-degree", type=int, default=6)
     _add_common(pf)
 
     p = sub.add_parser("ranks", help="orbits of fixed-rank matrices with entries in a finite set")
@@ -395,13 +383,7 @@ def _run_codes(args, report: RunReport, budget: _Budget) -> None:
     else:
         for n in range(args.nmax + 1):
             report.sequence.append((n, count_codes_burnside(args.q, args.m, n)))
-        try:
-            res = codes_quasipolynomial(
-                args.q, args.m, args.nmax, max_period=args.max_period, max_degree=args.max_degree
-            )
-            report.quasipolynomial = _qp_json(res)
-        except NoFit as exc:
-            report.add_verdict("fit", False, {"nofit": str(exc), **(exc.witness or {})})
+        report.quasipolynomial = _qp_json(codes_quasipolynomial(args.q, args.m, args.nmax))
 
 
 def _parse_entries(text: str):
@@ -497,7 +479,6 @@ def run(argv: Sequence[str]) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
-    _resolve_threads(args)
     report = RunReport(
         command=list(argv),
         parameters={

@@ -67,19 +67,13 @@ def elementary_count(emf: ElementaryModelFunctor, n: int) -> int:
 
 
 def elementary_quasipolynomial(emf: ElementaryModelFunctor) -> FittedQuasipolynomial:
-    """The counting quasipolynomial, averaged over the group and revalidated."""
-    acc = Quasipolynomial.zero()
-    onset = 0
-    for g in emf.group:
-        part = level_quasipolynomial(emf.countset, g)
-        acc = acc.add(part.qp)
-        onset = max(onset, part.onset)
-    acc = acc.scale(Fraction(1, emf.group.order))
-    window = onset + 2 * acc.period * (max(acc.degree, 0) + 2) + 4
-    for n in range(onset, window):
-        if acc.evaluate(n) != elementary_count(emf, n):
-            raise AssertionError(f"quasipolynomial validation failed at n={n}")
-    return FittedQuasipolynomial(acc, onset, (onset, window - 1))
+    """The counting quasipolynomial, exact for every n >= onset: the average
+    over the group of the exact fixed-vector forms of ``level_quasipolynomial``."""
+    parts = [level_quasipolynomial(emf.countset, g) for g in emf.group]
+    total = sum((part.qp for part in parts), Quasipolynomial.zero())
+    onset = max(part.onset for part in parts)
+    end = max(part.validated_range[1] for part in parts)
+    return FittedQuasipolynomial(total.scale(Fraction(1, emf.group.order)), onset, (onset, end))
 
 
 def elementary_brute(emf: ElementaryModelFunctor, n: int) -> int:

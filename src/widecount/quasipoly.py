@@ -1,4 +1,5 @@
-"""Exact quasipolynomials: evaluation, arithmetic, and fitting of integer sequences.
+"""Exact quasipolynomials: evaluation, arithmetic, exact building from a proven
+period, degree and onset, and fitting of integer sequences.
 
 A quasipolynomial of period N is a list of N polynomials with rational
 coefficients; constituent i is used at arguments congruent to i mod N.
@@ -10,8 +11,8 @@ import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import comb, lcm
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 Poly = Tuple[Fraction, ...]  # coefficients, ascending degree; () is the zero polynomial
 
@@ -20,7 +21,7 @@ class NoFit(Exception):
     """No quasipolynomial within the search bounds matches the sequence.
 
     ``witness`` holds the most advanced failed attempt as a dict with keys
-    period/degree/onset/residue/n/expected/actual (or reason).
+    period/degree/onset and either residue/n/expected/actual or reason.
     """
 
     def __init__(self, message: str, witness: Optional[dict] = None):
@@ -193,10 +194,14 @@ class Quasipolynomial:
 
 @dataclass(frozen=True)
 class FittedQuasipolynomial:
-    """A quasipolynomial plus the onset from which it matched the source data.
+    """A quasipolynomial plus the onset from which it agrees with its source.
 
-    The onset is empirical: it certifies agreement on ``validated_range``
-    only, not a proof that the fit holds for every larger argument.
+    Forms made by ``build_quasipolynomial`` (the level, elementary and code
+    closed forms) are exact for every n >= onset: their period, degree bound
+    and onset are proven, and ``validated_range`` is the span of arguments
+    whose values determined them.  Forms returned by ``fit`` are empirical:
+    they matched the data on ``validated_range`` and nothing is claimed
+    beyond it.
     """
 
     qp: Quasipolynomial
@@ -215,93 +220,88 @@ class FittedQuasipolynomial:
         return d
 
 
-def fit(
-    seq: Mapping[int, int],
-    max_period: int,
-    max_degree: int,
-    min_verify: int = 2,
+def build_quasipolynomial(
+    value: Callable[[int], int], period: int, degree: int, onset: int
 ) -> FittedQuasipolynomial:
+    """Interpolate each residue class mod ``period`` exactly on its first
+    degree+1 arguments at or after ``onset``.
+
+    When value(n) is known to equal, for every n >= onset, a quasipolynomial
+    whose period divides ``period`` and whose degree is at most ``degree``,
+    those points determine it, and the result is exact for every n >= onset.
+    Nothing is searched or checked here.  ``validated_range`` is the span of
+    the points interpolated on: onset .. onset + period*(degree+1) - 1.
+    """
+    constituents = []
+    for r in range(period):
+        first = onset + (r - onset) % period
+        points = range(first, first + period * (degree + 1), period)
+        constituents.append(_interpolate([(n, Fraction(value(n))) for n in points]))
+    return FittedQuasipolynomial(
+        Quasipolynomial(period, constituents), onset, (onset, onset + period * (degree + 1) - 1)
+    )
+
+
+def fit(seq: Mapping[int, int], max_period: int, max_degree: int) -> FittedQuasipolynomial:
     """Fit the minimal (period, degree, onset) quasipolynomial to an integer sequence.
 
-    ``seq`` maps each n of a contiguous range to its value.  For each
-    candidate, every residue class is interpolated exactly (rationally) on
-    its first degree+1 points at or after the onset and verified on all
-    remaining points of the range; a candidate needs at least
-    ``min_verify`` verification points per class.  Least-squares is never
-    used; a reported fit matched every in-range held-out point exactly.
+    For data with no known structure; closed forms whose structure is proven
+    are made by ``build_quasipolynomial`` directly.  ``seq`` maps each n of a
+    contiguous range to its value.  Candidates are tried by period, then
+    degree, then onset.  A candidate fits when every residue class, from the
+    onset to the end of the range, agrees with the polynomial interpolated on
+    its first degree+1 points, and has at least max(2, degree+1) points
+    beyond them: never fewer held-out points than training points.  The
+    accepted candidate is made by ``build_quasipolynomial``.
 
-    Raises NoFit (with the most advanced failure witness) when no candidate
-    within the bounds matches.  Supplying at least
-    (max_degree+2)*max_period*2 points guarantees every candidate has
-    enough data to be tried.
+    The returned fit matched every point from its onset to the end of the
+    range exactly (never least squares).  That is all it guarantees:
+    ``validated_range`` is that range, and nothing is claimed beyond it.
+    Raises NoFit, with the most advanced failure as its witness, when no
+    candidate within the bounds fits.
     """
     if not seq:
         raise ValueError("empty sequence")
     ns = sorted(seq)
-    if ns[-1] - ns[0] + 1 != len(ns):
+    first, last = ns[0], ns[-1]
+    if last - first + 1 != len(ns):
         raise ValueError("sequence range must be contiguous")
     values = {n: Fraction(seq[n]) for n in ns}
     best_witness: Optional[dict] = None
-
-    def witness_rank(w: dict) -> tuple:
-        return (w.get("onset", -1), -w.get("period", 0))
-
     for period in range(1, max_period + 1):
-        for degree in range(0, max_degree + 1):
-            for onset in ns:
-                by_class: Dict[int, List[int]] = {}
-                for n in ns:
-                    if n >= onset:
-                        by_class.setdefault(n % period, []).append(n)
-                if len(by_class) < period:
-                    break  # larger onsets only lose classes
-                ok = True
-                failure: Optional[dict] = None
-                consts: List[Poly] = [()] * period
-                for r in range(period):
-                    pts = by_class.get(r, [])
-                    if len(pts) < degree + 1 + min_verify:
-                        ok = False
-                        failure = {
-                            "period": period,
-                            "degree": degree,
-                            "onset": onset,
-                            "residue": r,
-                            "reason": "insufficient points",
-                        }
-                        break
-                    train = pts[: degree + 1]
-                    poly = _interpolate([(n, values[n]) for n in train])
-                    for n in pts[degree + 1 :]:
-                        if _poly_eval(poly, n) != values[n]:
-                            ok = False
-                            failure = {
-                                "period": period,
-                                "degree": degree,
-                                "onset": onset,
-                                "residue": r,
-                                "n": n,
-                                "expected": str(values[n]),
-                                "actual": str(_poly_eval(poly, n)),
-                            }
-                            break
-                    if not ok:
-                        break
-                    consts[r] = poly
-                if ok:
-                    qp = Quasipolynomial(period, consts)
-                    # paranoia: the fit must reproduce every point at or after onset
-                    for n in ns:
-                        if n >= onset and qp.evaluate(n) != values[n]:
-                            raise AssertionError("internal fit verification failed")
-                    return FittedQuasipolynomial(qp, onset, (onset, ns[-1]))
-                if failure is not None and (
-                    best_witness is None or witness_rank(failure) > witness_rank(best_witness)
-                ):
-                    best_witness = failure
+        for degree in range(max_degree + 1):
+            # Equally spaced values lie on one polynomial of degree <= degree
+            # iff their (degree+1)-th differences vanish, and agreeing from an
+            # onset on implies agreeing from every later onset.  So the least
+            # onset is just past the last window with a nonzero difference.
+            span = period * (degree + 1)
+            signs = [(-1) ** (degree + 1 - j) * comb(degree + 1, j) for j in range(degree + 2)]
+
+            def difference(n: int) -> Fraction:
+                return sum(c * values[n + j * period] for j, c in enumerate(signs))
+
+            late = next((n for n in range(last - span, first - 1, -1) if difference(n)), None)
+            onset = first if late is None else late + 1
+            if (last - onset + 1) // period >= degree + 1 + max(2, degree + 1):
+                built = build_quasipolynomial(values.__getitem__, period, degree, onset)
+                if any(built(n) != values[n] for n in range(onset, last + 1)):
+                    raise AssertionError("internal fit verification failed")
+                return FittedQuasipolynomial(built.qp, onset, (onset, last))
+            failure = {"period": period, "degree": degree, "onset": onset}
+            if late is None:
+                failure["reason"] = "insufficient points"
+            else:
+                # interpolating from onset ``late`` mispredicts n = late + span
+                n = late + span
+                failure.update(onset=late, residue=n % period, n=n, expected=str(values[n]),
+                               actual=str(values[n] - difference(late)))
+            if best_witness is None or (failure["onset"], -period) > (
+                best_witness["onset"], -best_witness["period"]
+            ):
+                best_witness = failure
     raise NoFit(
         f"no quasipolynomial with period <= {max_period}, degree <= {max_degree} "
-        f"matches the sequence on n in [{ns[0]}, {ns[-1]}]",
+        f"matches the sequence on n in [{first}, {last}]",
         best_witness,
     )
 

@@ -72,6 +72,12 @@ def test_codes_fit(capsys):
     assert data["quasipolynomial"]["period"] == 1
 
 
+def test_codes_fit_builds_period_twelve(capsys):
+    code, data = _run_json(["codes", "fit", "--q", "3", "--m", "2", "--nmax", "100"], capsys)
+    assert code == 0
+    assert data["quasipolynomial"]["period"] == 12
+
+
 def test_ranks_verify(capsys):
     code, data = _run_json(
         ["ranks", "--entries", "0,1", "--k", "2", "--n", "4", "--shape", "symmetric", "--verify"],

@@ -17,7 +17,6 @@ from widecount.codes import (
     puncture,
     semilinear_point_maps,
 )
-from widecount.quasipoly import NoFit
 
 
 def test_fields_construct_and_validate():
@@ -132,9 +131,21 @@ def test_quasipolynomial_binary_dimension_two():
         assert res.qp.evaluate(n) == count_codes_burnside(2, 2, n)
 
 
-def test_quasipolynomial_window_too_small_is_reported():
-    with pytest.raises(NoFit):
-        codes_quasipolynomial(2, 2, 14)
+def test_quasipolynomial_exact_whatever_the_window():
+    # the form is built from its proven period and degree, so n_max no
+    # longer matters; the old fit on n <= 40 was wrong from n = 42 on
+    for n_max in (14, 40):
+        res = codes_quasipolynomial(2, 2, n_max)
+        assert res.onset == 0
+        for n in range(201):
+            assert res.qp.evaluate(n) == count_codes_burnside(2, 2, n), (n_max, n)
+
+
+def test_quasipolynomial_ternary_dimension_two():
+    res = codes_quasipolynomial(3, 2, 100)
+    assert res.qp.period == 12 and res.onset == 0
+    for n in range(201):
+        assert res.qp.evaluate(n) == count_codes_burnside(3, 2, n)
 
 
 def test_user_family_predicate():

@@ -39,25 +39,29 @@ def test_stability_enforced():
         ElementaryModelFunctor(2, PermGroup.symmetric(2), DownwardClosedSet(2, [(3, 0)]))
 
 
+def _check_from_onset(emf, expected):
+    res = elementary_quasipolynomial(emf)
+    end = res.onset + 4 * res.qp.period * (res.qp.degree + 2)
+    for n in range(res.onset, end + 1):
+        assert res.qp.evaluate(n) == expected(n), n
+    return res
+
+
 def test_quasipolynomial_points_and_galois():
     points = ElementaryModelFunctor(3, PermGroup.trivial(3), DownwardClosedSet.full(3))
-    res = elementary_quasipolynomial(points)
-    assert res.qp.period == 1
-    for n in range(25):
-        assert res.qp.evaluate(n) == comb(n + 2, 2)
+    assert _check_from_onset(points, lambda n: comb(n + 2, 2)).qp.period == 1
 
     galois = ElementaryModelFunctor(2, PermGroup.symmetric(2), DownwardClosedSet.full(2))
-    res = elementary_quasipolynomial(galois)
-    assert res.qp.period == 2
-    for n in range(25):
-        assert res.qp.evaluate(n) == n // 2 + 1
+    assert _check_from_onset(galois, lambda n: n // 2 + 1).qp.period == 2
+
+    rotated = [tuple((2, 1, 0, 0)[(j - r) % 4] for j in range(4)) for r in range(4)]
+    obstructed = ElementaryModelFunctor(4, PermGroup.cyclic(4), DownwardClosedSet(4, rotated))
+    _check_from_onset(obstructed, lambda n: elementary_count(obstructed, n))
 
 
 def test_quasipolynomial_empty():
     emf = ElementaryModelFunctor(2, PermGroup.trivial(2), DownwardClosedSet.empty(2))
-    res = elementary_quasipolynomial(emf)
-    for n in range(10):
-        assert res.qp.evaluate(n) == 0
+    _check_from_onset(emf, lambda n: 0)
 
 
 def test_brute_matches_examples():

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from widecount import lattice
 from widecount.actions import PermGroup, Permutation
 from widecount.lattice import (
     DownwardClosedSet,
@@ -102,6 +103,18 @@ def test_denumerant_examples():
     assert denumerant((), 3) == 0
 
 
+def test_denumerant_tables_grow_geometrically(monkeypatch):
+    # an ascending sweep must not rebuild the table at every n
+    monkeypatch.setattr(lattice, "_DENUMERANT_CACHE", {})
+    tables = []
+    for n in range(201):
+        assert denumerant((2, 3), n) == n // 6 + (0 if n % 6 == 1 else 1)
+        table = lattice._DENUMERANT_CACHE[(2, 3)]
+        if not tables or table is not tables[-1]:
+            tables.append(table)
+    assert len(tables) <= 3  # 64, 128, 256 entries
+
+
 def test_count_level_examples():
     assert count_level(WeightedLevelProblem((1, 2), DownwardClosedSet.full(2)), 5) == 3
     assert count_level(WeightedLevelProblem((1, 1, 1), DownwardClosedSet.full(3)), 7) == 36
@@ -184,5 +197,6 @@ def test_level_quasipolynomial_matches_counts_with_obstructions():
         for images in permutations(range(1, k + 1)):
             g = Permutation(images)
             res = level_quasipolynomial(M, g)
-            for n in range(res.onset, 25):
+            end = res.onset + 4 * res.qp.period * (res.qp.degree + 2)
+            for n in range(res.onset, end + 1):
                 assert res.qp.evaluate(n) == fixed_count_level(M, g, n)

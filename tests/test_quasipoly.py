@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from widecount.codes import count_codes_burnside
 from widecount.quasipoly import (
     FittedQuasipolynomial,
     NoFit,
     Quasipolynomial,
+    build_quasipolynomial,
     fit,
     fit_sequence,
 )
@@ -87,6 +89,23 @@ def test_fit_trees_nofit():
     with pytest.raises(NoFit) as exc:
         fit({n: trees[n - 1] for n in range(1, 11)}, max_period=6, max_degree=6)
     assert exc.value.witness is not None
+
+
+def test_fit_holds_out_as_many_points_as_it_trains_on():
+    # on n <= 40 the code counts match period 1, degree 2 from onset 36 on
+    # (five points per class, three used to interpolate), a form that is
+    # wrong from n = 42 on; the true form, period 6 and degree 3, needs
+    # eight points per class
+    seq = {n: count_codes_burnside(2, 2, n) for n in range(41)}
+    with pytest.raises(NoFit):
+        fit(seq, max_period=12, max_degree=4)
+
+
+def test_build_interpolates_each_class_from_the_onset():
+    # floor(n/2)+1 from n = 3 on, junk before: degree bound 1, period 2
+    res = build_quasipolynomial(lambda n: n // 2 + 1 if n >= 3 else 99, 2, 1, 3)
+    assert res.qp.equal_eventually(HALF_FLOOR)
+    assert res.onset == 3 and res.validated_range == (3, 6)
 
 
 def test_fit_prefers_minimal_period_then_degree_then_onset():

@@ -214,10 +214,13 @@ class UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, x, y):
+    def union(self, x, y) -> bool:
+        """Merge the blocks of x and y; True iff they were different."""
         rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+        if rx == ry:
+            return False
+        self.parent[ry] = rx
+        return True
 
     def blocks(self) -> List[FrozenSet]:
         grouped: Dict[Hashable, set] = {}

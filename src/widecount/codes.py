@@ -470,11 +470,21 @@ def _cycles(table: Tuple[int, ...], points: Iterable[int]) -> List[List[int]]:
     return cycles
 
 
-def _fixed_multisets(table: Tuple[int, ...], points: FrozenSet[int], n: int) -> int:
-    """Multisets of size n over the gamma-stable part of the point set,
-    fixed by gamma: one free multiplicity per gamma-cycle, weighted by
-    cycle length."""
-    return denumerant([len(c) for c in _cycles(table, points) if points.issuperset(c)], n)
+@lru_cache(maxsize=None)
+def _burnside_terms(q: int, m: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """The Burnside sum of count_codes_burnside with its terms gathered by
+    weight vector: (sorted cycle lengths, summed Moebius value) pairs.
+
+    A semilinear map fixes a size-n multiset over a subspace's point set iff
+    the multiset is constant on the map's cycles inside that set, so the
+    term is the denumerant of those cycle lengths, whatever n is.
+    """
+    terms: Dict[Tuple[int, ...], int] = {}
+    for table in semilinear_point_maps(q, m):
+        for points, moebius in _subspace_point_sets(q, m):
+            weights = tuple(sorted(len(c) for c in _cycles(table, points) if points.issuperset(c)))
+            terms[weights] = terms.get(weights, 0) + moebius
+    return tuple((w, coeff) for w, coeff in sorted(terms.items()) if coeff)
 
 
 def count_codes_burnside(q: int, m: int, n: int) -> int:
@@ -484,15 +494,11 @@ def count_codes_burnside(q: int, m: int, n: int) -> int:
     multisets over P whose support spans, with the spanning condition by
     Moebius inclusion-exclusion over the subspace lattice.
     """
-    maps = semilinear_point_maps(q, m)
-    subspaces = _subspace_point_sets(q, m)
-    total = 0
-    for table in maps:
-        for points, moebius in subspaces:
-            total += moebius * _fixed_multisets(table, points, n)
-    if total % len(maps):
+    total = sum(coeff * denumerant(w, n) for w, coeff in _burnside_terms(q, m))
+    group_size = len(semilinear_point_maps(q, m))
+    if total % group_size:
         raise AssertionError("orbit-counting sum is not integral")
-    return total // len(maps)
+    return total // group_size
 
 
 def codes_quasipolynomial(

@@ -423,12 +423,35 @@ class StratumAnalysis:
         return reps
 
     def labeled_quadruples(self, e: int) -> List[Quadruple]:
-        out: Set[Quadruple] = set()
-        for rep in self.orbit_reps(e):
-            for images in permutations(range(1, e + 1)):
-                out.add(rep.relabel(Permutation(images)))
-        if len(out) > self.max_quadruples:
-            raise TooLarge("labeled quadruple expansion exceeds the budget")
+        """Every relabeling of the core slots [e] of every orbit rep, once.
+
+        A relabeling only places the rep's sigma0 indices (distinct) and its
+        abar letters (a multiset) on the slots, so the distinct ones are the
+        arrangements of that multiset: e!/stabilizer_order() per rep.
+        """
+        reps = self.orbit_reps(e)
+        size = sum(factorial(e) // rep.stabilizer_order() for rep in reps)
+        if size > self.max_quadruples:
+            raise TooLarge(
+                f"{size} labeled quadruples exceed the budget {self.max_quadruples}"
+            )
+        out: List[Quadruple] = []
+        for rep in reps:
+            # label (0, i): the slot sigma0 sends s0-index i to; (1, l): abar letter l
+            labels: Dict[Tuple[int, int], int] = {
+                (0, i): 1 for i, x in enumerate(rep.sigma0) if x is not None
+            }
+            for _, letter in rep.abar:
+                labels[(1, letter)] = labels.get((1, letter), 0) + 1
+            for arrangement in _arrangements(labels, e):
+                sigma0: List[Optional[int]] = [None] * self.pres.s0
+                abar = []
+                for slot, (kind, value) in enumerate(arrangement, start=1):
+                    if kind == 0:
+                        sigma0[value] = slot
+                    else:
+                        abar.append((slot, value))
+                out.append(Quadruple(rep.J, tuple(sigma0), rep.sigma1, tuple(abar)))
         return sorted(out, key=Quadruple.sort_key)
 
     def u_test(self, q: Quadruple) -> Dict[int, int]:
@@ -727,6 +750,20 @@ class StratumAnalysis:
         return tuple(out)
 
 
+def _arrangements(counts: Dict, length: int):
+    """The distinct orderings of the multiset with these multiplicities
+    (which sum to length), each once; counts is restored afterwards."""
+    if length == 0:
+        yield ()
+        return
+    for label in sorted(counts):
+        if counts[label]:
+            counts[label] -= 1
+            for rest in _arrangements(counts, length - 1):
+                yield (label,) + rest
+            counts[label] += 1
+
+
 def combinations_with_replacement_sorted(letters: Sequence[int], length: int):
     from itertools import combinations_with_replacement
 
@@ -907,18 +944,118 @@ def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) ->
     level = n - pres.s0
     if level < 0:
         return 0
-    betas = [b for b in M.enumerate_level(level)]
-    if not betas:
-        return 0
-    beta_set = set(betas)
-    uf = UnionFind(betas)
+    betas = M.enumerate_level(level)
+    index = {beta: i for i, beta in enumerate(betas)}
+    uf = UnionFind(range(len(betas)))
     hook = pres.count_equivalents
     assert hook is not None
-    for beta in betas:
+    merges = 0
+    for i, beta in enumerate(betas):
         for gamma in hook(beta):
-            if gamma in beta_set:
-                uf.union(beta, gamma)
-    return len(uf.blocks())
+            # beta itself and vectors off the level add no edge
+            j = index.get(gamma, i)
+            if j != i and uf.union(i, j):
+                merges += 1
+    return len(betas) - merges
+
+
+class StratifiedPlan:
+    """Everything of the stratified count that does not depend on n, for one
+    presentation and one choice of (t, max_t, check_stability).
+
+    The strata are recorded as the counts reach them, memoised per count
+    set M and threshold t: the analysis (with its object cache), whether
+    its structure at t agrees with t + 1, and the peeled count set that
+    follows.  A stratum is still stability-checked only at an n where it is
+    occupied, so every n gets the threshold a fresh count would pick.
+    """
+
+    def __init__(
+        self,
+        pres: ModelFunctorPresentation,
+        t: Optional[int],
+        max_t: int,
+        check_stability: bool,
+    ):
+        self.pres = pres
+        self.t = t
+        self.max_t = max_t
+        self.check_stability = check_stability
+        self._analyses: Dict[Tuple[DownwardClosedSet, int], StratumAnalysis] = {}
+        self._stable: Dict[Tuple[DownwardClosedSet, int], bool] = {}
+        self._peeled: Dict[Tuple[DownwardClosedSet, int], DownwardClosedSet] = {}
+
+    def analysis(self, M: DownwardClosedSet, t: int) -> StratumAnalysis:
+        key = (M, t)
+        if key not in self._analyses:
+            self._analyses[key] = StratumAnalysis(self.pres, M, t)
+        return self._analyses[key]
+
+    def stable(self, M: DownwardClosedSet, t: int) -> bool:
+        """Does the stratum's structure at t agree with that at t + 1?"""
+        key = (M, t)
+        if key not in self._stable:
+            self._stable[key] = (
+                self.analysis(M, t).fingerprint() == self.analysis(M, t + 1).fingerprint()
+            )
+        return self._stable[key]
+
+    def calibrated(self, M: DownwardClosedSet, n: int) -> StratumAnalysis:
+        """The stratum's analysis at the threshold for n: from the default,
+        doubled while the stratum is occupied at n and unstable."""
+        s0 = self.pres.s0
+        t0 = self.t if self.t is not None else max(default_threshold(M, s0), 2)
+        t_cur = max(t0, minimum_threshold(M))
+        while True:
+            analysis = self.analysis(M, t_cur)
+            if not self.check_stability or n - s0 < analysis.min_occupied_total():
+                return analysis
+            if self.stable(M, t_cur):
+                return analysis
+            if self.t is not None or 2 * t_cur > self.max_t:
+                raise Unstable(f"stratum unstable at t={t_cur}")
+            t_cur *= 2
+
+    def peeled(self, analysis: StratumAnalysis) -> DownwardClosedSet:
+        """The count set left once the stratum's classes are peeled: those
+        equivalent into the v-tilde cone leave it."""
+        key = (analysis.M, analysis.t)
+        if key not in self._peeled:
+            M = analysis.M
+            v_tilde = analysis.frame.v_tilde(analysis.t)
+
+            def member(beta: Vector) -> bool:
+                return M.membership(beta) and not analysis.cone_equivalent(beta, v_tilde)
+
+            # the shadow maps permute entries (up to bounded fuzz), so a
+            # minimal non-member can carry the cone's large entry in any
+            # coordinate: the cap box must be uniform
+            box = max(
+                max(v_tilde),
+                max((x for o in M.obstructions for x in o), default=0),
+            ) + 2
+            peeled = DownwardClosedSet(M.k, _learn_minimal_nonmembers(member, (box,) * M.k))
+            if set(peeled.obstructions) == set(M.obstructions):
+                raise Unstable("peel did not shrink the count set")
+            self._peeled[key] = peeled
+        return self._peeled[key]
+
+
+# One plan per (presentation, options), so a sweep over n builds each
+# stratum once.  An entry keeps its presentation alive and is only used for
+# that very object, so neither a reused id nor an equal-valued presentation
+# with another oracle can pick up a foreign plan.
+_PLAN_CACHE: Dict[Tuple[int, Optional[int], int, bool], StratifiedPlan] = {}
+
+
+def _plan(
+    pres: ModelFunctorPresentation, t: Optional[int], max_t: int, check_stability: bool
+) -> StratifiedPlan:
+    key = (id(pres), t, max_t, check_stability)
+    plan = _PLAN_CACHE.get(key)
+    if plan is None or plan.pres is not pres:
+        plan = _PLAN_CACHE[key] = StratifiedPlan(pres, t, max_t, check_stability)
+    return plan
 
 
 def mf_count_via_groupoid(
@@ -934,7 +1071,8 @@ def mf_count_via_groupoid(
     Burnside sum over exact lattice level counts), recursing on the
     complement sub-model functor until the count set is finite; the finite
     tail is counted directly on count vectors.  Requires the presentation's
-    count-vector shadow.
+    count-vector shadow.  The n-independent work is kept in a plan per
+    presentation and reused by later calls.
     """
     if pres.count_equivalents is None:
         raise TooLarge(
@@ -943,58 +1081,22 @@ def mf_count_via_groupoid(
         )
     if n < pres.s0:
         return 0
+    plan = _plan(pres, t, max_t, check_stability)
     total = 0
     M_cur = pres.countset
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10000:
-            raise Unstable("stratification did not terminate")
+    for _ in range(10000):
         if M_cur.is_empty():
-            break
-        if M_cur.is_finite():
-            total += _tail_count(pres, M_cur, n)
-            break
-        t0 = t if t is not None else max(default_threshold(M_cur, pres.s0), 2)
-        t_cur = max(t0, minimum_threshold(M_cur))
-        while True:
-            analysis = StratumAnalysis(pres, M_cur, t_cur)
-            occupied = n - pres.s0 >= analysis.min_occupied_total()
-            if not (check_stability and occupied):
-                break
-            probe = StratumAnalysis(pres, M_cur, t_cur + 1)
-            if analysis.fingerprint() == probe.fingerprint():
-                break
-            if t is not None or 2 * t_cur > max_t:
-                raise Unstable(f"stratum unstable at t={t_cur}")
-            t_cur *= 2
-        if not occupied:
-            # the shadow preserves word length, so no peel from this or any
-            # deeper stratum (their cone levels only grow) can remove a
-            # vector at this level: the remaining classes are countable now
-            total += _tail_count(pres, M_cur, n)
-            break
+            return total
+        analysis = None if M_cur.is_finite() else plan.calibrated(M_cur, n)
+        if analysis is None or n - pres.s0 < analysis.min_occupied_total():
+            # a finite count set, or a stratum not occupied at n: the shadow
+            # preserves word length, so no peel from this or any deeper
+            # stratum (their cone levels only grow) can remove a vector at
+            # this level, and the remaining classes are countable now
+            return total + _tail_count(pres, M_cur, n)
         total += analysis.stratum_count(n)
-        # peel: classes equivalent into the v-tilde cone leave the count set
-        v_tilde = analysis.frame.v_tilde(analysis.t)
-
-        def member(beta: Vector) -> bool:
-            return M_cur.membership(beta) and not analysis.cone_equivalent(beta, v_tilde)
-
-        # the shadow maps permute entries (up to bounded fuzz), so a minimal
-        # non-member can carry the cone's large entry in any coordinate: the
-        # cap box must be uniform
-        box = max(
-            max(v_tilde),
-            max((x for o in M_cur.obstructions for x in o), default=0),
-        ) + 2
-        caps = (box,) * pres.k
-        new_obs = _learn_minimal_nonmembers(member, caps)
-        M_next = DownwardClosedSet(pres.k, new_obs)
-        if set(M_next.obstructions) == set(M_cur.obstructions):
-            raise Unstable("peel did not shrink the count set")
-        M_cur = M_next
-    return total
+        M_cur = plan.peeled(analysis)
+    raise Unstable("stratification did not terminate")
 
 
 def _learn_minimal_nonmembers(

@@ -399,18 +399,26 @@ def roots_of_unity(d: int) -> ModelFunctorPresentation:
                 return False
         return True
 
+    # concealing a position with letter l shifts every residue by -l: new
+    # letter m counts old letter m + l (so index d - 1 counts the old l's,
+    # one of which is now concealed), and the revealed position reads -l
+    moves = [
+        (
+            letter - 1,
+            tuple(letter_of(m + letter) - 1 for m in range(1, d + 1)),
+            letter_of(-letter) - 1,
+        )
+        for letter in range(1, d + 1)
+    ]
+
     def count_equivalents(beta: Vector) -> FrozenSet[Vector]:
         out = {beta}
-        for letter in range(1, d + 1):
-            if beta[letter - 1] == 0:
+        for letter_index, source, landing in moves:
+            if beta[letter_index] == 0:
                 continue
-            shift = (-res(letter)) % d
-            reduced = list(beta)
-            reduced[letter - 1] -= 1
-            shifted = [0] * d
-            for m in range(1, d + 1):
-                shifted[m - 1] = reduced[letter_of(res(m) - shift) - 1]
-            shifted[letter_of(shift) - 1] += 1
+            shifted = [beta[s] for s in source]
+            shifted[d - 1] -= 1
+            shifted[landing] += 1
             out.add(tuple(shifted))
         return frozenset(out)
 
@@ -434,11 +442,11 @@ def elementary_embedding(emf: ElementaryModelFunctor) -> ModelFunctorPresentatio
     def eq(n: int, p1: MFPair, p2: MFPair) -> bool:
         return any(tuple(g(c) for c in p1.alpha) == p2.alpha for g in group)
 
+    # beta read through g^-1, as 0-based source indices per group element
+    sources = [tuple(g.inverse()(m) - 1 for m in range(1, emf.k + 1)) for g in group]
+
     def count_equivalents(beta: Vector) -> FrozenSet[Vector]:
-        out = set()
-        for g in group:
-            out.add(tuple(beta[g.inverse()(m) - 1] for m in range(1, emf.k + 1)))
-        return frozenset(out)
+        return frozenset(tuple([beta[i] for i in source]) for source in sources)
 
     return ModelFunctorPresentation(
         name=f"elementary-k{emf.k}",

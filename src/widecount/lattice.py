@@ -95,21 +95,38 @@ class DownwardClosedSet:
         return DownwardClosedSet(self.k, self.obstructions + (tuple(base),))
 
     def enumerate_level(self, n: int) -> List[Vector]:
-        """All members of total degree n (brute force; test oracle)."""
-        out: List[Vector] = []
+        """All members of total degree n, in lexicographic order.
 
-        def rec(prefix: List[int], remaining: int) -> None:
-            if len(prefix) == self.k - 1:
-                v = tuple(prefix + [remaining])
-                if self.membership(v):
-                    out.append(v)
+        Compositions of n are built one coordinate at a time (stars and
+        bars).  An obstruction stays live while it lies below the prefix;
+        once a live one needs nothing of the coordinates still open, it is
+        met by every completion, so that prefix and every larger value of
+        its last coordinate are skipped.
+        """
+        k = self.k
+        if n < 0:
+            return []
+        # (obstruction, index of its last nonzero coordinate)
+        obs = [(o, max((j for j, x in enumerate(o) if x), default=-1)) for o in self.obstructions]
+        if any(last < 0 for _, last in obs):
+            return []  # the zero obstruction: the set is empty
+        if k == 0:
+            return [()] if n == 0 else []
+        out: List[Vector] = []
+        final = k - 1
+
+        def rec(prefix: Tuple[int, ...], j: int, remaining: int, live: list) -> None:
+            if j == final:
+                if not any(o[final] <= remaining for o, _ in live):
+                    out.append(prefix + (remaining,))
                 return
             for x in range(remaining + 1):
-                rec(prefix + [x], remaining - x)
+                still = [ol for ol in live if ol[0][j] <= x]
+                if any(last <= j for _, last in still):
+                    break
+                rec(prefix + (x,), j + 1, remaining - x, still)
 
-        if self.k == 0:
-            return [()] if n == 0 else []
-        rec([], n)
+        rec((), 0, n, obs)
         return out
 
     def to_json_dict(self) -> dict:

@@ -5,6 +5,8 @@ import pytest
 from widecount.actions import TooLarge
 from widecount.codes import (
     LinearCode,
+    _cycles,
+    _subspace_point_sets,
     alphabet_size,
     all_codes,
     canonical_code,
@@ -17,6 +19,7 @@ from widecount.codes import (
     puncture,
     semilinear_point_maps,
 )
+from widecount.lattice import denumerant
 
 
 def test_fields_construct_and_validate():
@@ -164,3 +167,22 @@ def test_user_family_predicate():
 
     with pytest.raises(ValueError):
         count_codes_direct(2, 2, 3, family=not_closed)
+
+
+def test_burnside_terms_equal_the_literal_sum():
+    # the per-map, per-subspace sum the gathered terms stand for
+    for q in (2, 3, 4):
+        for m in (1, 2):
+            maps = semilinear_point_maps(q, m)
+            subspaces = _subspace_point_sets(q, m)
+            for n in range(41):
+                total = sum(
+                    moebius
+                    * denumerant(
+                        [len(c) for c in _cycles(table, points) if points.issuperset(c)], n
+                    )
+                    for table in maps
+                    for points, moebius in subspaces
+                )
+                assert total % len(maps) == 0
+                assert count_codes_burnside(q, m, n) == total // len(maps), (q, m, n)

@@ -1,15 +1,21 @@
+from itertools import permutations
 from math import comb, gcd
 
 import pytest
 
 from widecount.actions import (
     PermGroup,
+    Permutation,
+    TooLarge,
     groupoid_orbit_count,
     groupoid_orbits_enumerate,
 )
 from widecount.functors.elementary import ElementaryModelFunctor, elementary_count
 from widecount.functors.extraction import (
+    _PLAN_CACHE,
     NotCalibrated,
+    Quadruple,
+    StratumAnalysis,
     Unstable,
     analyze_pair,
     extract_groupoid,
@@ -22,6 +28,7 @@ from widecount.functors.model import (
     roots_of_unity,
     trivial_presentation,
 )
+from widecount.gallery import cube_orbit_count
 from widecount.lattice import DownwardClosedSet
 
 
@@ -182,3 +189,89 @@ def test_core_size_bound():
         objs = extract_groupoid(pres, e=e).groupoid.objects if e <= pres.s0 + frame.d_inf else ()
         for q in objs:
             assert q.e <= pres.s0 + frame.d_inf
+
+
+def test_roots_d2_default_past_the_second_stratum():
+    # from n = 76 on, the second stratum (core size up to 11) is occupied
+    pres = roots_of_unity(2)
+    for n in range(74, 151):
+        assert mf_count_via_groupoid(pres, n) == cube_orbit_count(2, n), n
+
+
+def test_default_thresholds_above_fill_level():
+    # the first stratum fills at n = 49 for d = 3, and the S_3 words' one at 36
+    pres = roots_of_unity(3)
+    for n in range(49, 121):
+        assert mf_count_via_groupoid(pres, n) == cube_orbit_count(3, n), n
+    emf = ElementaryModelFunctor(3, PermGroup.symmetric(3), DownwardClosedSet.full(3))
+    words = elementary_embedding(emf)
+    for n in range(36, 46):
+        assert mf_count_via_groupoid(words, n) == elementary_count(emf, n), n
+
+
+def test_relabelings_equal_sym_e_expansion():
+    # I = {1}: two infrequent letters, so abar letters mix; s0 = 2 puts
+    # distinct sigma0 indices among them
+    M = DownwardClosedSet(3, [(2, 2, 0), (2, 0, 2), (0, 2, 2)])
+    pres = trivial_presentation(3, s0=2, countset=M)
+    analysis = StratumAnalysis(pres, M, t=5)
+    assert pres.s0 + analysis.frame.d_inf == 4
+    mixed = 0
+    for e in range(6):
+        reps = analysis.orbit_reps(e)
+        mixed += sum(1 for rep in reps if len({l for _, l in rep.abar}) > 1)
+        expanded = {
+            rep.relabel(Permutation(images))
+            for rep in reps
+            for images in permutations(range(1, e + 1))
+        }
+        got = analysis.labeled_quadruples(e)
+        assert len(got) == len(expanded), e
+        assert got == sorted(expanded, key=Quadruple.sort_key), e
+    assert mixed > 0
+
+
+def test_labeled_quadruples_budget_checked_before_generating():
+    M = DownwardClosedSet(3, [(2, 2, 0), (2, 0, 2), (0, 2, 2)])
+    analysis = StratumAnalysis(trivial_presentation(3, s0=2, countset=M), M, t=5, max_quadruples=50)
+    assert len(analysis.orbit_reps(4)) <= 50  # 48 reps with 384 relabelings
+    with pytest.raises(TooLarge):
+        analysis.labeled_quadruples(4)
+
+
+def test_plan_is_built_once_per_sweep(monkeypatch):
+    builds = []
+    init = StratumAnalysis.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StratumAnalysis, "__init__", counting_init)
+    pres = roots_of_unity(3)
+    _PLAN_CACHE.clear()
+    mf_count_via_groupoid(pres, 70)
+    alone = len(builds)
+    assert alone > 0
+    _PLAN_CACHE.clear()
+    builds.clear()
+    for n in range(49, 71):
+        mf_count_via_groupoid(pres, n)
+    assert len(builds) == alone
+    mf_count_via_groupoid(pres, 70)
+    assert len(builds) == alone  # reused
+    _PLAN_CACHE.clear()
+    mf_count_via_groupoid(pres, 70)
+    assert len(builds) == 2 * alone  # rebuilt
+    # other options, or an equal but distinct presentation, get their own plan
+    before = len(builds)
+    mf_count_via_groupoid(pres, 70, check_stability=False)
+    assert len(builds) > before
+    before = len(builds)
+    mf_count_via_groupoid(pres, 70, t=16, check_stability=False)
+    assert len(builds) > before
+    twin = roots_of_unity(3)
+    assert twin == pres and twin is not pres
+    before = len(builds)
+    mf_count_via_groupoid(twin, 70)
+    assert len(builds) == before + alone

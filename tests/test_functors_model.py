@@ -120,3 +120,27 @@ def test_verify_axioms_negative_controls():
     report = verify_axioms(broken_axiom3_presentation(), 3)
     assert not report.passed
     assert any(f["axiom"] == "axiom3" for f in report.failures) or report.failures
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        roots_of_unity(2),
+        roots_of_unity(3),
+        elementary_embedding(
+            ElementaryModelFunctor(3, PermGroup.symmetric(3), DownwardClosedSet.full(3))
+        ),
+        elementary_embedding(
+            ElementaryModelFunctor(
+                3, PermGroup.cyclic(3), DownwardClosedSet(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+            )
+        ),
+    ],
+    ids=["roots2", "roots3", "S3-words", "C3-words-obstructed"],
+)
+def test_shadow_is_the_class_count_vectors(pres):
+    for n in range(pres.s0, 6):
+        for cls in mf_classes(pres, n):
+            realized = frozenset(pair.count_vector(pres.k) for pair in cls)
+            for pair in cls:
+                assert pres.count_equivalents(pair.count_vector(pres.k)) == realized, (n, pair)

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -200,3 +200,20 @@ def test_level_quasipolynomial_matches_counts_with_obstructions():
             end = res.onset + 4 * res.qp.period * (res.qp.degree + 2)
             for n in range(res.onset, end + 1):
                 assert res.qp.evaluate(n) == fixed_count_level(M, g, n)
+
+
+def test_enumerate_level_equals_filtered_brute_force():
+    rng = random.Random(4)
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        M = DownwardClosedSet(
+            k, [tuple(rng.randint(0, 4) for _ in range(k)) for _ in range(rng.randint(0, 4))]
+        )
+        for n in range(10):
+            brute = [
+                v for v in sorted(product(range(n + 1), repeat=k))
+                if sum(v) == n and M.membership(v)
+            ]
+            assert M.enumerate_level(n) == brute, (M, n)
+    assert DownwardClosedSet.empty(3).enumerate_level(2) == []
+    assert DownwardClosedSet.full(0).enumerate_level(0) == [()]

@@ -203,7 +203,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True, help="target rank")
     p.add_argument("--n", required=True)
     p.add_argument("--shape", choices=("symmetric", "general"), default="symmetric")
-    p.add_argument("--verify", action="store_true", help="check against the closed forms where known")
+    p.add_argument("--verify", action="store_true",
+                   help="check the orbit total, a brute force at n <= 3 and the closed forms where known")
     _add_common(p)
 
     p = sub.add_parser("fit", help="fit a quasipolynomial to an n,count CSV")
@@ -392,6 +393,7 @@ def _parse_entries(text: str):
 
 def _run_ranks(args, report: RunReport, budget: _Budget) -> None:
     entries = _parse_entries(args.entries)
+    symmetric = args.shape == "symmetric"
     for n in parse_range(args.n):
         if budget.out_of_time():
             report.truncated = True
@@ -400,13 +402,30 @@ def _run_ranks(args, report: RunReport, budget: _Budget) -> None:
         counts = gallery.fixed_rank_orbit_counts(entries, n, args.shape)
         value = counts.get(args.k, 0)
         report.sequence.append((n, value))
-        if args.verify and args.shape == "symmetric" and sorted(entries) == [0, 1] and args.k <= 2:
-            want = gallery.symmetric_binary_rank_formula(args.k, n)
+        if args.verify:
+            total = gallery.matrix_orbit_count(entries, n, args.shape)
+            ok = sum(counts.values()) == total
             report.add_verdict(
-                f"rank-formula@{n}",
-                value == want,
-                None if value == want else {"n": n, "count": str(value), "formula": str(want)},
+                f"rank-total@{n}",
+                ok,
+                None if ok else {"n": n, "sum": str(sum(counts.values())), "orbits": str(total)},
             )
+            cells = n * (n + 1) // 2 if symmetric else n * n
+            if n <= 3 and len(set(entries)) ** cells <= args.max_states:
+                brute = gallery.fixed_rank_orbit_counts_brute(entries, n, args.shape)
+                ok = counts == brute
+                report.add_verdict(
+                    f"rank-brute@{n}",
+                    ok,
+                    None if ok else {"n": n, "counts": str(counts), "brute": str(brute)},
+                )
+            if symmetric and set(entries) == {0, 1} and args.k <= 2:
+                want = gallery.symmetric_binary_rank_formula(args.k, n)
+                report.add_verdict(
+                    f"rank-formula@{n}",
+                    value == want,
+                    None if value == want else {"n": n, "count": str(value), "formula": str(want)},
+                )
         report.timings_ms[n] = (time.monotonic() - t0) * 1000
 
 

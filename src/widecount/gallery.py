@@ -108,20 +108,41 @@ def cube_component_count(d: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality of every
+# m below this bound (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3317044064679887385961981
+
+
+def _is_prime(m: int) -> bool:
+    if m < 2:
+        return False
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    if m >= _MR_PROVEN_BELOW:
+        return all(m % q for q in range(43, isqrt(m) + 1, 2))
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == m - 1:
+                break
+            x = x * x % m
+        else:
+            return False
+    return True
+
+
 def _next_prime(m: int) -> int:
     candidate = max(m + 1, 2)
-    while True:
-        if candidate % 2 == 0 and candidate > 2:
-            candidate += 1
-            continue
-        is_prime = candidate >= 2
-        for p in range(3, isqrt(candidate) + 1, 2):
-            if candidate % p == 0:
-                is_prime = False
-                break
-        if candidate == 2 or (is_prime and candidate % 2):
-            return candidate
+    while not _is_prime(candidate):
         candidate += 1
+    return candidate
 
 
 def _integerize(entries: Sequence[Fraction]) -> Tuple[List[int], int]:
@@ -151,30 +172,29 @@ def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     flat, _ = _integerize([x for row in matrix for x in row])
     max_abs = max((abs(x) for x in flat), default=0)
     p = rank_prime_for(max(rows, cols), max(max_abs, 1))
-    m = [[flat[i * cols + j] % p for j in range(cols)] for i in range(rows)]
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        prow = m[rank]
-        for r in range(rank + 1, rows):
-            factor = m[r][col]
-            if factor:
-                mult = factor * inv % p
-                row = m[r]
-                for j in range(col, cols):
-                    row[j] = (row[j] - mult * prow[j]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    basis: Tuple[Tuple[int, List[int]], ...] = ()
+    for i in range(rows):
+        basis = _rank_mod(basis, [x % p for x in flat[i * cols : (i + 1) * cols]], p)
+    return len(basis)
+
+
+def _rank_mod(
+    basis: Tuple[Tuple[int, List[int]], ...], row: List[int], p: int
+) -> Tuple[Tuple[int, List[int]], ...]:
+    """The one elimination step mod p: reduce `row` against an echelon
+    basis of (pivot column, row) pairs, each row zero before its pivot and
+    at the pivots before it.  Returns the basis extended by the reduced row
+    when that is nonzero, else the same basis, so the length of the result
+    is the rank of the rows reduced so far."""
+    for pivot, brow in basis:
+        f = row[pivot]
+        if f:
+            pv = brow[pivot]
+            row = [(a * pv - f * b) % p for a, b in zip(row, brow)]
+    for col, x in enumerate(row):
+        if x:
+            return basis + ((col, row),)
+    return basis
 
 
 def exact_rank_fraction(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -257,6 +277,53 @@ def _cell_orbits(images: Tuple[int, ...], symmetric: bool) -> List[List[Tuple[in
     return orbits
 
 
+def _is_symmetric(shape: str, n: int) -> bool:
+    if shape not in ("symmetric", "general"):
+        raise ValueError("shape must be 'symmetric' or 'general'")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return shape == "symmetric"
+
+
+def matrix_orbit_count(entries: Sequence[Fraction], n: int, shape: str = "symmetric") -> int:
+    """Orbits of all n x n matrices with entries in the given set, whatever
+    their rank: Burnside with |entries|^(number of cell orbits) fixed
+    matrices per permutation, so nothing is ranked."""
+    symmetric = _is_symmetric(shape, n)
+    size = len({Fraction(e) for e in entries})
+    total = sum(
+        class_size * size ** len(_cell_orbits(images, symmetric))
+        for images, class_size in _cycle_type_representatives(n)
+    )
+    return total // factorial(n)
+
+
+def fixed_rank_orbit_counts_brute(
+    entries: Sequence[Fraction], n: int, shape: str = "symmetric"
+) -> Dict[int, int]:
+    """Oracle for fixed_rank_orbit_counts at tiny n: every matrix that is
+    the least of its images under all n! simultaneous permutations is
+    ranked by exact rational elimination."""
+    from itertools import permutations
+
+    symmetric = _is_symmetric(shape, n)
+    values = sorted({Fraction(e) for e in entries})
+    cells = [(i, j) for i in range(n) for j in range(i if symmetric else 0, n)]
+    perms = list(permutations(range(n)))
+    out: Dict[int, int] = {}
+    for assignment in product(values, repeat=len(cells)):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), v in zip(cells, assignment):
+            m[i][j] = v
+            if symmetric:
+                m[j][i] = v
+        key = tuple(map(tuple, m))
+        if all(key <= tuple(tuple(m[a][b] for b in s) for a in s) for s in perms):
+            r = exact_rank_fraction(m)
+            out[r] = out.get(r, 0) + 1
+    return dict(sorted(out.items()))
+
+
 def fixed_rank_orbit_counts(
     entries: Sequence[Fraction], n: int, shape: str = "symmetric"
 ) -> Dict[int, int]:
@@ -264,64 +331,67 @@ def fixed_rank_orbit_counts(
     set under simultaneous row/column permutation.
 
     Burnside over the cycle types of Sym(n): a permutation's fixed matrices
-    are constant on its cell orbits, and each is ranked exactly.
+    are constant on its cell orbits.  They are enumerated depth-first, one
+    row at a time, and each row is reduced against the echelon basis of the
+    rows above it as soon as it is complete, so a fixed matrix costs one
+    row reduction and every prefix's work is shared by its subtree.
     """
-    if shape not in ("symmetric", "general"):
-        raise ValueError("shape must be 'symmetric' or 'general'")
-    symmetric = shape == "symmetric"
+    symmetric = _is_symmetric(shape, n)
+    entry_list = sorted({Fraction(e) for e in entries})
     cells = n * (n + 1) // 2 if symmetric else n * n
-    if len(entries) ** cells > RANK_CELL_BUDGET:
+    if len(entry_list) ** cells > RANK_CELL_BUDGET:
         raise TooLarge("entry assignments exceed the rank enumeration budget")
-    entry_list = [Fraction(e) for e in entries]
     ints, _ = _integerize(entry_list)
     max_abs = max((abs(x) for x in ints), default=0)
     p = rank_prime_for(n, max(max_abs, 1))
     entry_residues = [x % p for x in ints]
 
-    totals: Dict[int, int] = {}
+    totals = [0] * (n + 1)
     for images, class_size in _cycle_type_representatives(n):
-        orbits = _cell_orbits(images, symmetric)
-        for assignment in product(range(len(entry_list)), repeat=len(orbits)):
-            m = [[0] * n for _ in range(n)]
-            for orbit, choice in zip(orbits, assignment):
-                value = entry_residues[choice]
-                for i, j in orbit:
-                    m[i - 1][j - 1] = value
-                    if symmetric:
-                        m[j - 1][i - 1] = value
-            r = _rank_mod(m, p)
-            totals[r] = totals.get(r, 0) + class_size
+        for rank, fixed in enumerate(_fixed_rank_histogram(images, symmetric, entry_residues, p)):
+            totals[rank] += class_size * fixed
     order = factorial(n)
     out = {}
-    for r, total in totals.items():
+    for r, total in enumerate(totals):
         if total % order:
             raise AssertionError("Burnside sum is not integral")
-        out[r] = total // order
+        if total:
+            out[r] = total // order
     return out
 
 
-def _rank_mod(m: List[List[int]], p: int) -> int:
-    n = len(m)
-    work = [row[:] for row in m]
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], p - 2, p)
-        prow = work[rank]
-        for r in range(rank + 1, n):
-            factor = work[r][col]
-            if factor:
-                mult = factor * inv % p
-                row = work[r]
-                for j in range(col, n):
-                    row[j] = (row[j] - mult * prow[j]) % p
-        rank += 1
-        if rank == n:
-            break
-    return rank
+def _fixed_rank_histogram(
+    images: Tuple[int, ...], symmetric: bool, residues: List[int], p: int
+) -> List[int]:
+    """Number of matrices fixed by the permutation `images`, with entries
+    from `residues`, of each rank mod p."""
+    n = len(images)
+    orbits = _cell_orbits(images, symmetric)
+    # row r is complete once every orbit whose first row is at most r has a
+    # value; a symmetric cell (i, j) has i <= j, so i is its first row
+    groups: List[List[int]] = [[] for _ in range(n)]
+    owner = [[0] * n for _ in range(n)]
+    for k, orbit in enumerate(orbits):
+        groups[min(i for i, _ in orbit) - 1].append(k)
+        for i, j in orbit:
+            owner[i - 1][j - 1] = k
+            if symmetric:
+                owner[j - 1][i - 1] = k
+    hist = [0] * (n + 1)
+    values = [0] * len(orbits)
+
+    def settle(r: int, basis) -> None:
+        if r == n:
+            hist[len(basis)] += 1
+            return
+        group, row_owner = groups[r], owner[r]
+        for choice in product(residues, repeat=len(group)):
+            for k, v in zip(group, choice):
+                values[k] = v
+            settle(r + 1, _rank_mod(basis, [values[k] for k in row_owner], p))
+
+    settle(0, ())
+    return hist
 
 
 def fixed_rank_orbit_count(

@@ -85,6 +85,26 @@ def test_ranks_verify(capsys):
     )
     assert code == 0
     assert data["sequence"] == [["4", "14"]]
+    assert [c["check"] for c in data["checks"]] == ["rank-total@4", "rank-formula@4"]
+
+
+def test_ranks_verify_collapses_equal_entries(capsys):
+    code, data = _run_json(["ranks", "--entries", "0,1,1", "--k", "1", "--n", "3", "--verify"], capsys)
+    assert code == 0
+    assert data["sequence"] == [["3", "3"]]
+    assert [c["check"] for c in data["checks"]] == ["rank-total@3", "rank-brute@3", "rank-formula@3"]
+    assert data["verdict"] == "pass"
+
+
+def test_ranks_verify_checks_every_entry_set(capsys):
+    code, data = _run_json(
+        ["ranks", "--entries=-1,0,1/2", "--k", "3", "--n", "3..4", "--verify"],
+        capsys,
+    )
+    assert code == 0
+    checks = [c["check"] for c in data["checks"]]
+    assert checks == ["rank-total@3", "rank-brute@3", "rank-total@4"]
+    assert data["verdict"] == "pass"
 
 
 def test_model_both_methods(capsys):

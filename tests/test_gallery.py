@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -13,9 +13,11 @@ from widecount.gallery import (
     exact_rank_fraction,
     fixed_rank_orbit_count,
     fixed_rank_orbit_counts,
+    fixed_rank_orbit_counts_brute,
     galois_orbit_count,
     galois_orbit_count_brute,
     labeled_tree_count,
+    matrix_orbit_count,
     planes_component_count,
     planes_orbit_count,
     points_component_count,
@@ -87,6 +89,41 @@ def test_exact_rank_agrees_with_fractions():
         assert exact_rank(m) == exact_rank_fraction(m)
 
 
+def test_exact_rank_rectangular_and_rank_deficient():
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(300):
+        rows, cols, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
+        left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)] for _ in range(rows)]
+        right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)] for _ in range(k)]
+        m = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)] for row in left]
+        r = exact_rank_fraction(m)
+        assert exact_rank(m) == r <= min(rows, cols, k)
+        seen.add((r < min(rows, cols), rows == cols))
+    # deficient and full-rank cases of both square and rectangular shapes occur
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert exact_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert exact_rank([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
+    assert exact_rank([[]]) == 0
+    assert exact_rank([]) == 0
+
+
+def test_rank_prime_search_decides_primality():
+    from widecount.gallery import _is_prime, rank_prime_for
+
+    small = [m for m in range(2000) if m > 1 and all(m % q for q in range(2, m))]
+    assert [m for m in range(2000) if _is_prime(m)] == small
+    # strong pseudoprimes to the first 1..12 prime bases
+    for m in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(m)
+    assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
+    # a Hadamard bound near 10^21 (6 x 6, entries up to 1000) no longer
+    # needs trial division
+    p = rank_prime_for(6, 1000)
+    assert _is_prime(p) and p > (isqrt(6 * 1000**2) + 1) ** 6
+
+
 def test_symmetric_binary_rank_counts():
     for n in range(1, 6):
         counts = fixed_rank_orbit_counts([Fraction(0), Fraction(1)], n, "symmetric")
@@ -108,6 +145,46 @@ def test_rank_scale_invariance():
     a = fixed_rank_orbit_counts([Fraction(0), Fraction(1)], 3, "general")
     b = fixed_rank_orbit_counts([Fraction(0), Fraction(1, 2)], 3, "general")
     assert a == b
+
+
+@pytest.mark.parametrize("shape", ["symmetric", "general"])
+@pytest.mark.parametrize(
+    "entries", [[0, 1], [0, 1, 2], [0, Fraction(1, 2), 1]], ids=["01", "012", "0half1"]
+)
+def test_rank_counts_match_brute_force(entries, shape):
+    for n in range(4):
+        counts = fixed_rank_orbit_counts(entries, n, shape)
+        assert counts == fixed_rank_orbit_counts_brute(entries, n, shape), n
+        assert sum(counts.values()) == matrix_orbit_count(entries, n, shape)
+
+
+def test_rank_counts_match_brute_force_symmetric_binary_4():
+    counts = fixed_rank_orbit_counts([0, 1], 4, "symmetric")
+    assert counts == fixed_rank_orbit_counts_brute([0, 1], 4, "symmetric")
+    assert counts == {0: 1, 1: 4, 2: 14, 3: 31, 4: 40}
+
+
+def test_rank_counts_do_not_depend_on_entry_order():
+    rng = random.Random(5)
+    entries = [Fraction(-1), Fraction(1, 2), Fraction(2)]
+    for shape, n in (("symmetric", 4), ("general", 3)):
+        want = fixed_rank_orbit_counts(entries, n, shape)
+        for order in ([2, 1, 0], [1, 0, 2], rng.sample(range(3), 3)):
+            assert fixed_rank_orbit_counts([entries[i] for i in order], n, shape) == want
+
+
+def test_rank_counts_collapse_equal_entries():
+    want = {0: 1, 1: 3, 2: 7, 3: 9}
+    assert fixed_rank_orbit_counts([0, 1], 3) == want
+    assert fixed_rank_orbit_counts([0, 1, 1], 3) == want
+    assert fixed_rank_orbit_counts([0, 1, Fraction(2, 2)], 3) == want
+    assert matrix_orbit_count([0, 1, 1], 3) == sum(want.values())
+
+
+def test_rank_counts_reject_negative_n():
+    for count in (fixed_rank_orbit_counts, fixed_rank_orbit_counts_brute, matrix_orbit_count):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            count([0, 1], -1)
 
 
 def test_general_shape_budget():

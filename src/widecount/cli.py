@@ -34,7 +34,7 @@ from .functors.precomponent import (
     precomp_count,
 )
 from .lattice import DownwardClosedSet
-from .quasipoly import FittedQuasipolynomial, NoFit, fit, read_sequence_csv
+from .quasipoly import NoFit, fit, read_sequence_csv
 
 BRUTE_DEFAULT_BUDGET = 10**6
 
@@ -102,13 +102,8 @@ def parse_range(text: str) -> List[int]:
     return [int(text)]
 
 
-def _qp_json(res: FittedQuasipolynomial) -> dict:
-    return res.to_json_dict()
-
-
 class _Budget:
-    def __init__(self, max_states: int, time_limit: Optional[float]):
-        self.max_states = max_states
+    def __init__(self, time_limit: Optional[float]):
         self.time_limit = time_limit
         self.start = time.monotonic()
 
@@ -253,7 +248,7 @@ def _run_elementary(args, report: RunReport, budget: _Budget) -> None:
         report.timings_ms[n] = (time.monotonic() - t0) * 1000
     if args.fit:
         res = elementary_quasipolynomial(emf)
-        report.quasipolynomial = _qp_json(res)
+        report.quasipolynomial = res.to_json_dict()
 
 
 def _model_presentation(args):
@@ -309,7 +304,7 @@ def _run_precomp(args, report: RunReport, budget: _Budget) -> None:
     if args.fit and report.sequence:
         try:
             res = fit(dict(report.sequence), max_period=4, max_degree=3)
-            report.quasipolynomial = _qp_json(res)
+            report.quasipolynomial = res.to_json_dict()
         except NoFit as exc:
             report.add_verdict("fit", False, {"nofit": str(exc), **(exc.witness or {})})
 
@@ -349,7 +344,7 @@ def _run_example(args, report: RunReport, budget: _Budget) -> None:
     if args.fit and report.sequence:
         try:
             res = fit(dict(report.sequence), max_period=max(args.d, 6), max_degree=6)
-            report.quasipolynomial = _qp_json(res)
+            report.quasipolynomial = res.to_json_dict()
         except NoFit as exc:
             report.add_verdict("fit", False, {"nofit": str(exc), **(exc.witness or {})})
 
@@ -384,7 +379,7 @@ def _run_codes(args, report: RunReport, budget: _Budget) -> None:
     else:
         for n in range(args.nmax + 1):
             report.sequence.append((n, count_codes_burnside(args.q, args.m, n)))
-        report.quasipolynomial = _qp_json(codes_quasipolynomial(args.q, args.m, args.nmax))
+        report.quasipolynomial = codes_quasipolynomial(args.q, args.m, args.nmax).to_json_dict()
 
 
 def _parse_entries(text: str):
@@ -434,7 +429,7 @@ def _run_fit(args, report: RunReport, budget: _Budget) -> None:
     report.sequence = sorted(seq.items())
     try:
         res = fit(seq, max_period=args.max_period, max_degree=args.max_degree)
-        report.quasipolynomial = _qp_json(res)
+        report.quasipolynomial = res.to_json_dict()
         for n, value in seq.items():
             if n >= res.onset and res.qp.evaluate(n) != value:
                 report.add_verdict("fit-recheck", False, {"n": n})
@@ -506,7 +501,7 @@ def run(argv: Sequence[str]) -> int:
             if k not in ("out", "csv", "no_timing") and v is not None
         },
     )
-    budget = _Budget(args.max_states, args.time_limit)
+    budget = _Budget(args.time_limit)
     try:
         _RUNNERS[args.subcommand](args, report, budget)
     except UsageError as exc:

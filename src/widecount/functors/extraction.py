@@ -18,15 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..actions import Arrow, Groupoid, GroupoidAction, Permutation, TooLarge, UnionFind
-from ..lattice import DownwardClosedSet, WeightedLevelProblem, antichain_reduce, count_level
+from ..lattice import DownwardClosedSet, antichain_reduce, count_level, cycle_contract
 from .model import MFPair, ModelFunctorPresentation, apply_permutation, transposed
 
 Vector = Tuple[int, ...]
+
+# the largest threshold a stratum's calibration doubles to before Unstable
+MAX_T = 64
 
 
 class NotCalibrated(Exception):
@@ -410,9 +414,7 @@ class StratumAnalysis:
                         continue
                     rest = s0 - dom_size
                     for sigma1_letters in product(J, repeat=rest):
-                        for abar_letters in combinations_with_replacement_sorted(
-                            non_J, abar_len
-                        ):
+                        for abar_letters in combinations_with_replacement(non_J, abar_len):
                             reps.append(
                                 canonical_rep(J, dom, sigma1_letters, abar_letters, s0)
                             )
@@ -472,19 +474,24 @@ class StratumAnalysis:
         observed = self.observed_quadruple(seed, q.J, expected_e=q.e)
         return observed is not None and observed[0] == q
 
+    def realized_seed(self, q: Quadruple) -> Optional[MFPair]:
+        """The seed of q deep in the peeled cone when q is an object there (the
+        seed lies in the count set and is calibrated with quintuple q); None
+        otherwise."""
+        u0 = self.u_test(q)
+        seed = self.build_seed(q, u0)
+        if seed is None or not self.M.membership(seed.count_vector(self.pres.k)):
+            return None
+        return seed if self.is_good(q, u0) else None
+
     def object_data(self, e: int) -> List[dict]:
         """Per realized orbit-rep quadruple: seed, arrows, and level-set data."""
         if e in self._object_cache:
             return self._object_cache[e]
         out = []
         for q in self.orbit_reps(e):
-            u0 = self.u_test(q)
-            seed = self.build_seed(q, u0)
+            seed = self.realized_seed(q)
             if seed is None:
-                continue
-            if not self.M.membership(seed.count_vector(self.pres.k)):
-                continue
-            if not self.is_good(q, u0):
                 continue
             arrows = self.discover_arrows(q, seed)
             up_min = self.learn_up_antichain(q)
@@ -493,7 +500,6 @@ class StratumAnalysis:
                     "quadruple": q,
                     "seed": seed,
                     "arrows": arrows,
-                    "out_degree": len(arrows),
                     "up_min": up_min,
                 }
             )
@@ -579,50 +585,8 @@ class StratumAnalysis:
         cap = tuple(
             f + 2 * self.t + q.e + self.pres.s0 + 3 for f in floor_vec
         )
-
-        probe_cache: Dict[Vector, bool] = {}
-
-        def good(u_vec: Vector) -> bool:
-            if u_vec in probe_cache:
-                return probe_cache[u_vec]
-            res = self.is_good(q, dict(zip(J, u_vec)))
-            probe_cache[u_vec] = res
-            return res
-
-        minimals: Set[Vector] = set()
-
-        def minimize(u_vec: Vector) -> Vector:
-            u = list(u_vec)
-            changed = True
-            while changed:
-                changed = False
-                for j in range(len(u)):
-                    while u[j] > floor_vec[j] and good(
-                        tuple(u[:j] + [u[j] - 1] + u[j + 1 :])
-                    ):
-                        u[j] -= 1
-                        changed = True
-            return tuple(u)
-
-        visited: Set[Vector] = set()
-
-        def search(cap_vec: Vector) -> None:
-            if cap_vec in visited:
-                return
-            visited.add(cap_vec)
-            if any(c < f for c, f in zip(cap_vec, floor_vec)):
-                return
-            if not good(cap_vec):
-                return
-            m = minimize(cap_vec)
-            minimals.add(m)
-            for j in range(len(cap_vec)):
-                if m[j] > floor_vec[j]:
-                    sub = cap_vec[:j] + (m[j] - 1,) + cap_vec[j + 1 :]
-                    search(sub)
-
-        search(cap)
-        ac = antichain_reduce(minimals)
+        good = lru_cache(maxsize=None)(lambda u_vec: self.is_good(q, dict(zip(J, u_vec))))
+        ac = _minimal_elements(good, floor_vec, cap)
         # up-closedness spot check: points just above each minimal stay good
         for m in ac:
             for j in range(len(m)):
@@ -664,44 +628,31 @@ class StratumAnalysis:
         """|{u : sum u = level, u fixed by g, u in (count-set region) and
         calibrated}| by inclusion-exclusion over the calibrated antichain."""
         J = q.J
-        r = len(J)
         floor = q.sigma1_floor()
-        floor_vec = tuple(floor.get(l, 0) for l in J)
         n_obs = self.n_obstructions_u(q)
-        # cycles of g acting on positions of sorted J
-        index_of = {l: i for i, l in enumerate(J)}
-        perm = [index_of[g_images[i]] for i in range(r)]
-        seen = [False] * r
-        cycles: List[List[int]] = []
-        for i in range(r):
-            if not seen[i]:
-                cyc = []
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    cyc.append(j)
-                    j = perm[j]
-                cycles.append(cyc)
-        weights = [len(c) for c in cycles]
+        # g acting on positions of sorted J
+        g = Permutation([J.index(l) + 1 for l in g_images])
+        cycles = g.cycles()
 
         def fixed_count_above(base: Vector) -> int:
-            lows = [max(max(base[i] for i in c), max(floor_vec[i] for i in c)) for c in cycles]
-            shifted_level = level - sum(w * a for w, a in zip(weights, lows))
-            if shifted_level < 0:
+            # a fixed u above base and the floor is constant on each cycle and
+            # at least the cycle's largest bound: shift every cycle by it
+            low = [0] * len(J)
+            for c in cycles:
+                bound = max(max(base[i - 1], floor.get(J[i - 1], 0)) for i in c)
+                for i in c:
+                    low[i - 1] = bound
+            if sum(low) > level:
                 return 0
-            z_obs = []
-            for o in n_obs:
-                b = [max(o[i] for i in c) for c in cycles]
-                z_obs.append(tuple(max(bc - ac, 0) for bc, ac in zip(b, lows)))
-            problem = WeightedLevelProblem(
-                weights, DownwardClosedSet(len(cycles), z_obs)
+            shifted = [tuple(max(x - b, 0) for x, b in zip(o, low)) for o in n_obs]
+            return count_level(
+                cycle_contract(DownwardClosedSet(len(J), shifted), g), level - sum(low)
             )
-            return count_level(problem, shifted_level)
 
         total = 0
         for size in range(1, len(up_min) + 1):
             for subset in combinations(up_min, size):
-                base = tuple(max(m[i] for m in subset) for i in range(r))
+                base = tuple(max(m[i] for m in subset) for i in range(len(J)))
                 total += (-1) ** (size + 1) * fixed_count_above(base)
         return total
 
@@ -726,7 +677,7 @@ class StratumAnalysis:
                         q, g_images, data["up_min"], n - e
                     )
                 if inner:
-                    total += inner / data["out_degree"]
+                    total += inner / len(data["arrows"])
         if total.denominator != 1:
             raise Unstable(
                 f"stratified Burnside sum is not an integer at n={n}; raise t"
@@ -762,15 +713,6 @@ def _arrangements(counts: Dict, length: int):
             for rest in _arrangements(counts, length - 1):
                 yield (label,) + rest
             counts[label] += 1
-
-
-def combinations_with_replacement_sorted(letters: Sequence[int], length: int):
-    from itertools import combinations_with_replacement
-
-    if length == 0:
-        yield ()
-        return
-    yield from combinations_with_replacement(sorted(letters), length)
 
 
 # ---------------------------------------------------------------------------
@@ -835,15 +777,13 @@ class ExtractedGroupoid:
         for q in self.groupoid.objects:
             floor = q.sigma1_floor()
             floor_vec = tuple(floor.get(l, 0) for l in q.J)
-            for u in _vectors_at_level(len(q.J), level):
+            in_stratum = DownwardClosedSet(len(q.J), self.analysis.n_obstructions_u(q))
+            for u in in_stratum.enumerate_level(level):
                 if any(x < f for x, f in zip(u, floor_vec)):
-                    continue
-                quint = Quintuple(q, u)
-                obs_u = self.analysis.n_obstructions_u(q)
-                if any(all(u[i] >= o[i] for i in range(len(u))) for o in obs_u):
                     continue
                 if not self.analysis.is_good(q, dict(zip(q.J, u))):
                     continue
+                quint = Quintuple(q, u)
                 carrier.append(quint)
                 anchor[quint] = q
                 fibers[q].append(quint)
@@ -860,60 +800,29 @@ class ExtractedGroupoid:
         return GroupoidAction(self.groupoid, carrier, anchor, maps)
 
 
-def _vectors_at_level(dim: int, level: int):
-    if level < 0:
-        return
-    if dim == 0:
-        if level == 0:
-            yield ()
-        return
-    for first in range(level + 1):
-        for rest in _vectors_at_level(dim - 1, level - first):
-            yield (first,) + rest
-
-
 def extract_groupoid(
     pres: ModelFunctorPresentation,
     e: int,
     t: Optional[int] = None,
-    max_t: int = 64,
     check_stability: bool = True,
 ) -> ExtractedGroupoid:
     """The groupoid of quadruples with core size e at a stable calibration.
 
     Objects are the labeled quadruples realized by calibrated pairs with
     core [e]; arrows are the frequent-set bijections realized by equivalent
-    pairs; composition is composition of bijections.  When the structure at
-    t and t+1 differs the threshold doubles, up to max_t (then Unstable).
+    pairs; composition is composition of bijections.  The threshold is the
+    stratified count's for the presentation's count set, with the t/t+1
+    check made whatever the word length.
     """
-    t0 = t if t is not None else max(default_threshold(pres.countset, pres.s0), 2)
-    t_cur = max(t0, minimum_threshold(pres.countset))
-    while True:
-        analysis = StratumAnalysis(pres, pres.countset, t_cur)
-        if not check_stability:
-            break
-        probe = StratumAnalysis(pres, pres.countset, t_cur + 1)
-        if analysis.fingerprint() == probe.fingerprint():
-            break
-        if t is not None or 2 * t_cur > max_t:
-            raise Unstable(
-                f"groupoid extraction unstable between t={t_cur} and t={t_cur + 1}"
-            )
-        t_cur *= 2
-
-    labeled = analysis.labeled_quadruples(e)
+    analysis = _plan(pres, t, check_stability).calibrated(pres.countset)
     objects: List[Quadruple] = []
     arrows: List[Arrow] = []
     seeds: Dict[Quadruple, MFPair] = {}
-    for q in labeled:
-        u0 = analysis.u_test(q)
-        seed = analysis.build_seed(q, u0)
-        if seed is None or not analysis.M.membership(seed.count_vector(pres.k)):
-            continue
-        if not analysis.is_good(q, u0):
-            continue
-        objects.append(q)
-        seeds[q] = seed
+    for q in analysis.labeled_quadruples(e):
+        seed = analysis.realized_seed(q)
+        if seed is not None:
+            objects.append(q)
+            seeds[q] = seed
     for q in objects:
         for q_target, g_images in analysis.discover_arrows(q, seeds[q]):
             if q_target in set(objects):
@@ -930,7 +839,7 @@ def extract_groupoid(
         return tuple(q.J)
 
     groupoid = Groupoid.from_compose_fn(objects, arrows, compose_fn, identity_label)
-    return ExtractedGroupoid(pres, e, t_cur, groupoid, analysis)
+    return ExtractedGroupoid(pres, e, analysis.t, groupoid, analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -961,7 +870,7 @@ def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) ->
 
 class StratifiedPlan:
     """Everything of the stratified count that does not depend on n, for one
-    presentation and one choice of (t, max_t, check_stability).
+    presentation and one choice of (t, check_stability).
 
     The strata are recorded as the counts reach them, memoised per count
     set M and threshold t: the analysis (with its object cache), whether
@@ -974,12 +883,10 @@ class StratifiedPlan:
         self,
         pres: ModelFunctorPresentation,
         t: Optional[int],
-        max_t: int,
         check_stability: bool,
     ):
         self.pres = pres
         self.t = t
-        self.max_t = max_t
         self.check_stability = check_stability
         self._analyses: Dict[Tuple[DownwardClosedSet, int], StratumAnalysis] = {}
         self._stable: Dict[Tuple[DownwardClosedSet, int], bool] = {}
@@ -1000,20 +907,23 @@ class StratifiedPlan:
             )
         return self._stable[key]
 
-    def calibrated(self, M: DownwardClosedSet, n: int) -> StratumAnalysis:
+    def calibrated(self, M: DownwardClosedSet, n: Optional[int] = None) -> StratumAnalysis:
         """The stratum's analysis at the threshold for n: from the default,
-        doubled while the stratum is occupied at n and unstable."""
+        doubled while the stratum is occupied at n (at every n when n is
+        None) and unstable."""
         s0 = self.pres.s0
         t0 = self.t if self.t is not None else max(default_threshold(M, s0), 2)
         t_cur = max(t0, minimum_threshold(M))
         while True:
             analysis = self.analysis(M, t_cur)
-            if not self.check_stability or n - s0 < analysis.min_occupied_total():
+            if not self.check_stability or (
+                n is not None and n - s0 < analysis.min_occupied_total()
+            ):
                 return analysis
             if self.stable(M, t_cur):
                 return analysis
-            if self.t is not None or 2 * t_cur > self.max_t:
-                raise Unstable(f"stratum unstable at t={t_cur}")
+            if self.t is not None or 2 * t_cur > MAX_T:
+                raise Unstable(f"stratum unstable between t={t_cur} and t={t_cur + 1}")
             t_cur *= 2
 
     def peeled(self, analysis: StratumAnalysis) -> DownwardClosedSet:
@@ -1045,16 +955,16 @@ class StratifiedPlan:
 # stratum once.  An entry keeps its presentation alive and is only used for
 # that very object, so neither a reused id nor an equal-valued presentation
 # with another oracle can pick up a foreign plan.
-_PLAN_CACHE: Dict[Tuple[int, Optional[int], int, bool], StratifiedPlan] = {}
+_PLAN_CACHE: Dict[Tuple[int, Optional[int], bool], StratifiedPlan] = {}
 
 
 def _plan(
-    pres: ModelFunctorPresentation, t: Optional[int], max_t: int, check_stability: bool
+    pres: ModelFunctorPresentation, t: Optional[int], check_stability: bool
 ) -> StratifiedPlan:
-    key = (id(pres), t, max_t, check_stability)
+    key = (id(pres), t, check_stability)
     plan = _PLAN_CACHE.get(key)
     if plan is None or plan.pres is not pres:
-        plan = _PLAN_CACHE[key] = StratifiedPlan(pres, t, max_t, check_stability)
+        plan = _PLAN_CACHE[key] = StratifiedPlan(pres, t, check_stability)
     return plan
 
 
@@ -1062,7 +972,6 @@ def mf_count_via_groupoid(
     pres: ModelFunctorPresentation,
     n: int,
     t: Optional[int] = None,
-    max_t: int = 64,
     check_stability: bool = True,
 ) -> int:
     """Sym([n])-orbit count on F([n])/~ via the stratified groupoid formula.
@@ -1081,7 +990,7 @@ def mf_count_via_groupoid(
         )
     if n < pres.s0:
         return 0
-    plan = _plan(pres, t, max_t, check_stability)
+    plan = _plan(pres, t, check_stability)
     total = 0
     M_cur = pres.countset
     for _ in range(10000):
@@ -1104,14 +1013,21 @@ def _learn_minimal_nonmembers(
 ) -> List[Vector]:
     """Minimal elements of the complement of a downward-closed set, probed
     within the cap box (the complement's minimal elements must lie inside)."""
-    k = len(caps)
-    cache: Dict[Vector, bool] = {}
+    outside = lru_cache(maxsize=None)(lambda v: not member(v))
+    learned = DownwardClosedSet(len(caps), _minimal_elements(outside, (0,) * len(caps), caps))
+    # sanity sweep: the learned antichain must reproduce membership on a grid
+    for probe in product(*(range(0, c + 1, max(1, c // 3)) for c in caps)):
+        if learned.membership(probe) == outside(probe):
+            raise Unstable(f"non-monotone membership near {probe}")
+    return list(learned.obstructions)
 
-    def is_member(v: Vector) -> bool:
-        if v not in cache:
-            cache[v] = member(v)
-        return cache[v]
 
+def _minimal_elements(
+    up: Callable[[Vector], bool], floor: Vector, cap: Vector
+) -> Tuple[Vector, ...]:
+    """Minimal elements of an up-set within the box [floor, cap], found by
+    corner probes and coordinate descent.  ``up`` should be memoised: the
+    search asks it about the same points again."""
     minimals: Set[Vector] = set()
     visited: Set[Vector] = set()
 
@@ -1120,29 +1036,23 @@ def _learn_minimal_nonmembers(
         changed = True
         while changed:
             changed = False
-            for j in range(k):
-                while cur[j] > 0 and not is_member(tuple(cur[:j] + [cur[j] - 1] + cur[j + 1 :])):
+            for j in range(len(cur)):
+                while cur[j] > floor[j] and up(tuple(cur[:j] + [cur[j] - 1] + cur[j + 1 :])):
                     cur[j] -= 1
                     changed = True
         return tuple(cur)
 
-    def search(cap: Vector) -> None:
-        if cap in visited:
+    def search(corner: Vector) -> None:
+        if corner in visited:
             return
-        visited.add(cap)
-        if is_member(cap):
+        visited.add(corner)
+        if not up(corner):
             return
-        m = minimize(cap)
+        m = minimize(corner)
         minimals.add(m)
-        for j in range(k):
-            if m[j] > 0:
-                search(cap[:j] + (m[j] - 1,) + cap[j + 1 :])
+        for j in range(len(corner)):
+            if m[j] > floor[j]:
+                search(corner[:j] + (m[j] - 1,) + corner[j + 1 :])
 
-    search(caps)
-    out = antichain_reduce(minimals)
-    # sanity sweep: the learned antichain must reproduce membership on a grid
-    for probe in product(*(range(0, c + 1, max(1, c // 3)) for c in caps)):
-        predicted = not any(all(probe[j] >= o[j] for j in range(k)) for o in out)
-        if predicted != is_member(tuple(probe)):
-            raise Unstable(f"non-monotone membership near {probe}")
-    return list(out)
+    search(cap)
+    return antichain_reduce(minimals)

@@ -115,13 +115,12 @@ _MR_PROVEN_BELOW = 3317044064679887385961981
 
 
 def _is_prime(m: int) -> bool:
+    """Primality of m below _MR_PROVEN_BELOW."""
     if m < 2:
         return False
     for q in _MR_BASES:
         if m % q == 0:
             return m == q
-    if m >= _MR_PROVEN_BELOW:
-        return all(m % q for q in range(43, isqrt(m) + 1, 2))
     d, s = m - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -139,10 +138,30 @@ def _is_prime(m: int) -> bool:
 
 
 def _next_prime(m: int) -> int:
+    """A prime above m: the next one below _MR_PROVEN_BELOW, and beyond it
+    the least Proth prime p = k * 2^e + 1 > m (k odd, k < 2^e, with
+    e = m.bit_length() // 2 + 1) that one of the bases proves prime.
+
+    By Proth's theorem, one a with a^((p-1)/2) = -1 mod p proves p prime.
+    For prime p, a^((p-1)/2) is 1 or -1 (Euler's criterion), so any other
+    value shows p composite.
+    """
     candidate = max(m + 1, 2)
-    while not _is_prime(candidate):
+    while candidate < _MR_PROVEN_BELOW:
+        if _is_prime(candidate):
+            return candidate
         candidate += 1
-    return candidate
+    # k starts below 2^(e-1); a prime is met within a few hundred steps
+    step = 1 << (m.bit_length() // 2 + 1)
+    for k in range(-(-m // step) | 1, step, 2):
+        p = k * step + 1
+        for a in _MR_BASES:
+            x = pow(a, p // 2, p)
+            if x == p - 1:
+                return p
+            if x != 1:
+                break
+    raise ArithmeticError(f"no Proth prime above {m} with k < {step}")
 
 
 def _integerize(entries: Sequence[Fraction]) -> Tuple[List[int], int]:

@@ -1,4 +1,7 @@
-from itertools import permutations
+import dataclasses
+import random
+from functools import lru_cache
+from itertools import permutations, product
 from math import comb, gcd
 
 import pytest
@@ -17,6 +20,7 @@ from widecount.functors.extraction import (
     Quadruple,
     StratumAnalysis,
     Unstable,
+    _minimal_elements,
     analyze_pair,
     extract_groupoid,
     mf_count_via_groupoid,
@@ -29,7 +33,7 @@ from widecount.functors.model import (
     trivial_presentation,
 )
 from widecount.gallery import cube_orbit_count
-from widecount.lattice import DownwardClosedSet
+from widecount.lattice import DownwardClosedSet, antichain_reduce
 
 
 def cube_formula(d, n):
@@ -275,3 +279,45 @@ def test_plan_is_built_once_per_sweep(monkeypatch):
     before = len(builds)
     mf_count_via_groupoid(twin, 70)
     assert len(builds) == before + alone
+
+
+@pytest.mark.parametrize(
+    "label,t,arrows",
+    [("roots2", 6, 2), ("roots3", 8, 3), ("roots4", 10, 4), ("s3_words", 6, 6)],
+)
+def test_extract_groupoid_takes_the_plan_calibration(label, t, arrows):
+    if label == "s3_words":
+        emf = ElementaryModelFunctor(3, PermGroup.symmetric(3), DownwardClosedSet.full(3))
+        pres = elementary_embedding(emf)
+    else:
+        pres = roots_of_unity(int(label[-1]))
+    _PLAN_CACHE.clear()
+    eg = extract_groupoid(pres, e=0)
+    assert eg.t == eg.analysis.t == t
+    assert len(eg.groupoid.objects) == 1
+    assert len(eg.groupoid.arrows) == arrows
+
+
+def test_extract_groupoid_needs_the_shadow():
+    pres = dataclasses.replace(roots_of_unity(2), count_equivalents=None)
+    with pytest.raises(TooLarge, match="count-vector shadow"):
+        extract_groupoid(pres, e=0)
+
+
+def test_minimal_element_search_against_brute_force():
+    rng = random.Random(7)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        obstructions = [
+            tuple(rng.randint(0, 4) for _ in range(k)) for _ in range(rng.randint(0, 4))
+        ]
+        M = DownwardClosedSet(k, obstructions)
+        outside = lru_cache(maxsize=None)(lambda v: not M.membership(v))
+        cap = (5,) * k
+        assert _minimal_elements(outside, (0,) * k, cap) == M.obstructions
+        floor = tuple(rng.randint(0, 2) for _ in range(k))
+        if not any(floor):
+            floor = (1,) + floor[1:]
+        box = product(*(range(f, c + 1) for f, c in zip(floor, cap)))
+        brute = antichain_reduce(v for v in box if not M.membership(v))
+        assert _minimal_elements(outside, floor, cap) == brute, (M, floor)

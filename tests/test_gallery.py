@@ -124,6 +124,30 @@ def test_rank_prime_search_decides_primality():
     assert _is_prime(p) and p > (isqrt(6 * 1000**2) + 1) ** 6
 
 
+def test_rank_prime_above_the_miller_rabin_range():
+    from widecount.gallery import _MR_PROVEN_BELOW, _next_prime
+
+    # Hadamard bounds above 3.3e24: 8 x 8 with entries up to 1000, and
+    # products of rank 8 and 5 with entries up to 4500
+    rng = random.Random(44)
+    m = [[rng.randint(-1000, 1000) for _ in range(8)] for _ in range(8)]
+    assert exact_rank(m) == exact_rank_fraction(m) == 8
+    for rank in (8, 5):
+        a = [[rng.randint(-30, 30) for _ in range(rank)] for _ in range(8)]
+        b = [[rng.randint(-30, 30) for _ in range(8)] for _ in range(rank)]
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        assert exact_rank(m) == exact_rank_fraction(m) <= rank
+    assert fixed_rank_orbit_counts([0, 10**6], 4, "general") == fixed_rank_orbit_counts(
+        [0, 1], 4, "general"
+    )
+    assert _next_prime(_MR_PROVEN_BELOW - 3) > _MR_PROVEN_BELOW - 3
+    for bound in (10**27, 2**300):
+        p = _next_prime(bound)
+        e = ((p - 1) & -(p - 1)).bit_length() - 1  # p = k * 2^e + 1 with k odd
+        assert p > bound and (p - 1) >> e < 2**e
+        assert all(pow(a, p - 1, p) == 1 for a in (2, 3, 5, 7, 10**9 + 7))
+
+
 def test_symmetric_binary_rank_counts():
     for n in range(1, 6):
         counts = fixed_rank_orbit_counts([Fraction(0), Fraction(1)], n, "symmetric")

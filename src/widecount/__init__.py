@@ -15,6 +15,7 @@ from .actions import (
     PermGroup,
     Permutation,
     TooLarge,
+    budget,
     canonical_form,
     group_orbit_count,
     group_orbits_enumerate,
@@ -59,6 +60,7 @@ __all__ = [
     "StanleyPiece",
     "TooLarge",
     "WeightedLevelProblem",
+    "budget",
     "build_quasipolynomial",
     "canonical_form",
     "count_level",

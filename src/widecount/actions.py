@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 import re
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 MAX_GROUP_ORDER = 10**6
+MAX_CANONICAL_OPS = 10**7
 
 
 class NotAnAction(Exception):
@@ -23,6 +26,47 @@ class NotAnAction(Exception):
 
 class TooLarge(Exception):
     """The configured enumeration budget would be exceeded."""
+
+
+# The active budget: (state cap, deadline on time.monotonic()), None where
+# unset.  Every size guard reads it through require, every long loop
+# checks it through tick.
+_BUDGET: ContextVar[Tuple[Optional[int], Optional[float]]] = ContextVar("budget", default=(None, None))
+
+
+def _tighter(a, b):
+    """The smaller of two limits, where None is no limit."""
+    return b if a is None else a if b is None else min(a, b)
+
+
+@contextmanager
+def budget(max_states: Optional[int] = None, seconds: Optional[float] = None):
+    """Within the block, no enumeration may exceed max_states states and
+    every long loop stops once ``seconds`` have passed, both by raising
+    TooLarge.  A budget only tightens: it never raises a route's own cap,
+    and a nested budget never loosens the one around it."""
+    cap, deadline = _BUDGET.get()
+    end = None if seconds is None else time.monotonic() + seconds
+    token = _BUDGET.set((_tighter(cap, max_states), _tighter(deadline, end)))
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
+def require(amount: int, cap: Optional[int], what: str) -> None:
+    """Raise TooLarge when ``amount`` states exceed the smaller of the
+    route's own cap (None: it has none) and the budget's cap."""
+    cap = _tighter(cap, _BUDGET.get()[0])
+    if cap is not None and amount > cap:
+        raise TooLarge(f"{what}: {amount} exceeds the budget {cap}")
+
+
+def tick() -> None:
+    """Raise TooLarge once the budget's deadline has passed."""
+    deadline = _BUDGET.get()[1]
+    if deadline is not None and time.monotonic() >= deadline:
+        raise TooLarge("time limit reached")
 
 
 @dataclass(frozen=True)
@@ -110,7 +154,7 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
-def _close_under_product(gens: Sequence[Permutation], max_order: int) -> List[Permutation]:
+def _close_under_product(gens: Sequence[Permutation]) -> List[Permutation]:
     degree = gens[0].degree
     identity = Permutation.identity(degree)
     elements = {identity}
@@ -123,8 +167,7 @@ def _close_under_product(gens: Sequence[Permutation], max_order: int) -> List[Pe
                 if prod not in elements:
                     elements.add(prod)
                     new.append(prod)
-                    if len(elements) > max_order:
-                        raise TooLarge(f"group order exceeds {max_order}")
+                    require(len(elements), MAX_GROUP_ORDER, "group order")
         frontier = new
     return sorted(elements, key=lambda p: p.images)
 
@@ -140,9 +183,7 @@ class PermGroup:
         self.degree = degree
         self.generators: Tuple[Permutation, ...] = tuple(gens)
         seed = list(gens) if gens else [Permutation.identity(degree)]
-        self.elements: Tuple[Permutation, ...] = tuple(
-            _close_under_product(seed, MAX_GROUP_ORDER)
-        )
+        self.elements: Tuple[Permutation, ...] = tuple(_close_under_product(seed))
         self.order = len(self.elements)
 
     def __iter__(self):
@@ -509,7 +550,6 @@ def canonical_form(
     word: Sequence[int],
     position_group: Optional[PermGroup] = None,
     alphabet_group: Optional[PermGroup] = None,
-    max_ops: int = 10**7,
 ) -> Tuple[int, ...]:
     """Lexicographic minimum of a word's orbit under positions x alphabet.
 
@@ -517,7 +557,7 @@ def canonical_form(
     letters by ``alphabet_group``.  Two words have equal canonical forms
     iff they lie in the same orbit.  Full symmetric position groups are
     reduced to sorting; otherwise the orbit is searched exhaustively
-    within ``max_ops`` elementary operations (TooLarge beyond).
+    within MAX_CANONICAL_OPS elementary operations (TooLarge beyond).
     """
     word = tuple(word)
     n = len(word)
@@ -530,16 +570,15 @@ def canonical_form(
 
     sort_positions = position_group is None or position_group.is_symmetric()
     if sort_positions:
-        if len(alphabet_elems) * n > max_ops:
-            raise TooLarge("alphabet group too large for the configured budget")
+        require(len(alphabet_elems) * n, MAX_CANONICAL_OPS, "canonical form operations")
         best = None
         for g in alphabet_elems:
             cand = tuple(sorted(relabel(word, g)))
             if best is None or cand < best:
                 best = cand
         return best
-    if position_group.order * len(alphabet_elems) * n > max_ops:
-        raise TooLarge("orbit search exceeds the configured budget")
+    ops = position_group.order * len(alphabet_elems) * n
+    require(ops, MAX_CANONICAL_OPS, "canonical form operations")
     best = None
     for g in alphabet_elems:
         w = relabel(word, g)

@@ -15,10 +15,10 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import gallery
-from .actions import PermGroup, TooLarge
+from .actions import PermGroup, TooLarge, budget, tick
 from .codes import codes_quasipolynomial, count_codes_burnside, count_codes_direct
 from .functors.elementary import (
     ElementaryModelFunctor,
@@ -35,8 +35,6 @@ from .functors.precomponent import (
 )
 from .lattice import DownwardClosedSet
 from .quasipoly import NoFit, fit, read_sequence_csv
-
-BRUTE_DEFAULT_BUDGET = 10**6
 
 
 class UsageError(Exception):
@@ -102,15 +100,6 @@ def parse_range(text: str) -> List[int]:
     return [int(text)]
 
 
-class _Budget:
-    def __init__(self, time_limit: Optional[float]):
-        self.time_limit = time_limit
-        self.start = time.monotonic()
-
-    def out_of_time(self) -> bool:
-        return self.time_limit is not None and time.monotonic() - self.start > self.time_limit
-
-
 def _emit(report: RunReport, args) -> int:
     payload = json.dumps(
         report.to_json_dict(include_timings=not args.no_timing),
@@ -135,10 +124,13 @@ def _add_common(parser: _Parser) -> None:
     parser.add_argument("--out", help="write the JSON report to this file instead of stdout")
     parser.add_argument("--csv", help="write the n,count CSV to this file")
     parser.add_argument("--no-timing", action="store_true", help="omit wall times for byte-stable output")
-    parser.add_argument("--max-states", type=int, default=BRUTE_DEFAULT_BUDGET,
-                        help="state budget for brute-force oracles")
+    parser.add_argument("--max-states", type=int, default=10**6,
+                        help="cap on the states any enumeration of the run may visit; it only "
+                        "tightens a route's own cap, and an enumeration above it truncates the "
+                        "report or skips a cross-check (default 10^6)")
     parser.add_argument("--time-limit", type=float, default=None,
-                        help="soft wall-clock limit in seconds; exceeding truncates the report")
+                        help="wall-clock limit in seconds, checked inside the counting loops; "
+                        "reaching it truncates the report")
 
 
 def build_parser() -> _Parser:
@@ -228,24 +220,50 @@ def _elementary_from_args(args) -> ElementaryModelFunctor:
     return ElementaryModelFunctor(args.k, group, countset)
 
 
-def _run_elementary(args, report: RunReport, budget: _Budget) -> None:
-    emf = _elementary_from_args(args)
-    for n in parse_range(args.n):
-        if budget.out_of_time():
-            report.truncated = True
-            break
+def _sweep(report: RunReport, ns: Iterable[int], step: Callable[[int], int]) -> None:
+    """Append (n, step(n)) for each n in turn with its wall time, until a
+    step runs out of budget: that truncates the report to the n before."""
+    for n in ns:
         t0 = time.monotonic()
-        count = elementary_count(emf, n)
-        report.sequence.append((n, count))
-        if args.verify:
-            if emf.k**n <= min(args.max_states, 10**7):
-                brute = elementary_brute(emf, n)
-                report.add_verdict(
-                    f"elementary-vs-brute@{n}",
-                    count == brute,
-                    None if count == brute else {"n": n, "count": str(count), "brute": str(brute)},
-                )
+        try:
+            tick()
+            report.sequence.append((n, step(n)))
+        except TooLarge as exc:
+            report.truncated = True
+            report.add_verdict("budget", True, {"truncated_by": str(exc)})
+            return
         report.timings_ms[n] = (time.monotonic() - t0) * 1000
+
+
+def _agree(report: RunReport, check: str, n: int, **values) -> None:
+    """A verdict that the values at n agree; a failure lists them all."""
+    first, *rest = values.values()
+    ok = all(v == first for v in rest)
+    witness = {"n": n, **{k: str(v) for k, v in values.items()}}
+    report.add_verdict(f"{check}@{n}", ok, None if ok else witness)
+
+
+def _oracle(count: Callable[..., int], *args) -> Optional[int]:
+    """count(*args), or None when it is over its cap and so skipped; a
+    passed deadline still raises, so it truncates the report."""
+    try:
+        return count(*args)
+    except TooLarge:
+        tick()
+        return None
+
+
+def _run_elementary(args, report: RunReport) -> None:
+    emf = _elementary_from_args(args)
+
+    def step(n: int) -> int:
+        count = elementary_count(emf, n)
+        brute = _oracle(elementary_brute, emf, n) if args.verify else None
+        if brute is not None:
+            _agree(report, "elementary-vs-brute", n, count=count, brute=brute)
+        return count
+
+    _sweep(report, parse_range(args.n), step)
     if args.fit:
         res = elementary_quasipolynomial(emf)
         report.quasipolynomial = res.to_json_dict()
@@ -257,50 +275,27 @@ def _model_presentation(args):
     return elementary_embedding(_elementary_from_args(args))
 
 
-def _run_model(args, report: RunReport, budget: _Budget) -> None:
+def _run_model(args, report: RunReport) -> None:
     pres = _model_presentation(args)
-    for n in parse_range(args.n):
-        if budget.out_of_time():
-            report.truncated = True
-            break
-        t0 = time.monotonic()
-        counts = {}
-        if args.method in ("groupoid", "both"):
-            counts["groupoid"] = mf_count_via_groupoid(pres, n)
-        if args.method in ("direct", "both"):
-            if pres.pair_count(n) <= args.max_states:
-                counts["direct"] = mf_orbit_count_direct(pres, n)
-            elif args.method == "direct":
-                report.truncated = True
-                break
-        if not counts:
-            report.truncated = True
-            break
-        value = next(iter(counts.values()))
-        report.sequence.append((n, value))
-        if len(counts) == 2:
-            ok = counts["groupoid"] == counts["direct"]
-            report.add_verdict(
-                f"groupoid-vs-direct@{n}",
-                ok,
-                None if ok else {"n": n, **{k: str(v) for k, v in counts.items()}},
-            )
-        report.timings_ms[n] = (time.monotonic() - t0) * 1000
+
+    def step(n: int) -> int:
+        if args.method == "direct":
+            return mf_orbit_count_direct(pres, n)
+        count = mf_count_via_groupoid(pres, n)
+        direct = _oracle(mf_orbit_count_direct, pres, n) if args.method == "both" else None
+        if direct is not None:
+            _agree(report, "groupoid-vs-direct", n, groupoid=count, direct=direct)
+        return count
+
+    _sweep(report, parse_range(args.n), step)
 
 
-def _run_precomp(args, report: RunReport, budget: _Budget) -> None:
+def _run_precomp(args, report: RunReport) -> None:
     if args.preset == "planes":
         pc = planes_precomponent()
     else:
         pc = PreComponentPresentation.from_single(roots_of_unity(args.d))
-    ns = parse_range(args.n)
-    for n in ns:
-        if budget.out_of_time() or pc.item_count(n) > args.max_states:
-            report.truncated = True
-            break
-        t0 = time.monotonic()
-        report.sequence.append((n, precomp_count(pc, n)))
-        report.timings_ms[n] = (time.monotonic() - t0) * 1000
+    _sweep(report, parse_range(args.n), lambda n: precomp_count(pc, n))
     if args.fit and report.sequence:
         try:
             res = fit(dict(report.sequence), max_period=4, max_degree=3)
@@ -309,38 +304,33 @@ def _run_precomp(args, report: RunReport, budget: _Budget) -> None:
             report.add_verdict("fit", False, {"nofit": str(exc), **(exc.witness or {})})
 
 
-def _run_example(args, report: RunReport, budget: _Budget) -> None:
-    name = args.name
-    for n in parse_range(args.n):
-        if budget.out_of_time():
-            report.truncated = True
-            break
-        t0 = time.monotonic()
-        data = gallery.example_counts(name, n, d=args.d)
-        key = "orbits" if "orbits" in data else "labeled"
-        report.sequence.append((n, data[key]))
+def _check_example(name: str, d: int, n: int, count: int, report: RunReport) -> None:
+    if name == "cube":
+        brute = _oracle(gallery.cube_orbit_count_brute, d, n)
+        if brute is not None:
+            _agree(report, "cube-formula-vs-brute", n, formula=count, brute=brute)
+    elif name == "galois":
+        brute = _oracle(gallery.galois_orbit_count_brute, n)
+        if brute is not None:
+            _agree(report, "galois-vs-brute", n, formula=count, brute=brute)
+    elif name == "trees" and n <= 8:
+        brute = gallery.tree_orbit_count(n)[1]
+        _agree(report, "trees-brute-vs-growth", n, brute=brute, growth=count)
+    elif name == "points":
+        # formula is the definition here; check the d=1 degeneration
+        report.add_verdict(f"points@{n}", gallery.points_orbit_count(1, n) == 1)
+    elif name == "planes":
+        report.add_verdict(f"planes@{n}", count == 1)
+
+
+def _run_example(args, report: RunReport) -> None:
+    def step(n: int) -> int:
+        count = gallery.example_counts(args.name, n, d=args.d)["orbits"]
         if args.verify:
-            if name == "cube":
-                brute = gallery.cube_orbit_count_brute(args.d, n)
-                ok = data["orbits"] == brute
-                report.add_verdict(
-                    f"cube-formula-vs-brute@{n}",
-                    ok,
-                    None if ok else {"n": n, "formula": str(data["orbits"]), "brute": str(brute)},
-                )
-            elif name == "galois" and 2**n <= args.max_states:
-                brute = gallery.galois_orbit_count_brute(n)
-                report.add_verdict(f"galois-vs-brute@{n}", data["orbits"] == brute)
-            elif name == "trees" and n <= 8:
-                labeled, orbits = gallery.tree_orbit_count(n)
-                growth = gallery.unlabeled_tree_counts(max(n, 1))[n - 1]
-                report.add_verdict(f"trees-brute-vs-growth@{n}", orbits == growth)
-            elif name == "points":
-                # formula is the definition here; check the d=1 degeneration
-                report.add_verdict(f"points@{n}", gallery.points_orbit_count(1, n) == 1)
-            elif name == "planes":
-                report.add_verdict(f"planes@{n}", data["orbits"] == 1)
-        report.timings_ms[n] = (time.monotonic() - t0) * 1000
+            _check_example(args.name, args.d, n, count, report)
+        return count
+
+    _sweep(report, parse_range(args.n), step)
     if args.fit and report.sequence:
         try:
             res = fit(dict(report.sequence), max_period=max(args.d, 6), max_degree=6)
@@ -349,82 +339,52 @@ def _run_example(args, report: RunReport, budget: _Budget) -> None:
             report.add_verdict("fit", False, {"nofit": str(exc), **(exc.witness or {})})
 
 
-def _run_codes(args, report: RunReport, budget: _Budget) -> None:
-    if args.codes_command == "count":
-        for n in parse_range(args.n):
-            if budget.out_of_time():
-                report.truncated = True
-                break
-            t0 = time.monotonic()
-            counts = {}
-            if args.method in ("burnside", "both"):
-                counts["burnside"] = count_codes_burnside(args.q, args.m, n)
-            if args.method in ("direct", "both"):
-                try:
-                    counts["direct"] = count_codes_direct(args.q, args.m, n)
-                except TooLarge:
-                    if args.method == "direct":
-                        report.truncated = True
-                        break
-            value = counts.get("burnside", counts.get("direct"))
-            report.sequence.append((n, value))
-            if len(counts) == 2:
-                ok = counts["direct"] == counts["burnside"]
-                report.add_verdict(
-                    f"codes-direct-vs-burnside@{n}",
-                    ok,
-                    None if ok else {"n": n, **{k: str(v) for k, v in counts.items()}},
-                )
-            report.timings_ms[n] = (time.monotonic() - t0) * 1000
-    else:
-        for n in range(args.nmax + 1):
-            report.sequence.append((n, count_codes_burnside(args.q, args.m, n)))
-        report.quasipolynomial = codes_quasipolynomial(args.q, args.m, args.nmax).to_json_dict()
+def _run_codes(args, report: RunReport) -> None:
+    q, m = args.q, args.m
+    if args.codes_command == "fit":
+        _sweep(report, range(args.nmax + 1), lambda n: count_codes_burnside(q, m, n))
+        report.quasipolynomial = codes_quasipolynomial(q, m, args.nmax).to_json_dict()
+        return
+
+    def step(n: int) -> int:
+        if args.method == "direct":
+            return count_codes_direct(q, m, n)
+        count = count_codes_burnside(q, m, n)
+        direct = _oracle(count_codes_direct, q, m, n) if args.method == "both" else None
+        if direct is not None:
+            _agree(report, "codes-direct-vs-burnside", n, burnside=count, direct=direct)
+        return count
+
+    _sweep(report, parse_range(args.n), step)
 
 
 def _parse_entries(text: str):
     return [Fraction(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _run_ranks(args, report: RunReport, budget: _Budget) -> None:
+def _run_ranks(args, report: RunReport) -> None:
     entries = _parse_entries(args.entries)
-    symmetric = args.shape == "symmetric"
-    for n in parse_range(args.n):
-        if budget.out_of_time():
-            report.truncated = True
-            break
-        t0 = time.monotonic()
+
+    def step(n: int) -> int:
         counts = gallery.fixed_rank_orbit_counts(entries, n, args.shape)
         value = counts.get(args.k, 0)
-        report.sequence.append((n, value))
         if args.verify:
             total = gallery.matrix_orbit_count(entries, n, args.shape)
-            ok = sum(counts.values()) == total
-            report.add_verdict(
-                f"rank-total@{n}",
-                ok,
-                None if ok else {"n": n, "sum": str(sum(counts.values())), "orbits": str(total)},
-            )
-            cells = n * (n + 1) // 2 if symmetric else n * n
-            if n <= 3 and len(set(entries)) ** cells <= args.max_states:
-                brute = gallery.fixed_rank_orbit_counts_brute(entries, n, args.shape)
-                ok = counts == brute
-                report.add_verdict(
-                    f"rank-brute@{n}",
-                    ok,
-                    None if ok else {"n": n, "counts": str(counts), "brute": str(brute)},
-                )
-            if symmetric and set(entries) == {0, 1} and args.k <= 2:
+            _agree(report, "rank-total", n, sum=sum(counts.values()), orbits=total)
+            brute = None
+            if n <= 3:
+                brute = _oracle(gallery.fixed_rank_orbit_counts_brute, entries, n, args.shape)
+            if brute is not None:
+                _agree(report, "rank-brute", n, counts=counts, brute=brute)
+            if args.shape == "symmetric" and set(entries) == {0, 1} and args.k <= 2:
                 want = gallery.symmetric_binary_rank_formula(args.k, n)
-                report.add_verdict(
-                    f"rank-formula@{n}",
-                    value == want,
-                    None if value == want else {"n": n, "count": str(value), "formula": str(want)},
-                )
-        report.timings_ms[n] = (time.monotonic() - t0) * 1000
+                _agree(report, "rank-formula", n, count=value, formula=want)
+        return value
+
+    _sweep(report, parse_range(args.n), step)
 
 
-def _run_fit(args, report: RunReport, budget: _Budget) -> None:
+def _run_fit(args, report: RunReport) -> None:
     seq = read_sequence_csv(args.infile)
     report.sequence = sorted(seq.items())
     try:
@@ -438,7 +398,7 @@ def _run_fit(args, report: RunReport, budget: _Budget) -> None:
         report.add_verdict("fit", False, {"nofit": str(exc), **(exc.witness or {})})
 
 
-def _run_verify(args, report: RunReport, budget: _Budget) -> None:
+def _run_verify(args, report: RunReport) -> None:
     """A condensed formula-vs-oracle pass over every pipeline."""
     galois = ElementaryModelFunctor(2, PermGroup.symmetric(2), DownwardClosedSet.full(2))
     checks: List[Tuple[str, bool]] = []
@@ -501,9 +461,9 @@ def run(argv: Sequence[str]) -> int:
             if k not in ("out", "csv", "no_timing") and v is not None
         },
     )
-    budget = _Budget(args.time_limit)
     try:
-        _RUNNERS[args.subcommand](args, report, budget)
+        with budget(args.max_states, args.time_limit):
+            _RUNNERS[args.subcommand](args, report)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

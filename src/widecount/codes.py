@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .actions import TooLarge
+from .actions import TooLarge, require, tick
 from .lattice import denumerant
 # fit is not called here; the benchmark's traced run wraps it at this module
 from .quasipoly import FittedQuasipolynomial, build_quasipolynomial, fit  # noqa: F401
@@ -407,8 +407,11 @@ def count_codes_direct(q: int, m: int, n: int, family=None) -> int:
     """
     if n > DIRECT_BUDGET["n"] or q > DIRECT_BUDGET["q"] or m > DIRECT_BUDGET["m"]:
         raise TooLarge("direct classification budget is n <= 8, q <= 4, m <= 2")
+    codes = prod(q ** (n - i) - 1 for i in range(m)) // prod(q ** (i + 1) - 1 for i in range(m))
+    require(codes, None, f"{m}-dimensional codes of length {n}")
     seen = {}
     for code in all_codes(q, m, n):
+        tick()
         if family is not None and not family(code):
             continue
         seen.setdefault(canonical_point_multiset(code), code)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from typing import List
 
-from ..actions import PermGroup, TooLarge, canonical_form
+from ..actions import PermGroup, canonical_form, require, tick
 from ..lattice import DownwardClosedSet, count_level, cycle_contract, level_quasipolynomial
 from ..quasipoly import FittedQuasipolynomial, Quasipolynomial
 
@@ -78,10 +78,10 @@ def elementary_quasipolynomial(emf: ElementaryModelFunctor) -> FittedQuasipolyno
 
 def elementary_brute(emf: ElementaryModelFunctor, n: int) -> int:
     """Oracle: enumerate words, filter by count vector, dedup by canonical form."""
-    if emf.k**n > BRUTE_BUDGET:
-        raise TooLarge(f"{emf.k}^{n} words exceed the brute-force budget")
+    require(emf.k**n, BRUTE_BUDGET, f"{emf.k}^{n} words")
     seen = set()
     for word in product(range(1, emf.k + 1), repeat=n):
+        tick()
         counts = [0] * emf.k
         for c in word:
             counts[c - 1] += 1

@@ -23,7 +23,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import factorial
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..actions import Arrow, Groupoid, GroupoidAction, Permutation, TooLarge, UnionFind
+from ..actions import Arrow, Groupoid, GroupoidAction, Permutation, TooLarge, UnionFind, require, tick
 from ..lattice import DownwardClosedSet, antichain_reduce, count_level, cycle_contract
 from .model import MFPair, ModelFunctorPresentation, apply_permutation, transposed
 
@@ -31,6 +31,9 @@ Vector = Tuple[int, ...]
 
 # the largest threshold a stratum's calibration doubles to before Unstable
 MAX_T = 64
+# the largest seed ground set and the most quadruples of one core size
+MAX_GROUND = 4000
+MAX_QUADRUPLES = 40000
 
 
 class NotCalibrated(Exception):
@@ -232,20 +235,11 @@ class StratumAnalysis:
     stratified count.
     """
 
-    def __init__(
-        self,
-        pres: ModelFunctorPresentation,
-        M: DownwardClosedSet,
-        t: int,
-        max_ground: int = 4000,
-        max_quadruples: int = 40000,
-    ):
+    def __init__(self, pres: ModelFunctorPresentation, M: DownwardClosedSet, t: int):
         self.pres = pres
         self.M = M
         self.t = t
         self.frame = compute_frame(M)
-        self.max_ground = max_ground
-        self.max_quadruples = max_quadruples
         self._object_cache: Dict[int, List[dict]] = {}
 
     # -- seed pairs -----------------------------------------------------------
@@ -260,8 +254,8 @@ class StratumAnalysis:
         if any(u.get(l, 0) < 0 for l in q.J):
             return None
         n = e + sum(u.values())
-        if n > self.max_ground:
-            raise TooLarge(f"seed ground set {n} exceeds the budget {self.max_ground}")
+        if n > MAX_GROUND:
+            raise TooLarge(f"seed ground set {n} exceeds {MAX_GROUND}")
         block_start: Dict[int, int] = {}
         pos = e + 1
         for l in q.J:
@@ -418,10 +412,7 @@ class StratumAnalysis:
                             reps.append(
                                 canonical_rep(J, dom, sigma1_letters, abar_letters, s0)
                             )
-        if len(reps) > self.max_quadruples:
-            raise TooLarge(
-                f"{len(reps)} candidate quadruples exceed the budget {self.max_quadruples}"
-            )
+        require(len(reps), MAX_QUADRUPLES, "candidate quadruples")
         return reps
 
     def labeled_quadruples(self, e: int) -> List[Quadruple]:
@@ -432,11 +423,11 @@ class StratumAnalysis:
         arrangements of that multiset: e!/stabilizer_order() per rep.
         """
         reps = self.orbit_reps(e)
-        size = sum(factorial(e) // rep.stabilizer_order() for rep in reps)
-        if size > self.max_quadruples:
-            raise TooLarge(
-                f"{size} labeled quadruples exceed the budget {self.max_quadruples}"
-            )
+        require(
+            sum(factorial(e) // rep.stabilizer_order() for rep in reps),
+            MAX_QUADRUPLES,
+            "labeled quadruples",
+        )
         out: List[Quadruple] = []
         for rep in reps:
             # label (0, i): the slot sigma0 sends s0-index i to; (1, l): abar letter l
@@ -558,6 +549,7 @@ class StratumAnalysis:
         u0 = self.u_test(q)
         arrows = []
         for q_target in self.labeled_quadruples(e):
+            tick()
             if len(q_target.J) != len(q.J):
                 continue
             for g_images in permutations(q_target.J):
@@ -860,6 +852,7 @@ def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) ->
     assert hook is not None
     merges = 0
     for i, beta in enumerate(betas):
+        tick()
         for gamma in hook(beta):
             # beta itself and vectors off the level add no edge
             j = index.get(gamma, i)

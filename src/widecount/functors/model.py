@@ -10,15 +10,17 @@ equivalence class), which powers the groupoid-based counting route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import combinations, permutations
+from math import factorial, perm, prod
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from ..actions import PermGroup, TooLarge, UnionFind
+from ..actions import UnionFind, require, tick
 from ..lattice import DownwardClosedSet
 from .elementary import ElementaryModelFunctor
 
 Vector = Tuple[int, ...]
 CLASS_BUDGET = 10**6
+CHECK_BUDGET = 3000
 
 
 @dataclass(frozen=True)
@@ -161,13 +163,16 @@ class ModelFunctorPresentation:
                 yield MFPair(n, sigma, word)
 
     def pair_count(self, n: int) -> int:
+        """|F([n])| without listing a pair: the words of a count vector
+        number its multinomial coefficient."""
         if n < self.s0:
             return 0
-        words = sum(1 for _ in self.words(n - self.s0))
-        injections = 1
-        for i in range(self.s0):
-            injections *= n - i
-        return words * injections
+        length = n - self.s0
+        words = sum(
+            factorial(length) // prod(map(factorial, beta))
+            for beta in self.countset.enumerate_level(length)
+        )
+        return words * perm(n, self.s0)
 
     def canonical_pair(self, beta: Vector, n: Optional[int] = None) -> MFPair:
         """A standard pair whose word has count vector beta: sigma first, letters sorted."""
@@ -184,7 +189,7 @@ class ModelFunctorPresentation:
 # ---------------------------------------------------------------------------
 
 
-def mf_classes(pres: ModelFunctorPresentation, n: int, budget: int = CLASS_BUDGET) -> List[List[MFPair]]:
+def mf_classes(pres: ModelFunctorPresentation, n: int) -> List[List[MFPair]]:
     """The equivalence classes of F([n]) by oracle grouping.
 
     Uses the count-vector shadow to bucket candidates when available;
@@ -192,9 +197,7 @@ def mf_classes(pres: ModelFunctorPresentation, n: int, budget: int = CLASS_BUDGE
     Transitivity of the oracle is a presentation invariant (see
     check_equivalence); grouping relies on it.
     """
-    total = pres.pair_count(n)
-    if total > budget:
-        raise TooLarge(f"|F([{n}])| = {total} exceeds the class budget {budget}")
+    require(pres.pair_count(n), CLASS_BUDGET, f"|F([{n}])|")
 
     def bucket_key(pair: MFPair):
         if pres.count_equivalents is None:
@@ -209,6 +212,7 @@ def mf_classes(pres: ModelFunctorPresentation, n: int, budget: int = CLASS_BUDGE
     for key in sorted(buckets):
         reps: List[Tuple[MFPair, int]] = []
         for pair in buckets[key]:
+            tick()
             for rep, idx in reps:
                 if pres.eq(n, pair, rep):
                     classes[idx].append(pair)
@@ -219,53 +223,81 @@ def mf_classes(pres: ModelFunctorPresentation, n: int, budget: int = CLASS_BUDGE
     return classes
 
 
-def mf_orbit_count_direct(pres: ModelFunctorPresentation, n: int, budget: int = CLASS_BUDGET) -> int:
-    """Number of Sym([n])-orbits on F([n]) / ~, via explicit classes."""
-    if n < pres.s0:
-        return 0
-    classes = mf_classes(pres, n, budget)
-    if not classes:
-        return 0
-    class_of: Dict[MFPair, int] = {}
-    for idx, cls in enumerate(classes):
-        for pair in cls:
-            class_of[pair] = idx
-    uf = UnionFind(range(len(classes)))
-    generators: List[List[int]] = []
+def sym_orbit_count(
+    n: int, blocks: Iterable[int], moves: Callable[[List[int]], Iterable[Tuple[int, int]]]
+) -> int:
+    """Number of Sym([n])-orbits on the blocks (ints), by union-find along
+    a transposition and an n-cycle, which generate Sym([n]).  ``moves``
+    maps a permutation's image list to (block, image block) pairs."""
+    uf = UnionFind(blocks)
+    merges = 0
     if n >= 2:
-        swap = list(range(1, n + 1))
-        swap[0], swap[1] = 2, 1
-        generators.append(swap)
-        generators.append(list(range(2, n + 1)) + [1])
-    for images in generators:
+        swap = [2, 1] + list(range(3, n + 1))
+        for images in (swap, list(range(2, n + 1)) + [1]):
+            for block, image in moves(images):
+                tick()
+                merges += uf.union(block, image)
+    return len(uf.parent) - merges
+
+
+def mf_orbit_count_direct(pres: ModelFunctorPresentation, n: int) -> int:
+    """Number of Sym([n])-orbits on F([n]) / ~, via explicit classes."""
+    classes = mf_classes(pres, n)
+    class_of = {pair: idx for idx, cls in enumerate(classes) for pair in cls}
+
+    def moves(images: List[int]):
         for pair, idx in class_of.items():
-            uf.union(idx, class_of[apply_permutation(pair, images)])
-    return len(uf.blocks())
+            yield idx, class_of[apply_permutation(pair, images)]
+
+    return sym_orbit_count(n, range(len(classes)), moves)
 
 
-def check_equivalence(pres: ModelFunctorPresentation, n: int, budget: int = 3000) -> Optional[dict]:
-    """Exhaustively check that eq is an equivalence relation on F([n]).
+def _equivalence_classes(
+    pres: ModelFunctorPresentation, n: int
+) -> Tuple[Optional[dict], List[List[MFPair]]]:
+    """One pass of the oracle over all pairs of F([n]): the first witness
+    that eq is not an equivalence relation (None when it is one), and the
+    classes that the pairs a, b with eq(a, b), a listed before b, join.
 
-    Returns None when fine, else a witness dict.  Also verifies the oracle
-    agrees with its own transitive closure.
+    Classes come in the order of their first member.  The pass goes on
+    after a failure, so the classes are the same either way.
     """
+    require(pres.pair_count(n), CHECK_BUDGET, f"|F([{n}])|")
     pairs = list(pres.pairs(n))
-    if len(pairs) > budget:
-        raise TooLarge(f"|F([{n}])| = {len(pairs)} exceeds the check budget")
-    for p in pairs:
-        if not pres.eq(n, p, p):
-            return {"axiom": "reflexive", "witness": (p,)}
-    uf = UnionFind(pairs)
-    for a, b in combinations(pairs, 2):
-        ab, ba = pres.eq(n, a, b), pres.eq(n, b, a)
-        if ab != ba:
-            return {"axiom": "symmetric", "witness": (a, b)}
-        if ab:
-            uf.union(a, b)
-    for a, b in combinations(pairs, 2):
-        if (uf.find(a) == uf.find(b)) != pres.eq(n, a, b):
-            return {"axiom": "transitive (closure disagrees)", "witness": (a, b)}
-    return None
+    witness = next(
+        ({"axiom": "reflexive", "witness": (p,)} for p in pairs if not pres.eq(n, p, p)), None
+    )
+    uf = UnionFind(range(len(pairs)))
+    related = 0
+    for i, a in enumerate(pairs):
+        tick()
+        for j in range(i + 1, len(pairs)):
+            b = pairs[j]
+            ab, ba = pres.eq(n, a, b), pres.eq(n, b, a)
+            if ab != ba and witness is None:
+                witness = {"axiom": "symmetric", "witness": (a, b)}
+            if ab:
+                related += 1
+                uf.union(i, j)
+    members: Dict[int, List[MFPair]] = {}
+    for i, p in enumerate(pairs):
+        members.setdefault(uf.find(i), []).append(p)
+    classes = list(members.values())
+    # eq is transitive iff it relates every two members of each class
+    if witness is None and related != sum(len(c) * (len(c) - 1) // 2 for c in classes):
+        witness = next((
+            {"axiom": "transitive (closure disagrees)", "witness": (pairs[i], pairs[j])}
+            for i, j in combinations(range(len(pairs)), 2)
+            if uf.find(i) == uf.find(j) and not pres.eq(n, pairs[i], pairs[j])
+        ), None)
+    return witness, classes
+
+
+def check_equivalence(pres: ModelFunctorPresentation, n: int) -> Optional[dict]:
+    """Exhaustively check that eq is an equivalence relation on F([n]):
+    None when it is, else the first witness against reflexivity, symmetry
+    or agreement with its own transitive closure, in that order."""
+    return _equivalence_classes(pres, n)[0]
 
 
 @dataclass
@@ -276,24 +308,6 @@ class AxiomReport:
 
     def first_witness(self) -> Optional[dict]:
         return self.failures[0] if self.failures else None
-
-
-def _classes_with_index(pres: ModelFunctorPresentation, n: int):
-    pairs = list(pres.pairs(n))
-    uf = UnionFind(pairs) if pairs else None
-    for a, b in combinations(pairs, 2):
-        if pres.eq(n, a, b):
-            uf.union(a, b)
-    class_of: Dict[MFPair, int] = {}
-    members: Dict[int, List[MFPair]] = {}
-    if uf is not None:
-        roots: Dict[MFPair, int] = {}
-        for p in pairs:
-            root = uf.find(p)
-            idx = roots.setdefault(root, len(roots))
-            class_of[p] = idx
-            members.setdefault(idx, []).append(p)
-    return pairs, class_of, members
 
 
 def verify_axioms(pres: ModelFunctorPresentation, n_max: int, max_failures: int = 1) -> AxiomReport:
@@ -314,16 +328,16 @@ def verify_axioms(pres: ModelFunctorPresentation, n_max: int, max_failures: int 
     by_size = {}
     for t in range(n_max + 1):
         checked.append(t)
-        witness = check_equivalence(pres, t)
+        witness, classes = _equivalence_classes(pres, t)
         if witness is not None:
             if record("equivalence:" + witness["axiom"], n=t, witness=witness["witness"]):
                 return AxiomReport(False, failures, checked)
-        by_size[t] = _classes_with_index(pres, t)
+        by_size[t] = ({p: idx for idx, cls in enumerate(classes) for p in cls}, classes)
 
     for t in range(n_max + 1):
-        pairs_t, class_t, members_t = by_size[t]
+        members_t = by_size[t][1]
         # Axiom (3): equality patterns agree outside both sigma images
-        for cls in members_t.values():
+        for cls in members_t:
             for a, b in combinations(cls, 2):
                 outside = [
                     p for p in range(1, t + 1) if p not in set(a.sigma) | set(b.sigma)
@@ -334,11 +348,12 @@ def verify_axioms(pres: ModelFunctorPresentation, n_max: int, max_failures: int 
                         if record("axiom3", n=t, witness=(a, b, i, j)):
                             return AxiomReport(False, failures, checked)
         for s in range(t + 1):
-            _, class_s, members_s = by_size[s]
+            class_s, members_s = by_size[s]
             for images in permutations(range(1, t + 1), s):
+                tick()
                 im_set = set(images)
                 # Axiom (1): pushed equivalent pairs stay equivalent
-                for cls in members_t.values():
+                for cls in members_t:
                     pushed_ids = set()
                     eligible = [a for a in cls if set(a.sigma) <= im_set]
                     for a in eligible:

@@ -10,10 +10,10 @@ preserved by pull-backs covering both concealed images.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import permutations
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..actions import TooLarge, UnionFind
+from ..actions import require, tick
 from ..lattice import DownwardClosedSet
 from ..quasipoly import FittedQuasipolynomial, fit
 from .model import (
@@ -21,6 +21,7 @@ from .model import (
     ModelFunctorPresentation,
     apply_injection,
     apply_permutation,
+    sym_orbit_count,
     trivial_presentation,
 )
 
@@ -119,14 +120,14 @@ class CompatibilityReport:
 
 
 def _maximal_classes(pc: PreComponentPresentation, n: int) -> Tuple[List[List[Item]], Dict[Item, int], List[int]]:
+    require(pc.item_count(n), ITEM_BUDGET, f"items on [{n}]")
     items = pc.items(n)
-    if len(items) > ITEM_BUDGET:
-        raise TooLarge(f"{len(items)} items exceed the pre-component budget")
     # classes: mutual comparability (within one functor by compatibility (2))
     classes: List[List[Item]] = []
     class_of: Dict[Item, int] = {}
     reps: List[Item] = []
     for item in items:
+        tick()
         b = item[0]
         for idx, rep in enumerate(reps):
             if rep[0] == b and pc.preceq(n, item, rep) and pc.preceq(n, rep, item):
@@ -139,6 +140,7 @@ def _maximal_classes(pc: PreComponentPresentation, n: int) -> Tuple[List[List[It
             reps.append(item)
     maximal = []
     for idx, rep in enumerate(reps):
+        tick()
         dominated = False
         for jdx, other in enumerate(reps):
             if jdx == idx:
@@ -154,25 +156,17 @@ def _maximal_classes(pc: PreComponentPresentation, n: int) -> Tuple[List[List[It
 def precomp_count(pc: PreComponentPresentation, n: int) -> int:
     """Number of Sym([n])-orbits on the maximal classes of the quasi-order."""
     classes, class_of, maximal = _maximal_classes(pc, n)
-    if not maximal:
-        return 0
     maximal_set = set(maximal)
-    uf = UnionFind(maximal)
-    generators: List[List[int]] = []
-    if n >= 2:
-        swap = list(range(1, n + 1))
-        swap[0], swap[1] = 2, 1
-        generators.append(swap)
-        generators.append(list(range(2, n + 1)) + [1])
-    for images in generators:
+
+    def moves(images: List[int]):
         for idx in maximal:
             b, pair = classes[idx][0]
-            moved = (b, apply_permutation(pair, images))
-            target = class_of[moved]
+            target = class_of[(b, apply_permutation(pair, images))]
             # Sym permutes maximal classes among themselves
             assert target in maximal_set, "symmetry moved a maximal class to a non-maximal one"
-            uf.union(idx, target)
-    return len(uf.blocks())
+            yield idx, target
+
+    return sym_orbit_count(n, maximal, moves)
 
 
 def precomp_quasipolynomial(

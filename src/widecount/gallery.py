@@ -10,11 +10,11 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial, gcd, isqrt
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .actions import PermGroup, TooLarge
+from .actions import PermGroup, TooLarge, require, tick
 from .functors.elementary import ElementaryModelFunctor, elementary_brute
 from .lattice import DownwardClosedSet
 
@@ -91,8 +91,10 @@ def _compositions(n: int, d: int) -> Iterable[Tuple[int, ...]]:
 
 def cube_orbit_count_brute(d: int, n: int) -> int:
     """Oracle: canonical rotation representatives of compositions."""
+    require(comb(n + d - 1, d - 1), None, f"compositions of {n} into {d} parts")
     seen = set()
     for c in _compositions(n, d):
+        tick()
         seen.add(min(c[i:] + c[:i] for i in range(d)))
     return len(seen)
 
@@ -323,14 +325,14 @@ def fixed_rank_orbit_counts_brute(
     """Oracle for fixed_rank_orbit_counts at tiny n: every matrix that is
     the least of its images under all n! simultaneous permutations is
     ranked by exact rational elimination."""
-    from itertools import permutations
-
     symmetric = _is_symmetric(shape, n)
     values = sorted({Fraction(e) for e in entries})
     cells = [(i, j) for i in range(n) for j in range(i if symmetric else 0, n)]
+    require(len(values) ** len(cells), RANK_CELL_BUDGET, "entry assignments")
     perms = list(permutations(range(n)))
     out: Dict[int, int] = {}
     for assignment in product(values, repeat=len(cells)):
+        tick()
         m = [[Fraction(0)] * n for _ in range(n)]
         for (i, j), v in zip(cells, assignment):
             m[i][j] = v
@@ -358,8 +360,7 @@ def fixed_rank_orbit_counts(
     symmetric = _is_symmetric(shape, n)
     entry_list = sorted({Fraction(e) for e in entries})
     cells = n * (n + 1) // 2 if symmetric else n * n
-    if len(entry_list) ** cells > RANK_CELL_BUDGET:
-        raise TooLarge("entry assignments exceed the rank enumeration budget")
+    require(len(entry_list) ** cells, RANK_CELL_BUDGET, "entry assignments")
     ints, _ = _integerize(entry_list)
     max_abs = max((abs(x) for x in ints), default=0)
     p = rank_prime_for(n, max(max_abs, 1))
@@ -403,6 +404,7 @@ def _fixed_rank_histogram(
         if r == n:
             hist[len(basis)] += 1
             return
+        tick()
         group, row_owner = groups[r], owner[r]
         for choice in product(residues, repeat=len(group)):
             for k, v in zip(group, choice):
@@ -500,8 +502,6 @@ def canonical_tree(edges: Sequence[Tuple[int, int]], n: int) -> str:
 
 def canonical_tree_exhaustive(edges: Sequence[Tuple[int, int]], n: int) -> Tuple[Tuple[int, int], ...]:
     """Minimum relabeled edge list over all of Sym(n); tiny n only."""
-    from itertools import permutations
-
     if n > 8:
         raise TooLarge("exhaustive tree canonicalization limited to n <= 8")
     best = None
@@ -527,6 +527,7 @@ def tree_orbit_count(n: int) -> Tuple[int, int]:
     labeled = 0
     seen = set()
     for seq in product(range(1, n + 1), repeat=n - 2):
+        tick()
         edges = prufer_to_edges(seq, n)
         labeled += 1
         seen.add(canonical_tree(edges, n))
@@ -564,8 +565,8 @@ EXAMPLES = ("planes", "points", "galois", "cube", "trees")
 
 
 def example_counts(name: str, n: int, d: int = 3) -> Dict[str, int]:
-    """Counts for one example at one n: closed form, components where
-    defined, and the brute-force oracle where affordable."""
+    """Counts for one example at one n: the orbit count and, where
+    defined, the component or labeled count."""
     if name == "planes":
         return {
             "orbits": planes_orbit_count(n),
@@ -577,20 +578,9 @@ def example_counts(name: str, n: int, d: int = 3) -> Dict[str, int]:
             "components": points_component_count(d, n),
         }
     if name == "galois":
-        out = {"orbits": galois_orbit_count(n)}
-        if 2**n <= 10**6:
-            out["brute"] = galois_orbit_count_brute(n)
-        return out
+        return {"orbits": galois_orbit_count(n)}
     if name == "cube":
-        out = {"orbits": cube_orbit_count(d, n)}
-        if comb(n + d - 1, d - 1) <= 10**6:
-            out["brute"] = cube_orbit_count_brute(d, n)
-        return out
+        return {"orbits": cube_orbit_count(d, n)}
     if name == "trees":
-        out = {"labeled": labeled_tree_count(n)}
-        if n <= 8:
-            out["orbits"] = tree_orbit_count(n)[1]
-        else:
-            out["orbits"] = unlabeled_tree_counts(n)[n - 1]
-        return out
+        return {"labeled": labeled_tree_count(n), "orbits": unlabeled_tree_counts(n)[n - 1]}
     raise ValueError(f"unknown example {name!r}; choose from {EXAMPLES}")

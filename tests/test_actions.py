@@ -11,7 +11,10 @@ from widecount.actions import (
     PermGroup,
     Permutation,
     TooLarge,
+    budget,
     canonical_form,
+    require,
+    tick,
     group_orbit_count,
     group_orbits_enumerate,
     groupoid_orbit_count,
@@ -269,4 +272,27 @@ def test_canonical_form_idempotent_and_orbit_constant():
 def test_canonical_form_budget():
     cyclic_big = PermGroup.cyclic(12)
     with pytest.raises(TooLarge):
-        canonical_form(tuple(1 for _ in range(12)), position_group=cyclic_big, max_ops=10)
+        with budget(max_states=10):
+            canonical_form(tuple(1 for _ in range(12)), position_group=cyclic_big)
+
+
+def test_budget_nests_tightens_and_resets():
+    require(10**12, None, "states")  # no cap anywhere
+    tick()  # no deadline
+    with budget(max_states=100):
+        require(100, 10**6, "states")
+        with pytest.raises(TooLarge, match="101 exceeds the budget 100"):
+            require(101, 10**6, "states")
+        with pytest.raises(TooLarge, match="exceeds the budget 50"):
+            require(51, 50, "states")  # the route's own cap is smaller
+        with budget(max_states=10**9):  # an inner budget never loosens
+            with pytest.raises(TooLarge):
+                require(101, None, "states")
+        with budget(seconds=0):
+            with pytest.raises(TooLarge, match="time limit"):
+                tick()
+            with budget(seconds=100):  # nor does an inner deadline
+                with pytest.raises(TooLarge):
+                    tick()
+        tick()
+    require(10**12, None, "states")

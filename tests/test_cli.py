@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -160,3 +161,16 @@ def test_time_limit_truncates(capsys):
     assert data["truncated"] is True
     # a truncated report reports only the prefix it completed, never junk
     assert len(data["sequence"]) <= 41
+
+
+def test_time_limit_stops_inside_a_count(capsys):
+    # 3^16 identity assignments: minutes of enumeration without the deadline
+    argv = ["ranks", "--entries", "0,1,2", "--k", "4", "--n", "4", "--shape", "general"]
+    start = time.monotonic()
+    code, data = _run_json(argv + ["--max-states", "100000000", "--time-limit", "0.5"], capsys)
+    assert time.monotonic() - start < 3
+    assert code == 0 and data["truncated"] is True and data["sequence"] == []
+    # at the default --max-states the run is over its cap before it starts
+    code, data = _run_json(argv, capsys)
+    assert code == 0 and data["truncated"] is True
+    assert "43046721 exceeds the budget 1000000" in data["checks"][0]["witness"]["truncated_by"]

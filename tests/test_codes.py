@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from widecount.actions import TooLarge
+from widecount.actions import TooLarge, budget
 from widecount.codes import (
     LinearCode,
     _cycles,
@@ -91,6 +91,11 @@ def test_direct_matches_burnside():
 def test_budget_guard():
     with pytest.raises(TooLarge):
         count_codes_direct(5, 2, 4)
+    # F_2^6 has 651 planes
+    with budget(max_states=651):
+        assert count_codes_direct(2, 2, 6) == 16
+    with budget(max_states=650), pytest.raises(TooLarge, match="651 exceeds"):
+        count_codes_direct(2, 2, 6)
 
 
 def test_alphabet_size():

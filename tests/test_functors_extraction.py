@@ -10,6 +10,7 @@ from widecount.actions import (
     PermGroup,
     Permutation,
     TooLarge,
+    budget,
     groupoid_orbit_count,
     groupoid_orbits_enumerate,
 )
@@ -237,10 +238,11 @@ def test_relabelings_equal_sym_e_expansion():
 
 def test_labeled_quadruples_budget_checked_before_generating():
     M = DownwardClosedSet(3, [(2, 2, 0), (2, 0, 2), (0, 2, 2)])
-    analysis = StratumAnalysis(trivial_presentation(3, s0=2, countset=M), M, t=5, max_quadruples=50)
-    assert len(analysis.orbit_reps(4)) <= 50  # 48 reps with 384 relabelings
-    with pytest.raises(TooLarge):
-        analysis.labeled_quadruples(4)
+    analysis = StratumAnalysis(trivial_presentation(3, s0=2, countset=M), M, t=5)
+    with budget(max_states=50):
+        assert len(analysis.orbit_reps(4)) <= 50  # 48 reps with 384 relabelings
+        with pytest.raises(TooLarge):
+            analysis.labeled_quadruples(4)
 
 
 def test_plan_is_built_once_per_sweep(monkeypatch):
@@ -321,3 +323,27 @@ def test_minimal_element_search_against_brute_force():
         box = product(*(range(f, c + 1) for f, c in zip(floor, cap)))
         brute = antichain_reduce(v for v in box if not M.membership(v))
         assert _minimal_elements(outside, floor, cap) == brute, (M, floor)
+
+
+def test_deadline_leaves_no_half_built_plan(monkeypatch):
+    from widecount.functors import extraction
+
+    pres = roots_of_unity(3)
+    with budget(seconds=0), pytest.raises(TooLarge, match="time limit"):
+        mf_count_via_groupoid(pres, 60)
+    assert mf_count_via_groupoid(pres, 60) == cube_formula(3, 60)
+    # stop at the k-th tick, at several depths of the build, then rerun
+    for stop in (1, 5, 40, 200):
+        pres = roots_of_unity(3)
+        ticks = []
+
+        def tick():
+            ticks.append(None)
+            if len(ticks) == stop:
+                raise TooLarge("time limit reached")
+
+        monkeypatch.setattr(extraction, "tick", tick)
+        with pytest.raises(TooLarge):
+            mf_count_via_groupoid(pres, 60)
+        monkeypatch.undo()
+        assert mf_count_via_groupoid(pres, 60) == cube_formula(3, 60), stop

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from math import comb, gcd
 
 import pytest
@@ -144,3 +146,50 @@ def test_shadow_is_the_class_count_vectors(pres):
             realized = frozenset(pair.count_vector(pres.k) for pair in cls)
             for pair in cls:
                 assert pres.count_equivalents(pair.count_vector(pres.k)) == realized, (n, pair)
+
+
+def test_equivalence_transitivity_witness():
+    # words within Hamming distance one: reflexive and symmetric, not transitive
+    def eq(n, a, b):
+        return sum(x != y for x, y in zip(a.alpha, b.alpha)) <= 1
+
+    pres = dataclasses.replace(trivial_presentation(2), eq=eq)
+    assert check_equivalence(pres, 1) is None
+    assert check_equivalence(pres, 2) == {
+        "axiom": "transitive (closure disagrees)",
+        "witness": (MFPair(2, (), (1, 1)), MFPair(2, (), (2, 2))),
+    }
+
+
+def test_verify_axioms_asks_each_ordered_pair_once():
+    base = roots_of_unity(3)
+    calls = []
+
+    def eq(n, a, b):
+        calls.append(n)
+        return base.eq(n, a, b)
+
+    pres = dataclasses.replace(base, eq=eq)
+    assert verify_axioms(pres, 4).passed
+    assert len(calls) == sum(pres.pair_count(n) ** 2 for n in range(5))
+
+
+def test_verify_axioms_goes_on_after_an_equivalence_failure():
+    report = verify_axioms(broken_symmetry_presentation(2), 3, max_failures=3)
+    assert report.checked_n == [0, 1, 2, 3]
+    assert [f["axiom"] for f in report.failures] == ["equivalence:symmetric"] * 2
+    assert [f["n"] for f in report.failures] == [2, 3]
+
+
+def test_pair_count_without_listing_pairs():
+    rng = random.Random(3)
+    presentations = [roots_of_unity(d) for d in (1, 2, 3)] + [broken_axiom3_presentation()]
+    for _ in range(20):
+        k, s0 = rng.randint(1, 3), rng.randint(0, 2)
+        obstructions = [tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(rng.randint(0, 3))]
+        presentations.append(trivial_presentation(k, s0=s0, countset=DownwardClosedSet(k, obstructions)))
+    for pres in presentations:
+        for n in range(6):
+            assert pres.pair_count(n) == sum(1 for _ in pres.pairs(n)), (pres.name, n)
+    # 2^39 words: counted from the 40 count vectors of the level
+    assert roots_of_unity(2).pair_count(40) == 40 * 2**39

@@ -3,7 +3,8 @@ from math import comb, isqrt
 
 import pytest
 
-from widecount.actions import TooLarge
+from widecount import gallery
+from widecount.actions import TooLarge, budget
 from widecount.gallery import (
     canonical_tree,
     canonical_tree_exhaustive,
@@ -257,3 +258,24 @@ def test_tree_sequence_has_no_quasipolynomial():
     counts = unlabeled_tree_counts(10)
     with pytest.raises(NoFit):
         fit({n: counts[n - 1] for n in range(1, 11)}, max_period=6, max_degree=6)
+
+
+def test_example_counts_run_no_brute_force(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("brute force called")
+
+    monkeypatch.setattr(gallery, "galois_orbit_count_brute", refuse)
+    monkeypatch.setattr(gallery, "cube_orbit_count_brute", refuse)
+    assert gallery.example_counts("galois", 18) == {"orbits": galois_orbit_count(18)}
+    assert gallery.example_counts("cube", 40, d=4) == {"orbits": cube_orbit_count(4, 40)}
+
+
+def test_budget_only_tightens_the_rank_cap():
+    with budget(max_states=10**9), pytest.raises(TooLarge):
+        fixed_rank_orbit_counts([0, 1, 2, 3], 8, "general")
+    # 2^10 assignments: within the route's cap, above a budget of 1000
+    assert fixed_rank_orbit_counts([0, 1], 4, "symmetric")
+    with budget(max_states=1000), pytest.raises(TooLarge, match="1024 exceeds the budget 1000"):
+        fixed_rank_orbit_counts([0, 1], 4, "symmetric")
+    with budget(max_states=1000), pytest.raises(TooLarge):
+        fixed_rank_orbit_counts_brute([0, 1], 4, "symmetric")

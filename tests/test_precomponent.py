@@ -1,6 +1,6 @@
 import pytest
 
-from widecount.actions import PermGroup
+from widecount.actions import PermGroup, TooLarge, budget
 from widecount.functors.elementary import ElementaryModelFunctor
 from widecount.functors.model import (
     elementary_embedding,
@@ -81,3 +81,18 @@ def test_nofit_surfaces():
     with pytest.raises(NoFit):
         # floor(n/2)+1 cannot be matched by a constant
         precomp_quasipolynomial(pc, n_max=6, max_period=1, max_degree=0)
+
+
+class _NoItems(PreComponentPresentation):
+    def items(self, n):
+        raise AssertionError("items built before the budget check")
+
+
+def test_maximal_classes_check_the_budget_before_building():
+    pres = roots_of_unity(2)
+    pc = _NoItems("no-items", (pres,), lambda n, x, y: pres.eq(n, x[1], y[1]))
+    assert pc.item_count(16) > 200000
+    with pytest.raises(TooLarge):
+        precomp_count(pc, 16)
+    with budget(max_states=10), pytest.raises(TooLarge):
+        precomp_count(pc, 3)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import TooLarge, require, tick
 from .lattice import denumerant
@@ -218,13 +218,11 @@ class LinearCode:
         n = len(rows[0]) if rows else 0
         return LinearCode(q, n, reduced)
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j - 1] for row in self.generator)
-
     def column_points(self) -> Tuple[int, ...]:
         """The multiset (sorted tuple) of projective point indices of the columns."""
-        pts = projective_points(self.q, self.m)
-        return tuple(sorted(pts.index_of(self.column(j)) for j in range(1, self.n + 1)))
+        # with no generator rows every column is the empty zero vector
+        columns = zip(*self.generator) if self.generator else [()] * self.n
+        return tuple(sorted(map(projective_points(self.q, self.m).index_of, columns)))
 
 
 def puncture(code: LinearCode, coordinate: int) -> Optional[LinearCode]:
@@ -252,20 +250,15 @@ class ProjectivePoints:
     def __init__(self, q: int, m: int):
         F = field(q)
         self.q, self.m = q, m
-        reps = []
-        for vec in product(range(q), repeat=m):
-            if any(vec) and _canonical_rep(F, vec) == vec:
-                reps.append(vec)
-        reps.sort()
-        self.reps: Tuple[Vector, ...] = ((0,) * m,) + tuple(reps)
-        self._index = {rep: i + 1 for i, rep in enumerate(self.reps)}
+        vectors = list(product(range(q), repeat=m))  # in lexicographic order
+        reps = tuple(vec for vec in vectors if any(vec) and _canonical_rep(F, vec) == vec)
+        self.reps: Tuple[Vector, ...] = ((0,) * m,) + reps
+        rep_index = {rep: i for i, rep in enumerate(self.reps, start=1)}
         self.k = len(self.reps)
-
-    def index_of(self, vec: Vector) -> int:
-        F = field(self.q)
-        if not any(vec):
-            return 1
-        return self._index[_canonical_rep(F, vec)]
+        # the point index of every vector of F_q^m, built once per (q, m)
+        self.index_of: Callable[[Vector], int] = {
+            vec: rep_index[_canonical_rep(F, vec)] for vec in vectors
+        }.__getitem__
 
     def rep(self, index: int) -> Vector:
         return self.reps[index - 1]
@@ -292,6 +285,8 @@ def alphabet_size(q: int, m: int) -> int:
 def gl_elements(q: int, m: int) -> Tuple[Tuple[Vector, ...], ...]:
     """All invertible m x m matrices (tuples of rows) over F_q, m <= 2."""
     F = field(q)
+    if m == 0:
+        return ((),)  # the empty matrix, identity of the zero space
     if m == 1:
         return tuple(((a,),) for a in range(1, q))
     if m == 2:
@@ -409,12 +404,17 @@ def count_codes_direct(q: int, m: int, n: int, family=None) -> int:
         raise TooLarge("direct classification budget is n <= 8, q <= 4, m <= 2")
     codes = prod(q ** (n - i) - 1 for i in range(m)) // prod(q ** (i + 1) - 1 for i in range(m))
     require(codes, None, f"{m}-dimensional codes of length {n}")
+    # the canonical form depends on the column multiset only: one per multiset
+    canonical: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     seen = {}
     for code in all_codes(q, m, n):
         tick()
         if family is not None and not family(code):
             continue
-        seen.setdefault(canonical_point_multiset(code), code)
+        points = code.column_points()
+        if points not in canonical:
+            canonical[points] = canonical_point_multiset(code)
+        seen.setdefault(canonical[points], code)
     if family is not None:
         for code in seen.values():
             for coordinate in range(1, code.n + 1):

@@ -10,15 +10,17 @@ equivalence class), which powers the groupoid-based counting route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import combinations, permutations
 from math import factorial, perm, prod
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..actions import UnionFind, require, tick
 from ..lattice import DownwardClosedSet
 from .elementary import ElementaryModelFunctor
 
 Vector = Tuple[int, ...]
+T = TypeVar("T")
 CLASS_BUDGET = 10**6
 CHECK_BUDGET = 3000
 
@@ -44,21 +46,25 @@ class MFPair:
         if len(self.alpha) != self.n - len(self.sigma):
             raise ValueError("alpha length mismatch")
 
+    @cached_property
+    def letter_table(self) -> Tuple[Optional[int], ...]:
+        """The letter at each position 0..n, None at 0 and on the sigma
+        image; built once per pair and read by the oracles."""
+        table: List[Optional[int]] = [None, *self.alpha]
+        for p in sorted(self.sigma):
+            table.insert(p, None)
+        return tuple(table)
+
     @property
     def domain(self) -> Tuple[int, ...]:
         """Positions where alpha is defined, ascending."""
-        image = set(self.sigma)
-        return tuple(p for p in range(1, self.n + 1) if p not in image)
+        return tuple(p for p, letter in enumerate(self.letter_table) if letter is not None)
 
     def letters(self) -> Dict[int, int]:
-        return dict(zip(self.domain, self.alpha))
+        return {p: letter for p, letter in enumerate(self.letter_table) if letter is not None}
 
     def letter_at(self, pos: int) -> Optional[int]:
-        image = set(self.sigma)
-        if pos in image:
-            return None
-        idx = sum(1 for p in range(1, pos) if p not in image)
-        return self.alpha[idx]
+        return self.letter_table[pos]
 
     def count_vector(self, k: int) -> Vector:
         counts = [0] * k
@@ -75,7 +81,6 @@ def apply_injection(pair: MFPair, images: Sequence[int], n_target: int) -> Optio
     """
     if pair.n != n_target:
         raise ValueError("pair ground set does not match the injection target")
-    m = len(images)
     preimage = {p: j for j, p in enumerate(images, start=1)}
     sigma_new = []
     for p in pair.sigma:
@@ -83,10 +88,11 @@ def apply_injection(pair: MFPair, images: Sequence[int], n_target: int) -> Optio
         if j is None:
             return None
         sigma_new.append(j)
-    letters = pair.letters()
-    sigma_set = set(sigma_new)
-    alpha_new = tuple(letters[images[j - 1]] for j in range(1, m + 1) if j not in sigma_set)
-    return MFPair(m, tuple(sigma_new), alpha_new)
+    # pi covers the sigma image, so the positions of [m] without a letter
+    # are exactly sigma_new
+    table = pair.letter_table
+    alpha_new = tuple(letter for p in images if (letter := table[p]) is not None)
+    return MFPair(len(images), tuple(sigma_new), alpha_new)
 
 
 def apply_permutation(pair: MFPair, images: Sequence[int]) -> MFPair:
@@ -174,6 +180,13 @@ class ModelFunctorPresentation:
         )
         return words * perm(n, self.s0)
 
+    def shadow_key(self, pair: MFPair) -> object:
+        """The least count vector of the pair's class, 0 without a shadow:
+        constant on every class."""
+        if self.count_equivalents is None:
+            return 0
+        return min(self.count_equivalents(pair.count_vector(self.k)))
+
     def canonical_pair(self, beta: Vector, n: Optional[int] = None) -> MFPair:
         """A standard pair whose word has count vector beta: sigma first, letters sorted."""
         total = sum(beta)
@@ -189,38 +202,44 @@ class ModelFunctorPresentation:
 # ---------------------------------------------------------------------------
 
 
+def group_in_buckets(
+    items: Iterable[T], key: Callable[[T], object], same: Callable[[T, T], bool]
+) -> List[List[T]]:
+    """The classes of the equivalence ``same`` on the items, each item
+    grouped against the class representatives of its own bucket only.
+
+    ``key`` must be constant on classes, so no class crosses two buckets.
+    Buckets are visited in sorted key order, and within one the classes
+    come in the order of their first member.  Grouping against
+    representatives relies on ``same`` being transitive.
+    """
+    buckets: Dict[object, List[T]] = {}
+    for item in items:
+        buckets.setdefault(key(item), []).append(item)
+    classes: List[List[T]] = []
+    for bucket_key in sorted(buckets):
+        bucket_classes: List[List[T]] = []
+        for item in buckets[bucket_key]:
+            tick()
+            for cls in bucket_classes:
+                if same(item, cls[0]):
+                    cls.append(item)
+                    break
+            else:
+                bucket_classes.append([item])
+        classes.extend(bucket_classes)
+    return classes
+
+
 def mf_classes(pres: ModelFunctorPresentation, n: int) -> List[List[MFPair]]:
     """The equivalence classes of F([n]) by oracle grouping.
 
-    Uses the count-vector shadow to bucket candidates when available;
-    within a bucket, pairs are grouped against class representatives.
-    Transitivity of the oracle is a presentation invariant (see
-    check_equivalence); grouping relies on it.
+    The bucketed grouping of ``group_in_buckets``, with the least count
+    vector of the shadow (``shadow_key``) as the bucket.  Transitivity of
+    the oracle is a presentation invariant (see check_equivalence).
     """
     require(pres.pair_count(n), CLASS_BUDGET, f"|F([{n}])|")
-
-    def bucket_key(pair: MFPair):
-        if pres.count_equivalents is None:
-            return 0
-        return min(pres.count_equivalents(pair.count_vector(pres.k)))
-
-    buckets: Dict[object, List[MFPair]] = {}
-    for pair in pres.pairs(n):
-        buckets.setdefault(bucket_key(pair), []).append(pair)
-
-    classes: List[List[MFPair]] = []
-    for key in sorted(buckets):
-        reps: List[Tuple[MFPair, int]] = []
-        for pair in buckets[key]:
-            tick()
-            for rep, idx in reps:
-                if pres.eq(n, pair, rep):
-                    classes[idx].append(pair)
-                    break
-            else:
-                classes.append([pair])
-                reps.append((pair, len(classes) - 1))
-    return classes
+    return group_in_buckets(pres.pairs(n), pres.shadow_key, partial(pres.eq, n))
 
 
 def sym_orbit_count(
@@ -342,7 +361,7 @@ def verify_axioms(pres: ModelFunctorPresentation, n_max: int, max_failures: int 
                 outside = [
                     p for p in range(1, t + 1) if p not in set(a.sigma) | set(b.sigma)
                 ]
-                la, lb = a.letters(), b.letters()
+                la, lb = a.letter_table, b.letter_table
                 for i, j in combinations(outside, 2):
                     if (la[i] == la[j]) != (lb[i] == lb[j]):
                         if record("axiom3", n=t, witness=(a, b, i, j)):
@@ -390,27 +409,20 @@ def roots_of_unity(d: int) -> ModelFunctorPresentation:
     that amount.
     """
 
-    def res(letter: int) -> int:
-        return letter % d
-
     def letter_of(r: int) -> int:
         r %= d
         return d if r == 0 else r
 
     def eq(n: int, p1: MFPair, p2: MFPair) -> bool:
-        if p1 == p2:
-            return True
         j0, j0p = p1.sigma[0], p2.sigma[0]
         if j0 == j0p:
-            return False
-        l1, l2 = p1.letters(), p2.letters()
-        shift = res(l2[j0])
-        if res(l1[j0p]) != (-shift) % d:
+            return p1.alpha == p2.alpha
+        l1, l2 = p1.letter_table, p2.letter_table
+        shift = l2[j0]
+        if (l1[j0p] + shift) % d:
             return False
         for j in range(1, n + 1):
-            if j in (j0, j0p):
-                continue
-            if res(l2[j]) != (res(l1[j]) + shift) % d:
+            if j != j0 and j != j0p and (l2[j] - l1[j] - shift) % d:
                 return False
         return True
 

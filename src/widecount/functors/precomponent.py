@@ -21,6 +21,7 @@ from .model import (
     ModelFunctorPresentation,
     apply_injection,
     apply_permutation,
+    group_in_buckets,
     sym_orbit_count,
     trivial_presentation,
 )
@@ -120,24 +121,20 @@ class CompatibilityReport:
 
 
 def _maximal_classes(pc: PreComponentPresentation, n: int) -> Tuple[List[List[Item]], Dict[Item, int], List[int]]:
+    """The classes of mutual comparability, by the bucketed grouping that
+    ``mf_classes`` uses, and the indices of the maximal ones.
+
+    A class lies inside one functor (compatibility (1)) and is one of that
+    functor's equivalence classes (compatibility (2)), so the functor index
+    with the functor's shadow key buckets the items."""
     require(pc.item_count(n), ITEM_BUDGET, f"items on [{n}]")
-    items = pc.items(n)
-    # classes: mutual comparability (within one functor by compatibility (2))
-    classes: List[List[Item]] = []
-    class_of: Dict[Item, int] = {}
-    reps: List[Item] = []
-    for item in items:
-        tick()
-        b = item[0]
-        for idx, rep in enumerate(reps):
-            if rep[0] == b and pc.preceq(n, item, rep) and pc.preceq(n, rep, item):
-                classes[idx].append(item)
-                class_of[item] = idx
-                break
-        else:
-            classes.append([item])
-            class_of[item] = len(classes) - 1
-            reps.append(item)
+    classes = group_in_buckets(
+        pc.items(n),
+        lambda item: (item[0], pc.functors[item[0] - 1].shadow_key(item[1])),
+        lambda x, y: pc.preceq(n, x, y) and pc.preceq(n, y, x),
+    )
+    class_of = {item: idx for idx, cls in enumerate(classes) for item in cls}
+    reps = [cls[0] for cls in classes]
     maximal = []
     for idx, rep in enumerate(reps):
         tick()

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -82,10 +83,27 @@ def test_direct_counts():
 
 
 def test_direct_matches_burnside():
-    for q in (2, 3):
-        for m in (1, 2):
-            for n in range(2, 7):
+    for q, n_top in ((2, 6), (3, 6), (4, 4)):
+        for m in (0, 1, 2):
+            for n in range(2, n_top + 1):
                 assert count_codes_direct(q, m, n) == count_codes_burnside(q, m, n), (q, m, n)
+
+
+def test_family_is_asked_once_per_code():
+    # codes without a zero column: removing one zero column matches the
+    # other classes with the classes of length n - 1
+    for q, m, n in ((2, 2, 5), (3, 1, 4), (3, 2, 4)):
+        asked = []
+
+        def projective(code):
+            asked.append(code)
+            return 1 not in code.column_points()
+
+        count = count_codes_direct(q, m, n, family=projective)
+        assert count == count_codes_burnside(q, m, n) - count_codes_burnside(q, m, n - 1)
+        full_length = [code for code in asked if code.n == n]
+        gaussian = prod(q ** (n - i) - 1 for i in range(m)) // prod(q ** (i + 1) - 1 for i in range(m))
+        assert len(full_length) == len(set(full_length)) == gaussian, (q, m, n)
 
 
 def test_budget_guard():

@@ -8,6 +8,7 @@ from widecount.actions import PermGroup
 from widecount.functors.elementary import ElementaryModelFunctor, elementary_count
 from widecount.functors.model import (
     MFPair,
+    _equivalence_classes,
     apply_injection,
     apply_permutation,
     broken_axiom3_presentation,
@@ -41,6 +42,33 @@ def test_pair_basics():
     assert pair.count_vector(3) == (1, 1, 1)
     with pytest.raises(ValueError):
         MFPair(3, (1, 1), (2,))
+
+
+def test_letter_table_is_the_pair_relation():
+    # the table against alpha read along the positions outside sigma
+    for s0 in (0, 1, 2):
+        pres = trivial_presentation(2, s0=s0)
+        for n in range(s0, 5):
+            for pair in pres.pairs(n):
+                domain = tuple(p for p in range(1, n + 1) if p not in pair.sigma)
+                letters = dict(zip(domain, pair.alpha))
+                assert pair.letter_table[0] is None and len(pair.letter_table) == n + 1
+                assert pair.domain == domain
+                assert pair.letters() == letters
+                assert [pair.letter_at(p) for p in range(1, n + 1)] == [
+                    letters.get(p) for p in range(1, n + 1)
+                ]
+
+
+def test_mf_classes_match_union_find_classes():
+    # the bucketed grouping against the union-find closure of every eq pair
+    for d in (2, 3, 4):
+        pres = roots_of_unity(d)
+        for n in range(5):
+            grouped = {frozenset(cls) for cls in mf_classes(pres, n)}
+            witness, classes = _equivalence_classes(pres, n)
+            assert witness is None
+            assert grouped == {frozenset(cls) for cls in classes}, (d, n)
 
 
 def test_apply_injection():

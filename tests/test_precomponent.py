@@ -21,10 +21,25 @@ from widecount.quasipoly import NoFit
 
 
 def test_single_functor_reduces_to_direct_count():
+    for d in (2, 3):
+        pres = roots_of_unity(d)
+        pc = PreComponentPresentation.from_single(pres)
+        for n in range(7):
+            assert precomp_count(pc, n) == mf_orbit_count_direct(pres, n), (d, n)
+
+
+def test_grouping_compares_within_shadow_buckets():
+    # 363 136 preceq calls when every item met every class representative
     pres = roots_of_unity(2)
-    pc = PreComponentPresentation.from_single(pres)
-    for n in range(7):
-        assert precomp_count(pc, n) == mf_orbit_count_direct(pres, n)
+    calls = []
+
+    def preceq(n, x, y):
+        calls.append(n)
+        return pres.eq(n, x[1], y[1])
+
+    pc = PreComponentPresentation("counted", (pres,), preceq)
+    assert precomp_count(pc, 9) == mf_orbit_count_direct(pres, 9)
+    assert len(calls) < 363136
 
 
 def _dominated_pair():

@@ -511,9 +511,6 @@ class GroupoidAction:
                             f"functoriality fails: ({b} o {a}) vs composite at {x!r}"
                         )
 
-    def apply(self, arrow: Arrow, x: Hashable) -> Hashable:
-        return self.maps[arrow][x]
-
 
 def groupoid_orbit_count(action: GroupoidAction) -> int:
     """Orbit count via the groupoid orbit-counting lemma (exact, integer)."""

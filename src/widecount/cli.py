@@ -317,10 +317,14 @@ def _check_example(name: str, d: int, n: int, count: int, report: RunReport) -> 
         brute = gallery.tree_orbit_count(n)[1]
         _agree(report, "trees-brute-vs-growth", n, brute=brute, growth=count)
     elif name == "points":
-        # formula is the definition here; check the d=1 degeneration
-        report.add_verdict(f"points@{n}", gallery.points_orbit_count(1, n) == 1)
+        emf = ElementaryModelFunctor(d, PermGroup.trivial(d), DownwardClosedSet.full(d))
+        brute = _oracle(elementary_brute, emf, n)
+        if brute is not None:
+            _agree(report, "points-formula-vs-brute", n, formula=count, brute=brute)
     elif name == "planes":
-        report.add_verdict(f"planes@{n}", count == 1)
+        precomp = _oracle(precomp_count, planes_precomponent(), n)
+        if precomp is not None:
+            _agree(report, "planes-formula-vs-precomp", n, formula=count, precomp=precomp)
 
 
 def _run_example(args, report: RunReport) -> None:

@@ -131,9 +131,6 @@ class FiniteField:
     def mul(self, a, b):
         return self.mul_table[a][b]
 
-    def neg(self, a):
-        return self.neg_table[a]
-
     def sub(self, a, b):
         return self.add_table[a][self.neg_table[b]]
 
@@ -444,12 +441,9 @@ def _subspace_point_sets(q: int, m: int) -> List[Tuple[FrozenSet[int], int]]:
     if m == 1:
         return [(full, 1), (frozenset({1}), -1)]
     if m == 2:
-        F = field(q)
         out = [(full, 1)]
         for idx in range(2, pts.k + 1):
-            line_rep = pts.rep(idx)
-            points = {1, idx}
-            out.append((frozenset(points), -1))
+            out.append((frozenset({1, idx}), -1))
         out.append((frozenset({1}), q))
         return out
     raise TooLarge("subspace lattices are enumerated for m <= 2 only")

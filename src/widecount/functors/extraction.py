@@ -281,15 +281,6 @@ class StratumAnalysis:
         alpha = tuple(letters[p] for p in sorted(letters))
         return MFPair(n, tuple(sigma), alpha)
 
-    def seed_count_vector(self, q: Quadruple, u: Dict[int, int]) -> Vector:
-        counts = [0] * self.pres.k
-        floor = q.sigma1_floor()
-        for l in q.J:
-            counts[l - 1] += u.get(l, 0) - floor.get(l, 0)
-        for _, letter in q.abar:
-            counts[letter - 1] += 1
-        return tuple(counts)
-
     # -- the operational equivalence-class position relation -------------------
 
     def compute_core(self, pair: MFPair, J: Sequence[int]) -> Tuple[Dict[int, int], List[int]]:

@@ -187,15 +187,6 @@ class ModelFunctorPresentation:
             return 0
         return min(self.count_equivalents(pair.count_vector(self.k)))
 
-    def canonical_pair(self, beta: Vector, n: Optional[int] = None) -> MFPair:
-        """A standard pair whose word has count vector beta: sigma first, letters sorted."""
-        total = sum(beta)
-        n = total + self.s0 if n is None else n
-        word = []
-        for letter, mult in enumerate(beta, start=1):
-            word.extend([letter] * mult)
-        return MFPair(n, tuple(range(1, self.s0 + 1)), tuple(word))
-
 
 # ---------------------------------------------------------------------------
 # classes and direct orbit counting

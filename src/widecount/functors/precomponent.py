@@ -126,7 +126,11 @@ def _maximal_classes(pc: PreComponentPresentation, n: int) -> Tuple[List[List[It
 
     A class lies inside one functor (compatibility (1)) and is one of that
     functor's equivalence classes (compatibility (2)), so the functor index
-    with the functor's shadow key buckets the items."""
+    with the functor's shadow key buckets the items.  The same two
+    properties decide domination: x <= y forces b_x <= b_y, and inside one
+    functor the order is that functor's equivalence, so a class can only be
+    strictly dominated by a class of a later functor, and any comparability
+    with one is strict."""
     require(pc.item_count(n), ITEM_BUDGET, f"items on [{n}]")
     classes = group_in_buckets(
         pc.items(n),
@@ -138,14 +142,7 @@ def _maximal_classes(pc: PreComponentPresentation, n: int) -> Tuple[List[List[It
     maximal = []
     for idx, rep in enumerate(reps):
         tick()
-        dominated = False
-        for jdx, other in enumerate(reps):
-            if jdx == idx:
-                continue
-            if pc.preceq(n, rep, other) and not pc.preceq(n, other, rep):
-                dominated = True
-                break
-        if not dominated:
+        if not any(pc.preceq(n, rep, other) for other in reps if other[0] > rep[0]):
             maximal.append(idx)
     return classes, class_of, maximal
 

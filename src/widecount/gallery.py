@@ -1,9 +1,9 @@
 """Executable versions of the worked examples: closed-form counts, brute-force
 component enumerators, and the fixed-rank and tree applications.
 
-Rank computations are exact: matrices are scaled to integers and ranked
-modulo a prime exceeding the Hadamard bound on their minors, which provably
-agrees with the rank over the rationals.
+Rank computations are exact: matrices are scaled to integers and ranked by
+fraction-free elimination over the integers, with each basis row kept
+primitive.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import comb, factorial, gcd, isqrt
+from math import comb, factorial, gcd
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .actions import PermGroup, TooLarge, require, tick
@@ -99,121 +99,59 @@ def cube_orbit_count_brute(d: int, n: int) -> int:
     return len(seen)
 
 
-def cube_component_count(d: int, n: int) -> int:
-    """Number of components: rotation orbits are orbits of size dividing d on
-    ordered partitions of [n]; componentwise this is d^(n-1) for n >= 1."""
-    return d ** (n - 1) if n >= 1 else 1
-
-
 # ---------------------------------------------------------------------------
 # exact rank over the rationals
 # ---------------------------------------------------------------------------
 
 
-# Miller-Rabin with the primes up to 41 as bases decides primality of every
-# m below this bound (Sorenson and Webster, 2015)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN_BELOW = 3317044064679887385961981
-
-
-def _is_prime(m: int) -> bool:
-    """Primality of m below _MR_PROVEN_BELOW."""
-    if m < 2:
-        return False
-    for q in _MR_BASES:
-        if m % q == 0:
-            return m == q
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, m)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == m - 1:
-                break
-            x = x * x % m
-        else:
-            return False
-    return True
-
-
-def _next_prime(m: int) -> int:
-    """A prime above m: the next one below _MR_PROVEN_BELOW, and beyond it
-    the least Proth prime p = k * 2^e + 1 > m (k odd, k < 2^e, with
-    e = m.bit_length() // 2 + 1) that one of the bases proves prime.
-
-    By Proth's theorem, one a with a^((p-1)/2) = -1 mod p proves p prime.
-    For prime p, a^((p-1)/2) is 1 or -1 (Euler's criterion), so any other
-    value shows p composite.
-    """
-    candidate = max(m + 1, 2)
-    while candidate < _MR_PROVEN_BELOW:
-        if _is_prime(candidate):
-            return candidate
-        candidate += 1
-    # k starts below 2^(e-1); a prime is met within a few hundred steps
-    step = 1 << (m.bit_length() // 2 + 1)
-    for k in range(-(-m // step) | 1, step, 2):
-        p = k * step + 1
-        for a in _MR_BASES:
-            x = pow(a, p // 2, p)
-            if x == p - 1:
-                return p
-            if x != 1:
-                break
-    raise ArithmeticError(f"no Proth prime above {m} with k < {step}")
-
-
-def _integerize(entries: Sequence[Fraction]) -> Tuple[List[int], int]:
+def _integerize(entries: Sequence[Fraction]) -> List[int]:
+    """The entries scaled by their common denominator, which changes no rank."""
     denom = 1
     fracs = [Fraction(e) for e in entries]
     for e in fracs:
         denom = denom * e.denominator // gcd(denom, e.denominator)
-    return [int(e * denom) for e in fracs], denom
-
-
-def rank_prime_for(n: int, max_abs: int) -> int:
-    """A prime above the Hadamard bound: every nonzero minor of an n x n
-    integer matrix with entries bounded by max_abs stays nonzero mod p."""
-    bound = 1
-    row_norm_sq = n * max_abs * max_abs
-    for _ in range(n):
-        bound *= isqrt(row_norm_sq) + 1
-    return _next_prime(bound)
+    return [int(e * denom) for e in fracs]
 
 
 def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals by elimination mod a provably safe prime."""
+    """Rank over the rationals by fraction-free elimination over the integers."""
     rows = len(matrix)
     if rows == 0:
         return 0
     cols = len(matrix[0])
-    flat, _ = _integerize([x for row in matrix for x in row])
-    max_abs = max((abs(x) for x in flat), default=0)
-    p = rank_prime_for(max(rows, cols), max(max_abs, 1))
+    flat = _integerize([x for row in matrix for x in row])
     basis: Tuple[Tuple[int, List[int]], ...] = ()
     for i in range(rows):
-        basis = _rank_mod(basis, [x % p for x in flat[i * cols : (i + 1) * cols]], p)
+        basis = _rank_mod(basis, flat[i * cols : (i + 1) * cols])
     return len(basis)
 
 
 def _rank_mod(
-    basis: Tuple[Tuple[int, List[int]], ...], row: List[int], p: int
+    basis: Tuple[Tuple[int, List[int]], ...], row: List[int]
 ) -> Tuple[Tuple[int, List[int]], ...]:
-    """The one elimination step mod p: reduce `row` against an echelon
-    basis of (pivot column, row) pairs, each row zero before its pivot and
-    at the pivots before it.  Returns the basis extended by the reduced row
+    """The one elimination step, fraction-free over the integers: reduce
+    `row` against an echelon basis of (pivot column, primitive row) pairs,
+    each row zero before its pivot and at the pivots before it.  Returns the
+    basis extended by the reduced row, divided by the gcd of its entries,
     when that is nonzero, else the same basis, so the length of the result
-    is the rank of the rows reduced so far."""
+    is the rank of the rows reduced so far.
+
+    Entries stay small.  A reduced row is zero at every earlier pivot, so it
+    spans the one-dimensional part of span(basis rows, row) that vanishes on
+    those pivots; its primitive form is the primitive part of a vector of
+    minors of the original rows, which the Hadamard bound limits.  Before
+    the division, each step multiplies entries by at most one such pivot.
+    """
     for pivot, brow in basis:
         f = row[pivot]
         if f:
             pv = brow[pivot]
-            row = [(a * pv - f * b) % p for a, b in zip(row, brow)]
+            row = [a * pv - f * b for a, b in zip(row, brow)]
     for col, x in enumerate(row):
         if x:
+            g = gcd(*row)
+            if g > 1:
+                row = [a // g for a in row]
             return basis + ((col, row),)
     return basis
 
@@ -361,14 +299,11 @@ def fixed_rank_orbit_counts(
     entry_list = sorted({Fraction(e) for e in entries})
     cells = n * (n + 1) // 2 if symmetric else n * n
     require(len(entry_list) ** cells, RANK_CELL_BUDGET, "entry assignments")
-    ints, _ = _integerize(entry_list)
-    max_abs = max((abs(x) for x in ints), default=0)
-    p = rank_prime_for(n, max(max_abs, 1))
-    entry_residues = [x % p for x in ints]
+    ints = _integerize(entry_list)
 
     totals = [0] * (n + 1)
     for images, class_size in _cycle_type_representatives(n):
-        for rank, fixed in enumerate(_fixed_rank_histogram(images, symmetric, entry_residues, p)):
+        for rank, fixed in enumerate(_fixed_rank_histogram(images, symmetric, ints)):
             totals[rank] += class_size * fixed
     order = factorial(n)
     out = {}
@@ -381,10 +316,10 @@ def fixed_rank_orbit_counts(
 
 
 def _fixed_rank_histogram(
-    images: Tuple[int, ...], symmetric: bool, residues: List[int], p: int
+    images: Tuple[int, ...], symmetric: bool, entries: List[int]
 ) -> List[int]:
     """Number of matrices fixed by the permutation `images`, with entries
-    from `residues`, of each rank mod p."""
+    from the integers `entries`, of each rank."""
     n = len(images)
     orbits = _cell_orbits(images, symmetric)
     # row r is complete once every orbit whose first row is at most r has a
@@ -406,10 +341,10 @@ def _fixed_rank_histogram(
             return
         tick()
         group, row_owner = groups[r], owner[r]
-        for choice in product(residues, repeat=len(group)):
+        for choice in product(entries, repeat=len(group)):
             for k, v in zip(group, choice):
                 values[k] = v
-            settle(r + 1, _rank_mod(basis, [values[k] for k in row_owner], p))
+            settle(r + 1, _rank_mod(basis, [values[k] for k in row_owner]))
 
     settle(0, ())
     return hist

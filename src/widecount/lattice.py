@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import Permutation
 # fit is not called here; the benchmark's traced run wraps it at this module
@@ -84,15 +84,6 @@ class DownwardClosedSet:
             if len(support) <= 1:
                 capped.update(support if support else range(self.k))
         return self.k == 0 or capped == set(range(self.k))
-
-    def intersect(self, other: "DownwardClosedSet") -> "DownwardClosedSet":
-        if self.k != other.k:
-            raise ValueError("dimension mismatch")
-        return DownwardClosedSet(self.k, self.obstructions + other.obstructions)
-
-    def remove_cone(self, base: Vector) -> "DownwardClosedSet":
-        """The downward-closed set minus the full upper cone at ``base``."""
-        return DownwardClosedSet(self.k, self.obstructions + (tuple(base),))
 
     def enumerate_level(self, n: int) -> List[Vector]:
         """All members of total degree n, in lexicographic order.

@@ -1,8 +1,10 @@
 import json
 import time
+from math import comb
 
 import pytest
 
+from widecount import gallery
 from widecount.cli import parse_range, run
 from widecount.gallery import unlabeled_tree_counts
 from widecount.quasipoly import write_sequence_csv
@@ -26,6 +28,16 @@ def test_example_cube_verify(capsys):
     assert counts == [1, 1, 2, 4, 5, 7, 10, 12, 15, 19, 22, 26, 31]
     assert data["verdict"] == "pass"
     assert not data["truncated"]
+
+
+def test_example_verify_checks_the_formula(capsys, monkeypatch):
+    for name in ("points", "planes"):
+        code, data = _run_json(["example", name, "--n", "0..4", "--verify"], capsys)
+        assert code == 0 and len(data["checks"]) == 5
+    # off by one in the binomial, which still gives 1 at d = 1
+    monkeypatch.setattr(gallery, "points_orbit_count", lambda d, n: comb(n + d, d - 1))
+    code, data = _run_json(["example", "points", "--n", "0..4", "--verify"], capsys)
+    assert code == 2 and data["verdict"] == "fail"
 
 
 def test_elementary_galois_fit(capsys):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd
 
 import pytest
 
@@ -109,25 +109,7 @@ def test_exact_rank_rectangular_and_rank_deficient():
     assert exact_rank([]) == 0
 
 
-def test_rank_prime_search_decides_primality():
-    from widecount.gallery import _is_prime, rank_prime_for
-
-    small = [m for m in range(2000) if m > 1 and all(m % q for q in range(2, m))]
-    assert [m for m in range(2000) if _is_prime(m)] == small
-    # strong pseudoprimes to the first 1..12 prime bases
-    for m in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-              341550071728321, 3825123056546413051, 318665857834031151167461):
-        assert not _is_prime(m)
-    assert _is_prime(2**61 - 1) and not _is_prime(2**61 + 1)
-    # a Hadamard bound near 10^21 (6 x 6, entries up to 1000) no longer
-    # needs trial division
-    p = rank_prime_for(6, 1000)
-    assert _is_prime(p) and p > (isqrt(6 * 1000**2) + 1) ** 6
-
-
-def test_rank_prime_above_the_miller_rabin_range():
-    from widecount.gallery import _MR_PROVEN_BELOW, _next_prime
-
+def test_exact_rank_large_entries():
     # Hadamard bounds above 3.3e24: 8 x 8 with entries up to 1000, and
     # products of rank 8 and 5 with entries up to 4500
     rng = random.Random(44)
@@ -141,12 +123,31 @@ def test_rank_prime_above_the_miller_rabin_range():
     assert fixed_rank_orbit_counts([0, 10**6], 4, "general") == fixed_rank_orbit_counts(
         [0, 1], 4, "general"
     )
-    assert _next_prime(_MR_PROVEN_BELOW - 3) > _MR_PROVEN_BELOW - 3
-    for bound in (10**27, 2**300):
-        p = _next_prime(bound)
-        e = ((p - 1) & -(p - 1)).bit_length() - 1  # p = k * 2^e + 1 with k odd
-        assert p > bound and (p - 1) >> e < 2**e
-        assert all(pow(a, p - 1, p) == 1 for a in (2, 3, 5, 7, 10**9 + 7))
+
+
+def _product(rng, rows, rank, cols, bound):
+    a = [[rng.randint(-bound, bound) for _ in range(rank)] for _ in range(rows)]
+    b = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_rank_basis_rows_are_primitive_echelon_rows():
+    rng = random.Random(45)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = _product(rng, rows, rng.randint(0, 5), cols, 9)
+        basis = ()
+        for row in m:
+            basis = gallery._rank_mod(basis, list(row))
+            for i, (pivot, brow) in enumerate(basis):
+                assert gcd(*brow) == 1
+                assert brow[pivot] != 0 and not any(brow[:pivot])
+                assert all(brow[earlier] == 0 for earlier, _ in basis[:i])
+        assert len(basis) == exact_rank_fraction(m)
+    m = [[rng.randint(-1000, 1000) for _ in range(40)] for _ in range(40)]
+    assert exact_rank(m) == exact_rank_fraction(m) == 40
+    m = _product(rng, 30, 15, 30, 1000)
+    assert exact_rank(m) == exact_rank_fraction(m) == 15
 
 
 def test_symmetric_binary_rank_counts():

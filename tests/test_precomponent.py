@@ -4,6 +4,7 @@ from widecount.actions import PermGroup, TooLarge, budget
 from widecount.functors.elementary import ElementaryModelFunctor
 from widecount.functors.model import (
     elementary_embedding,
+    group_in_buckets,
     mf_orbit_count_direct,
     roots_of_unity,
     trivial_presentation,
@@ -40,6 +41,27 @@ def test_grouping_compares_within_shadow_buckets():
     pc = PreComponentPresentation("counted", (pres,), preceq)
     assert precomp_count(pc, 9) == mf_orbit_count_direct(pres, 9)
     assert len(calls) < 363136
+
+
+def test_single_functor_domination_asks_nothing():
+    # the grouping alone: with one functor no class can dominate another
+    pres = roots_of_unity(2)
+    calls = []
+
+    def preceq(n, x, y):
+        calls.append(n)
+        return pres.eq(n, x[1], y[1])
+
+    pc = PreComponentPresentation("counted", (pres,), preceq)
+    assert precomp_count(pc, 9) == mf_orbit_count_direct(pres, 9)
+    counted = len(calls)
+    calls.clear()
+    group_in_buckets(
+        pc.items(9),
+        lambda item: (item[0], pres.shadow_key(item[1])),
+        lambda x, y: preceq(9, x, y) and preceq(9, y, x),
+    )
+    assert counted == len(calls)
 
 
 def _dominated_pair():

@@ -405,36 +405,32 @@ def _run_fit(args, report: RunReport) -> None:
 def _run_verify(args, report: RunReport) -> None:
     """A condensed formula-vs-oracle pass over every pipeline."""
     galois = ElementaryModelFunctor(2, PermGroup.symmetric(2), DownwardClosedSet.full(2))
-    checks: List[Tuple[str, bool]] = []
-    checks.append(
-        ("galois-closed-form", all(elementary_count(galois, n) == n // 2 + 1 for n in range(12)))
+    report.add_verdict(
+        "galois-closed-form", all(elementary_count(galois, n) == n // 2 + 1 for n in range(12))
     )
-    checks.append(
-        ("galois-brute", all(elementary_count(galois, n) == elementary_brute(galois, n) for n in range(9)))
+    report.add_verdict(
+        "galois-brute", all(elementary_count(galois, n) == elementary_brute(galois, n) for n in range(9))
     )
-    checks.append(
-        ("cube-brute", all(
-            gallery.cube_orbit_count(d, n) == gallery.cube_orbit_count_brute(d, n)
-            for d in (2, 3, 4) for n in range(10)
-        ))
+    report.add_verdict("cube-brute", all(
+        gallery.cube_orbit_count(d, n) == gallery.cube_orbit_count_brute(d, n)
+        for d in (2, 3, 4) for n in range(10)
+    ))
+    cube2, cube3 = roots_of_unity(2), roots_of_unity(3)
+    report.add_verdict("groupoid-vs-direct", all(
+        mf_count_via_groupoid(cube3, n) == mf_orbit_count_direct(cube3, n) for n in range(6)
+    ))
+    # from n = 1: below s0 the route returns 0 by convention
+    report.add_verdict("groupoid-vs-cube", all(
+        mf_count_via_groupoid(cube, n) == gallery.cube_orbit_count(cube.k, n)
+        for cube, nmax in ((cube2, 100), (cube3, 90)) for n in range(1, nmax + 1)
+    ))
+    report.add_verdict("codes-direct-vs-burnside", all(
+        count_codes_direct(2, m, n) == count_codes_burnside(2, m, n)
+        for m in (1, 2) for n in range(2, 6)
+    ))
+    report.add_verdict(
+        "trees-growth", gallery.tree_orbit_count(6)[1] == gallery.unlabeled_tree_counts(6)[5]
     )
-    pres = roots_of_unity(3)
-    checks.append(
-        ("groupoid-vs-direct", all(
-            mf_count_via_groupoid(pres, n) == mf_orbit_count_direct(pres, n) for n in range(6)
-        ))
-    )
-    checks.append(
-        ("codes-direct-vs-burnside", all(
-            count_codes_direct(2, m, n) == count_codes_burnside(2, m, n)
-            for m in (1, 2) for n in range(2, 6)
-        ))
-    )
-    checks.append(
-        ("trees-growth", gallery.tree_orbit_count(6)[1] == gallery.unlabeled_tree_counts(6)[5])
-    )
-    for name, ok in checks:
-        report.add_verdict(name, ok)
 
 
 _RUNNERS = {

@@ -7,8 +7,8 @@ in the peeled region with a fixed core size correspond to orbits of a
 finite groupoid of quadruples acting on count vectors; their Sym-orbits are
 counted by the groupoid orbit-counting lemma with exact lattice-point level
 counts.  The complement is a sub-model functor with a strictly smaller
-count set (Dickson recursion) and bottoms out in a finite tail handled by
-direct count-vector component counting.
+count set (Dickson recursion) and bottoms out in a finite tail counted
+with one shadow call per class.
 
 Everything the oracle contributes is probed through targeted equivalence
 queries on canonical seed pairs; the count-vector shadow of builtin oracles
@@ -831,25 +831,24 @@ def extract_groupoid(
 
 
 def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) -> int:
-    """Sym-orbits of classes over a finite count region: components of the
-    count-vector graph with edges from the count-vector shadow."""
+    """Sym-orbits of classes over a finite count region, with one shadow
+    call per class.  The shadow of a vector is its whole class's
+    count-vector set, so a vector no earlier shadow reached starts a class."""
     level = n - pres.s0
     if level < 0:
         return 0
-    betas = M.enumerate_level(level)
-    index = {beta: i for i, beta in enumerate(betas)}
-    uf = UnionFind(range(len(betas)))
     hook = pres.count_equivalents
     assert hook is not None
-    merges = 0
-    for i, beta in enumerate(betas):
+    seen: Set[Vector] = set()
+    classes = 0
+    for beta in M.enumerate_level(level):
         tick()
-        for gamma in hook(beta):
-            # beta itself and vectors off the level add no edge
-            j = index.get(gamma, i)
-            if j != i and uf.union(i, j):
-                merges += 1
-    return len(betas) - merges
+        if beta in seen:
+            seen.discard(beta)
+        else:
+            classes += 1
+            seen.update(hook(beta))
+    return classes
 
 
 class StratifiedPlan:
@@ -963,9 +962,9 @@ def mf_count_via_groupoid(
     Peels calibrated strata from the count set (each counted by a groupoid
     Burnside sum over exact lattice level counts), recursing on the
     complement sub-model functor until the count set is finite; the finite
-    tail is counted directly on count vectors.  Requires the presentation's
-    count-vector shadow.  The n-independent work is kept in a plan per
-    presentation and reused by later calls.
+    tail is counted with one shadow call per class.  Requires the
+    presentation's count-vector shadow.  The n-independent work is kept in a
+    plan per presentation and reused by later calls.
     """
     if pres.count_equivalents is None:
         raise TooLarge(

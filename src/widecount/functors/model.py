@@ -122,7 +122,9 @@ class ModelFunctorPresentation:
     exhaustively at small n by verify_axioms).  ``count_equivalents`` maps
     the count vector of a pair's word to the set of count vectors realized
     across that pair's equivalence class; builtin presentations supply it,
-    user presentations may not.
+    user presentations may not.  The shadow is the same set from every
+    vector in it, and ``shadow_key`` and the stratified count's tail rely
+    on that.
     """
 
     name: str

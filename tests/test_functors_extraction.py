@@ -10,6 +10,7 @@ from widecount.actions import (
     PermGroup,
     Permutation,
     TooLarge,
+    UnionFind,
     budget,
     groupoid_orbit_count,
     groupoid_orbits_enumerate,
@@ -22,6 +23,8 @@ from widecount.functors.extraction import (
     StratumAnalysis,
     Unstable,
     _minimal_elements,
+    _plan,
+    _tail_count,
     analyze_pair,
     extract_groupoid,
     mf_count_via_groupoid,
@@ -347,3 +350,59 @@ def test_deadline_leaves_no_half_built_plan(monkeypatch):
             mf_count_via_groupoid(pres, 60)
         monkeypatch.undo()
         assert mf_count_via_groupoid(pres, 60) == cube_formula(3, 60), stop
+
+
+@pytest.mark.parametrize(
+    "pres,n",
+    [
+        pytest.param(roots_of_unity(2), 25, id="roots2"),
+        pytest.param(roots_of_unity(3), 49, id="roots3"),
+        pytest.param(roots_of_unity(4), 81, id="roots4"),
+        pytest.param(
+            elementary_embedding(
+                ElementaryModelFunctor(3, PermGroup.symmetric(3), DownwardClosedSet.full(3))
+            ),
+            36,
+            id="S3-words",
+        ),
+        pytest.param(
+            elementary_embedding(
+                ElementaryModelFunctor(
+                    3, PermGroup.cyclic(3), DownwardClosedSet(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+                )
+            ),
+            21,
+            id="C3-words-obstructed",
+        ),
+    ],
+)
+def test_tail_count_is_the_shadow_component_count(pres, n):
+    # n is the first length at which the first stratum is occupied
+    plan = _plan(pres, None, True)
+    analysis = plan.calibrated(pres.countset, n)
+    assert n - pres.s0 == analysis.min_occupied_total()
+    for M in (pres.countset, plan.peeled(analysis)):
+        betas = M.enumerate_level(n - pres.s0)
+        on_level = set(betas)
+        uf = UnionFind(betas)
+        for beta in betas:
+            for gamma in pres.count_equivalents(beta):
+                if gamma in on_level:
+                    uf.union(beta, gamma)
+        components = len(uf.blocks())
+
+        calls = []
+
+        def hook(beta):
+            calls.append(beta)
+            return pres.count_equivalents(beta)
+
+        counted = _tail_count(dataclasses.replace(pres, count_equivalents=hook), M, n)
+        assert counted == components
+        assert len(calls) == components
+
+
+def test_deadline_reaches_the_tail_loop():
+    pres = roots_of_unity(4)
+    with budget(seconds=0), pytest.raises(TooLarge, match="time limit"):
+        _tail_count(pres, pres.countset, 81)

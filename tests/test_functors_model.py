@@ -165,8 +165,10 @@ def test_verify_axioms_negative_controls():
                 3, PermGroup.cyclic(3), DownwardClosedSet(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
             )
         ),
+        roots_of_unity(4),
+        trivial_presentation(2, s0=1),
     ],
-    ids=["roots2", "roots3", "S3-words", "C3-words-obstructed"],
+    ids=["roots2", "roots3", "S3-words", "C3-words-obstructed", "roots4", "trivial-k2-s1"],
 )
 def test_shadow_is_the_class_count_vectors(pres):
     for n in range(pres.s0, 6):

@@ -142,11 +142,7 @@ def _rank_mod(
     minors of the original rows, which the Hadamard bound limits.  Before
     the division, each step multiplies entries by at most one such pivot.
     """
-    for pivot, brow in basis:
-        f = row[pivot]
-        if f:
-            pv = brow[pivot]
-            row = [a * pv - f * b for a, b in zip(row, brow)]
+    row = _reduce(basis, row)
     for col, x in enumerate(row):
         if x:
             g = gcd(*row)
@@ -154,6 +150,17 @@ def _rank_mod(
                 row = [a // g for a in row]
             return basis + ((col, row),)
     return basis
+
+
+def _reduce(basis: Tuple[Tuple[int, List[int]], ...], row: List[int]) -> List[int]:
+    """`row` made zero at every pivot of the echelon basis, fraction-free;
+    it is nonzero iff it is independent of the basis rows."""
+    for pivot, brow in basis:
+        f = row[pivot]
+        if f:
+            pv = brow[pivot]
+            row = [a * pv - f * b for a, b in zip(row, brow)]
+    return row
 
 
 def exact_rank_fraction(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -336,17 +343,21 @@ def _fixed_rank_histogram(
     values = [0] * len(orbits)
 
     def settle(r: int, basis) -> None:
-        if r == n:
-            hist[len(basis)] += 1
-            return
         tick()
         group, row_owner = groups[r], owner[r]
         for choice in product(entries, repeat=len(group)):
             for k, v in zip(group, choice):
                 values[k] = v
-            settle(r + 1, _rank_mod(basis, [values[k] for k in row_owner]))
+            row = [values[k] for k in row_owner]
+            if r < n - 1:
+                settle(r + 1, _rank_mod(basis, row))
+            else:  # the last row only raises the rank or not
+                hist[len(basis) + any(_reduce(basis, row))] += 1
 
-    settle(0, ())
+    if n:
+        settle(0, ())
+    else:
+        hist[0] = 1  # the empty matrix
     return hist
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .actions import Permutation
+from .actions import Permutation, tick
 # fit is not called here; the benchmark's traced run wraps it at this module
 from .quasipoly import FittedQuasipolynomial, build_quasipolynomial, fit  # noqa: F401
 
@@ -89,10 +89,15 @@ class DownwardClosedSet:
         """All members of total degree n, in lexicographic order.
 
         Compositions of n are built one coordinate at a time (stars and
-        bars).  An obstruction stays live while it lies below the prefix;
-        once a live one needs nothing of the coordinates still open, it is
-        met by every completion, so that prefix and every larger value of
-        its last coordinate are skipped.
+        bars) over all coordinates but the last two.  An obstruction stays
+        live while it lies below the prefix; once a live one needs nothing
+        of the coordinates still open, it is met by every completion, so
+        that prefix and every larger value of its last coordinate are
+        skipped.  A prefix leaving ``remaining`` is completed by the points
+        (x, remaining - x); a live obstruction o meets exactly those with
+        o[-2] <= x <= remaining - o[-1], so each gap between the merged
+        intervals is emitted as one run.  The budget's deadline is checked
+        once per prefix.
         """
         k = self.k
         if n < 0:
@@ -103,13 +108,21 @@ class DownwardClosedSet:
             return []  # the zero obstruction: the set is empty
         if k == 0:
             return [()] if n == 0 else []
+        if k == 1:
+            return [(n,)] if all(n < o[0] for o, _ in obs) else []
         out: List[Vector] = []
-        final = k - 1
+        pair = k - 2
 
         def rec(prefix: Tuple[int, ...], j: int, remaining: int, live: list) -> None:
-            if j == final:
-                if not any(o[final] <= remaining for o, _ in live):
-                    out.append(prefix + (remaining,))
+            tick()
+            if j == pair:
+                lo = 0
+                for start, end in sorted(
+                    (o[j], remaining - o[j + 1]) for o, _ in live if o[j] + o[j + 1] <= remaining
+                ):
+                    out.extend([prefix + (x, remaining - x) for x in range(lo, start)])
+                    lo = max(lo, end + 1)
+                out.extend([prefix + (x, remaining - x) for x in range(lo, remaining + 1)])
                 return
             for x in range(remaining + 1):
                 still = [ol for ol in live if ol[0][j] <= x]

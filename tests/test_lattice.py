@@ -5,7 +5,9 @@ from math import comb
 import pytest
 
 from widecount import lattice
-from widecount.actions import PermGroup, Permutation
+from widecount.actions import PermGroup, Permutation, TooLarge, budget
+from widecount.functors.extraction import _plan
+from widecount.functors.model import roots_of_unity
 from widecount.lattice import (
     DownwardClosedSet,
     StanleyPiece,
@@ -202,18 +204,77 @@ def test_level_quasipolynomial_matches_counts_with_obstructions():
                 assert res.qp.evaluate(n) == fixed_count_level(M, g, n)
 
 
+def _level_brute_force(M, n):
+    """Members of degree n: every vector whose first k - 1 coordinates are
+    at most n, completed by the last, filtered by membership."""
+    if M.k == 0:
+        return [()] if n == 0 else []
+    vectors = (head + (n - sum(head),) for head in product(range(n + 1), repeat=M.k - 1))
+    return sorted(v for v in vectors if v[-1] >= 0 and M.membership(v))
+
+
 def test_enumerate_level_equals_filtered_brute_force():
     rng = random.Random(4)
-    for _ in range(200):
-        k = rng.randint(1, 4)
+    for _ in range(250):
+        k = rng.randint(1, 5)
         M = DownwardClosedSet(
             k, [tuple(rng.randint(0, 4) for _ in range(k)) for _ in range(rng.randint(0, 4))]
         )
         for n in range(10):
-            brute = [
-                v for v in sorted(product(range(n + 1), repeat=k))
-                if sum(v) == n and M.membership(v)
-            ]
-            assert M.enumerate_level(n) == brute, (M, n)
+            assert M.enumerate_level(n) == _level_brute_force(M, n), (M, n)
     assert DownwardClosedSet.empty(3).enumerate_level(2) == []
     assert DownwardClosedSet.full(0).enumerate_level(0) == [()]
+
+
+@pytest.mark.parametrize(
+    "k,obstructions",
+    [
+        # x in [2, n-5] and [4, n-3] overlap
+        pytest.param(2, [(2, 5), (4, 3)], id="overlap"),
+        # from x0 >= 1, [2, r-3] holds [4, r-5]
+        pytest.param(3, [(1, 2, 3), (0, 4, 5)], id="nest"),
+        # [2, n-6] and [5, n-2] touch at n = 10; a one-point gap at n = 9
+        pytest.param(2, [(2, 6), (5, 2)], id="touch"),
+        # [0, r-5] and [3, r] cover every x once r >= 7
+        pytest.param(2, [(0, 5), (3, 0)], id="cover"),
+        # as "cover" on the last two coordinates, from x0 >= 1
+        pytest.param(4, [(1, 0, 0, 5), (1, 0, 3, 0), (0, 2, 2, 2)], id="cover-after-prefix"),
+        pytest.param(1, [], id="k1-full"),
+        pytest.param(1, [(3,)], id="k1-capped"),
+    ],
+)
+def test_enumerate_level_interval_cases(k, obstructions):
+    M = DownwardClosedSet(k, obstructions)
+    for n in range(-1, 15):
+        expected = _level_brute_force(M, n) if n >= 0 else []
+        assert M.enumerate_level(n) == expected, (M, n)
+
+
+def _tail_sized_sets():
+    for d, n in ((3, 49), (4, 81)):
+        # n is the first length at which the first stratum is occupied
+        pres = roots_of_unity(d)
+        plan = _plan(pres, None, True)
+        yield f"roots{d}-peeled", plan.peeled(plan.calibrated(pres.countset, n))
+    rng = random.Random(11)
+    for k in range(2, 6):
+        for _ in range(3):
+            # caps on the first k - 3 coordinates keep a level in the 10^5s
+            caps = [tuple(rng.randint(1, 6) if i == j else 0 for i in range(k)) for j in range(k - 3)]
+            obs = [tuple(rng.randint(0, 12) for _ in range(k)) for _ in range(rng.randint(1, 5))]
+            yield f"random-k{k}", DownwardClosedSet(k, caps + obs)
+
+
+def test_enumerate_level_at_tail_sizes():
+    for label, M in _tail_sized_sets():
+        identity = Permutation(tuple(range(1, M.k + 1)))
+        for n in (0, 1, 2, 19, 20, 21, 59, 80, 120):
+            members = M.enumerate_level(n)
+            assert all(a < b for a, b in zip(members, members[1:])), (label, n)
+            assert all(M.membership(beta) for beta in members), (label, n)
+            assert len(members) == fixed_count_level(M, identity, n), (label, n)
+
+
+def test_deadline_stops_a_level_build():
+    with budget(seconds=0), pytest.raises(TooLarge, match="time limit"):
+        DownwardClosedSet.full(4).enumerate_level(80)

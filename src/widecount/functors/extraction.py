@@ -842,10 +842,10 @@ def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) ->
     seen: Set[Vector] = set()
     classes = 0
     for beta in M.enumerate_level(level):
-        tick()
         if beta in seen:
             seen.discard(beta)
         else:
+            tick()
             classes += 1
             seen.update(hook(beta))
     return classes

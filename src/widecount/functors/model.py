@@ -432,14 +432,14 @@ def roots_of_unity(d: int) -> ModelFunctorPresentation:
     ]
 
     def count_equivalents(beta: Vector) -> FrozenSet[Vector]:
-        out = {beta}
+        out = [beta]
         for letter_index, source, landing in moves:
             if beta[letter_index] == 0:
                 continue
             shifted = [beta[s] for s in source]
             shifted[d - 1] -= 1
             shifted[landing] += 1
-            out.add(tuple(shifted))
+            out.append(tuple(shifted))
         return frozenset(out)
 
     return ModelFunctorPresentation(

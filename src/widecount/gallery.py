@@ -3,7 +3,10 @@ component enumerators, and the fixed-rank and tree applications.
 
 Rank computations are exact: matrices are scaled to integers and ranked by
 fraction-free elimination over the integers, with each basis row kept
-primitive.
+primitive.  The fixed-rank counts rank no matrix one by one: they settle
+rows in order and count prefixes per reduced state (the rank so far and the
+unsettled rows' parts reduced modulo the settled span, fraction-free and
+divided by their gcd), so each state's new row values are listed once.
 """
 from __future__ import annotations
 
@@ -142,7 +145,11 @@ def _rank_mod(
     minors of the original rows, which the Hadamard bound limits.  Before
     the division, each step multiplies entries by at most one such pivot.
     """
-    row = _reduce(basis, row)
+    for pivot, brow in basis:
+        f = row[pivot]
+        if f:
+            pv = brow[pivot]
+            row = [a * pv - f * b for a, b in zip(row, brow)]
     for col, x in enumerate(row):
         if x:
             g = gcd(*row)
@@ -150,17 +157,6 @@ def _rank_mod(
                 row = [a // g for a in row]
             return basis + ((col, row),)
     return basis
-
-
-def _reduce(basis: Tuple[Tuple[int, List[int]], ...], row: List[int]) -> List[int]:
-    """`row` made zero at every pivot of the echelon basis, fraction-free;
-    it is nonzero iff it is independent of the basis rows."""
-    for pivot, brow in basis:
-        f = row[pivot]
-        if f:
-            pv = brow[pivot]
-            row = [a * pv - f * b for a, b in zip(row, brow)]
-    return row
 
 
 def exact_rank_fraction(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -297,10 +293,11 @@ def fixed_rank_orbit_counts(
     set under simultaneous row/column permutation.
 
     Burnside over the cycle types of Sym(n): a permutation's fixed matrices
-    are constant on its cell orbits.  They are enumerated depth-first, one
-    row at a time, and each row is reduced against the echelon basis of the
-    rows above it as soon as it is complete, so a fixed matrix costs one
-    row reduction and every prefix's work is shared by its subtree.
+    are constant on its cell orbits.  They are counted per rank by a dynamic
+    programme over rows (`_fixed_rank_histogram`) that keeps one count per
+    reduced state rather than listing the matrices, so no fixed matrix is
+    ranked on its own.  The cap still bounds |entries|^cells, the number of
+    matrices the identity fixes.
     """
     symmetric = _is_symmetric(shape, n)
     entry_list = sorted({Fraction(e) for e in entries})
@@ -326,38 +323,87 @@ def _fixed_rank_histogram(
     images: Tuple[int, ...], symmetric: bool, entries: List[int]
 ) -> List[int]:
     """Number of matrices fixed by the permutation `images`, with entries
-    from the integers `entries`, of each rank."""
+    from the integers `entries`, of each rank.
+
+    A fixed matrix is constant on the cell orbits, and an orbit gets its
+    value at its first row.  Rows are settled in order, keeping a count of
+    prefixes per reduced state: the rank so far, then, reduced modulo the
+    span of the settled rows, each later row's known part (its cells whose
+    orbit has a value) and the indicator on each later row of every orbit
+    without a value that meets it.  Completions, and so final ranks, depend
+    only on that state, so settling a row lists its new orbits' values once
+    per state, summed one orbit at a time so that choices share prefixes.
+
+    Reduction is fraction-free: a nonzero reduced row w with first nonzero
+    coordinate p maps every stored x to w[p] x - x[p] w, which keeps one
+    common scale, and drops coordinate p.  Either way the whole state is
+    then divided by the gcd of its entries and its first nonzero entry made
+    positive.  Pivots and projection depend only on the span, so equal
+    states get equal keys.
+    """
     n = len(images)
     orbits = _cell_orbits(images, symmetric)
-    # row r is complete once every orbit whose first row is at most r has a
-    # value; a symmetric cell (i, j) has i <= j, so i is its first row
-    groups: List[List[int]] = [[] for _ in range(n)]
-    owner = [[0] * n for _ in range(n)]
+    # a symmetric cell (i, j) has i <= j, so i is its first row
+    first = [min(i for i, _ in orbit) - 1 for orbit in orbits]
+    indicator: Dict[Tuple[int, int], List[int]] = {}
     for k, orbit in enumerate(orbits):
-        groups[min(i for i, _ in orbit) - 1].append(k)
         for i, j in orbit:
-            owner[i - 1][j - 1] = k
-            if symmetric:
-                owner[j - 1][i - 1] = k
+            for a, b in ((i, j), (j, i)) if symmetric else ((i, j),):
+                indicator.setdefault((k, a - 1), [0] * n)[b - 1] = 1
+    # before row r a state holds, flat, n - rank coordinates for each of:
+    # the known parts of rows r..n-1, then the indicators (orbit, row) of
+    # the orbits without a value, row r's own orbits first
+    slots = sorted(indicator, key=lambda s: (first[s[0]], s))
+    start = [0] * (n * n) + [v for s in slots for v in indicator[s]]
+    states = {(0, tuple(start)): 1}
+    for r in range(n):
+        slots = [s for s in slots if first[s[0]] >= r]
+        group = [k for k, f in enumerate(first) if f == r]
+        # per orbit of row r: (its row's offset among rows r.., its slot)
+        spread = [[(j - r, t) for t, (o, j) in enumerate(slots) if o == k] for k in group]
+        own = sum(len(places) for places in spread)
+        nxt: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        for (rank, flat), count in states.items():
+            tick()
+            m = n - rank
+            known_end = (n - r) * m
+            later = flat[known_end + own * m :]
+            partial = [flat[:known_end]]
+            for places in spread:
+                step = [0] * known_end
+                for row, t in places:
+                    at = known_end + t * m
+                    step[row * m : (row + 1) * m] = flat[at : at + m]
+                partial = [
+                    [a + v * d for a, d in zip(known, step)] for known in partial for v in entries
+                ]
+            for known in partial:
+                w = known[:m]
+                rest = known[m:]
+                rest += later
+                p = next((c for c, x in enumerate(w) if x), None)
+                if p is None:
+                    key_rank = rank
+                else:
+                    key_rank = rank + 1
+                    wp = w[p]
+                    cols = [c for c in range(m) if c != p]
+                    out = []
+                    for s in range(0, len(rest), m):
+                        f = rest[s + p]
+                        out += [wp * rest[s + c] - f * w[c] for c in cols]
+                    rest = out
+                g = gcd(*rest)
+                if g > 1:
+                    rest = [x // g for x in rest]
+                if next((x for x in rest if x), 0) < 0:
+                    rest = [-x for x in rest]
+                key = (key_rank, tuple(rest))
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
     hist = [0] * (n + 1)
-    values = [0] * len(orbits)
-
-    def settle(r: int, basis) -> None:
-        tick()
-        group, row_owner = groups[r], owner[r]
-        for choice in product(entries, repeat=len(group)):
-            for k, v in zip(group, choice):
-                values[k] = v
-            row = [values[k] for k in row_owner]
-            if r < n - 1:
-                settle(r + 1, _rank_mod(basis, row))
-            else:  # the last row only raises the rank or not
-                hist[len(basis) + any(_reduce(basis, row))] += 1
-
-    if n:
-        settle(0, ())
-    else:
-        hist[0] = 1  # the empty matrix
+    for (rank, _), count in states.items():
+        hist[rank] += count
     return hist
 
 

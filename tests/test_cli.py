@@ -176,8 +176,9 @@ def test_time_limit_truncates(capsys):
 
 
 def test_time_limit_stops_inside_a_count(capsys):
-    # 3^16 identity assignments: minutes of enumeration without the deadline
-    argv = ["ranks", "--entries", "0,1,2", "--k", "4", "--n", "4", "--shape", "general"]
+    # 3^15 identity assignments, within the 10^8 cap: a few seconds of
+    # counting reduced row states without the deadline
+    argv = ["ranks", "--entries", "0,1,2", "--k", "4", "--n", "5", "--shape", "symmetric"]
     start = time.monotonic()
     code, data = _run_json(argv + ["--max-states", "100000000", "--time-limit", "0.5"], capsys)
     assert time.monotonic() - start < 3
@@ -185,4 +186,4 @@ def test_time_limit_stops_inside_a_count(capsys):
     # at the default --max-states the run is over its cap before it starts
     code, data = _run_json(argv, capsys)
     assert code == 0 and data["truncated"] is True
-    assert "43046721 exceeds the budget 1000000" in data["checks"][0]["witness"]["truncated_by"]
+    assert "14348907 exceeds the budget 1000000" in data["checks"][0]["witness"]["truncated_by"]

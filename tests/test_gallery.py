@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd
 
 import pytest
@@ -280,3 +281,92 @@ def test_budget_only_tightens_the_rank_cap():
         fixed_rank_orbit_counts([0, 1], 4, "symmetric")
     with budget(max_states=1000), pytest.raises(TooLarge):
         fixed_rank_orbit_counts_brute([0, 1], 4, "symmetric")
+
+
+def _brute_histogram(images, symmetric, entries):
+    """Every matrix constant on the cell orbits of `images`, ranked one by
+    one by exact rational elimination."""
+    n = len(images)
+    orbits = gallery._cell_orbits(images, symmetric)
+    hist = [0] * (n + 1)
+    for values in product(entries, repeat=len(orbits)):
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for orbit, v in zip(orbits, values):
+            for i, j in orbit:
+                m[i - 1][j - 1] = v
+                if symmetric:
+                    m[j - 1][i - 1] = v
+        hist[exact_rank_fraction(m)] += 1
+    return hist
+
+
+# the brute force ranks |entries|^orbits matrices, so it leaves out the
+# cases above this many: the identity of Sym(4) in both shapes, the identity
+# of Sym(3) and a transposition of Sym(4) in general shape with three
+# entries.  The pinned counts and the brute-force orbit counts cover those
+HISTOGRAM_BRUTE_LIMIT = 3**8
+
+
+@pytest.mark.parametrize("shape", ["symmetric", "general"])
+@pytest.mark.parametrize(
+    "entries",
+    [[0, 1], [1, 2], [-1, 0, 1], [0, Fraction(1, 2), 1]],
+    ids=["01", "12", "-101", "0half1"],
+)
+def test_fixed_rank_histogram_equals_brute_force(entries, shape):
+    symmetric = shape == "symmetric"
+    values = sorted(Fraction(e) for e in entries)
+    ints = gallery._integerize(values)
+    skipped = []
+    for n in range(5):
+        for images, _ in gallery._cycle_type_representatives(n):
+            orbits = gallery._cell_orbits(images, symmetric)
+            if len(values) ** len(orbits) > HISTOGRAM_BRUTE_LIMIT:
+                skipped.append(images)
+                continue
+            want = _brute_histogram(images, symmetric, values)
+            assert gallery._fixed_rank_histogram(images, symmetric, ints) == want, images
+    assert skipped == {
+        (2, True): [],
+        (3, True): [(1, 2, 3, 4)],
+        (2, False): [(1, 2, 3, 4)],
+        (3, False): [(1, 2, 3), (2, 1, 3, 4), (1, 2, 3, 4)],
+    }[len(values), symmetric]
+
+
+def test_fixed_rank_counts_pinned():
+    assert fixed_rank_orbit_counts([0, 1, 2], 4, "symmetric") == {0: 1, 1: 8, 2: 95, 3: 587, 4: 2441}
+    assert fixed_rank_orbit_counts([0, 1], 4, "general") == {0: 1, 1: 26, 2: 368, 3: 1619, 4: 1030}
+    assert fixed_rank_orbit_counts([0, 1], 5, "symmetric") == {
+        0: 1, 1: 5, 2: 22, 3: 79, 4: 184, 5: 253
+    }
+    assert fixed_rank_orbit_counts([-1, 0, 1], 4, "symmetric") == {
+        0: 1, 1: 16, 2: 127, 3: 762, 4: 2226
+    }
+    assert fixed_rank_orbit_counts([1, 2], 4, "symmetric") == {1: 2, 2: 10, 3: 27, 4: 51}
+
+
+@pytest.mark.parametrize("n, shape", [(5, "general"), (6, "symmetric")])
+def test_fixed_rank_counts_sum_to_all_orbits_beyond_enumeration(n, shape):
+    # 2^25 and 2^21 fixed matrices for the identity alone
+    counts = fixed_rank_orbit_counts([0, 1], n, shape)
+    assert sorted(counts) == list(range(n + 1))
+    assert sum(counts.values()) == matrix_orbit_count([0, 1], n, shape)
+
+
+def test_deadline_stops_a_rank_count():
+    with budget(seconds=0), pytest.raises(TooLarge, match="time limit"):
+        fixed_rank_orbit_counts([0, 1], 4, "symmetric")
+
+
+def test_fixed_rank_histogram_merges_equal_states(monkeypatch):
+    # tick() runs once per source state; a key that kept the sign would
+    # split states that have the same completions (1 401 and 315 states)
+    states = []
+    monkeypatch.setattr(gallery, "tick", lambda: states.append(1))
+    identity = (1, 2, 3, 4)
+    assert gallery._fixed_rank_histogram(identity, True, [0, 1, 2]) == [1, 30, 884, 9018, 49116]
+    assert len(states) == 1 + 80 + 725 + 229
+    states.clear()
+    assert gallery._fixed_rank_histogram(identity, False, [0, 1]) == [1, 225, 6750, 36000, 22560]
+    assert len(states) == 204

@@ -313,7 +313,7 @@ def _check_example(name: str, d: int, n: int, count: int, report: RunReport) -> 
         brute = _oracle(gallery.galois_orbit_count_brute, n)
         if brute is not None:
             _agree(report, "galois-vs-brute", n, formula=count, brute=brute)
-    elif name == "trees" and n <= 8:
+    elif name == "trees" and n <= gallery.TREE_BRUTE_LIMIT:
         brute = gallery.tree_orbit_count(n)[1]
         _agree(report, "trees-brute-vs-growth", n, brute=brute, growth=count)
     elif name == "points":
@@ -428,9 +428,11 @@ def _run_verify(args, report: RunReport) -> None:
         count_codes_direct(2, m, n) == count_codes_burnside(2, m, n)
         for m in (1, 2) for n in range(2, 6)
     ))
-    report.add_verdict(
-        "trees-growth", gallery.tree_orbit_count(6)[1] == gallery.unlabeled_tree_counts(6)[5]
-    )
+    limit = gallery.TREE_BRUTE_LIMIT
+    growth = gallery.unlabeled_tree_counts(limit)
+    report.add_verdict("trees-growth", all(
+        gallery.tree_orbit_count(n)[1] == growth[n - 1] for n in range(2, limit + 1)
+    ))
 
 
 _RUNNERS = {

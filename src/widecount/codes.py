@@ -6,12 +6,14 @@ classes of its generator columns (zero columns map to the distinguished
 zero point).  Equivalence classes of codes then correspond to orbits of
 the projective semilinear group (with zero) on spanning multisets, which
 both the direct canonical-form route and the orbit-counting route use.
+A base change moves any m independent columns to e1..em, so the direct
+route lists only the multisets holding e1..em, each of which spans.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import lcm, prod
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -390,28 +392,38 @@ DIRECT_BUDGET = dict(n=8, q=4, m=2)
 
 def count_codes_direct(q: int, m: int, n: int, family=None) -> int:
     """Equivalence classes of m-dimensional length-n codes by canonical-form
-    deduplication over all subspaces.
+    deduplication over one code per column multiset holding e1..em.
+
+    Every code has m independent columns, and a base change maps them to
+    e1..em, so every class has a column multiset holding e1..em; conversely
+    every size-n multiset holding them spans.  Those anchored multisets,
+    C(k + n - m - 1, n - m) of them for k = alphabet_size(q, m), are each
+    built into one code and canonicalised once; no generator matrix is
+    enumerated.
 
     ``family`` optionally restricts to a user family via a membership
-    predicate on LinearCode.  It must be equivalence-invariant and closed
-    under puncturing; closure is spot-checked on the counted codes (one
-    allowed puncture each), not proved.
+    predicate on LinearCode, asked once per anchored multiset.  It must be
+    equivalence-invariant and closed under puncturing; closure is
+    spot-checked on the counted codes (one allowed puncture each), not
+    proved.
     """
     if n > DIRECT_BUDGET["n"] or q > DIRECT_BUDGET["q"] or m > DIRECT_BUDGET["m"]:
         raise TooLarge("direct classification budget is n <= 8, q <= 4, m <= 2")
     codes = prod(q ** (n - i) - 1 for i in range(m)) // prod(q ** (i + 1) - 1 for i in range(m))
     require(codes, None, f"{m}-dimensional codes of length {n}")
-    # the canonical form depends on the column multiset only: one per multiset
-    canonical: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    if n < m:
+        return 0
+    F = field(q)
+    pts = projective_points(q, m)
+    anchor = tuple(pts.index_of(tuple(int(i == j) for j in range(m))) for i in range(m))
     seen = {}
-    for code in all_codes(q, m, n):
+    for extra in combinations_with_replacement(range(1, pts.k + 1), n - m):
         tick()
+        columns = [pts.rep(i) for i in anchor + extra]
+        code = LinearCode(q, n, rref(F, list(zip(*columns))))
         if family is not None and not family(code):
             continue
-        points = code.column_points()
-        if points not in canonical:
-            canonical[points] = canonical_point_multiset(code)
-        seen.setdefault(canonical[points], code)
+        seen.setdefault(canonical_point_multiset(code), code)
     if family is not None:
         for code in seen.values():
             for coordinate in range(1, code.n + 1):

@@ -1,8 +1,9 @@
 import random
-from math import prod
+from math import comb
 
 import pytest
 
+from widecount import codes
 from widecount.actions import TooLarge, budget
 from widecount.codes import (
     LinearCode,
@@ -80,13 +81,45 @@ def test_direct_counts():
     assert count_codes_direct(2, 2, 2) == 1
     assert count_codes_direct(2, 2, 3) == 3
     assert count_codes_direct(2, 1, 4) == 4
+    # below the dimension no code exists
+    assert count_codes_direct(2, 2, 1) == 0
+    assert count_codes_direct(3, 1, 0) == 0
 
 
 def test_direct_matches_burnside():
-    for q, n_top in ((2, 6), (3, 6), (4, 4)):
+    for q in (2, 3, 4):
         for m in (0, 1, 2):
-            for n in range(2, n_top + 1):
+            for n in range(0, codes.DIRECT_BUDGET["n"] + 1):
                 assert count_codes_direct(q, m, n) == count_codes_burnside(q, m, n), (q, m, n)
+
+
+def _recorded_canonical_forms(monkeypatch, q, m, n):
+    forms = []
+
+    def recording(code):
+        forms.append(canonical_point_multiset(code))
+        return forms[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(codes, "canonical_point_multiset", recording)
+        count = count_codes_direct(q, m, n)
+    assert count == len(set(forms))
+    return forms
+
+
+def test_direct_route_canonicalises_each_anchored_multiset_once(monkeypatch):
+    for q, m, n in ((2, 2, 5), (3, 2, 7), (4, 2, 5), (3, 1, 4), (2, 0, 3)):
+        forms = _recorded_canonical_forms(monkeypatch, q, m, n)
+        assert len(forms) == comb(alphabet_size(q, m) + n - m - 1, n - m), (q, m, n)
+
+
+def test_direct_route_reaches_every_class_of_all_codes(monkeypatch):
+    for q in (2, 3):
+        for m in (0, 1, 2):
+            for n in range(m, 6):
+                forms = _recorded_canonical_forms(monkeypatch, q, m, n)
+                every = {canonical_point_multiset(code) for code in all_codes(q, m, n)}
+                assert set(forms) == every, (q, m, n)
 
 
 def test_family_is_asked_once_per_code():
@@ -102,8 +135,9 @@ def test_family_is_asked_once_per_code():
         count = count_codes_direct(q, m, n, family=projective)
         assert count == count_codes_burnside(q, m, n) - count_codes_burnside(q, m, n - 1)
         full_length = [code for code in asked if code.n == n]
-        gaussian = prod(q ** (n - i) - 1 for i in range(m)) // prod(q ** (i + 1) - 1 for i in range(m))
-        assert len(full_length) == len(set(full_length)) == gaussian, (q, m, n)
+        # one ask per column multiset holding e1..em
+        anchored = comb(alphabet_size(q, m) + n - m - 1, n - m)
+        assert len(full_length) == len(set(full_length)) == anchored, (q, m, n)
 
 
 def test_budget_guard():

@@ -25,6 +25,7 @@ from widecount.gallery import (
     points_component_count,
     points_orbit_count,
     prufer_to_edges,
+    sorted_degree_prufer_sequences,
     symmetric_binary_rank_formula,
     tree_orbit_count,
     unlabeled_tree_counts,
@@ -239,8 +240,38 @@ def test_trees():
 def test_tree_counts_match_growth_oracle():
     growth = unlabeled_tree_counts(10)
     assert growth == (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
+    for n in range(2, gallery.TREE_BRUTE_LIMIT + 1):
+        assert tree_orbit_count(n) == (n ** (n - 2), growth[n - 1])
+
+
+def _non_increasing_multiplicities(seq, n):
+    counts = [seq.count(v) for v in range(1, n + 1)]
+    return all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def test_sorted_degree_sequences_are_the_filtered_product():
     for n in range(2, 8):
-        assert tree_orbit_count(n)[1] == growth[n - 1]
+        listed = [seq for seq, _ in sorted_degree_prufer_sequences(n)]
+        expected = [
+            seq for seq in product(range(1, n + 1), repeat=n - 2)
+            if _non_increasing_multiplicities(seq, n)
+        ]
+        assert len(listed) == len(set(listed))
+        assert sorted(listed) == expected, n
+    assert sum(1 for _ in sorted_degree_prufer_sequences(7)) == 246
+
+
+def test_sorted_degree_sequences_reach_every_tree_class():
+    for n in range(2, 7):
+        every = {
+            canonical_tree(prufer_to_edges(seq, n), n)
+            for seq in product(range(1, n + 1), repeat=n - 2)
+        }
+        sorted_only = {
+            canonical_tree(prufer_to_edges(seq, n), n)
+            for seq, _ in sorted_degree_prufer_sequences(n)
+        }
+        assert sorted_only == every, n
 
 
 def test_canonical_tree_matches_exhaustive():

@@ -142,7 +142,7 @@ def build_parser() -> _Parser:
     p.add_argument("--group", default="", help='generators in cycle notation, e.g. "(1 2)"; empty = trivial')
     p.add_argument("--obstructions", default="[]", help='JSON list of obstruction vectors, e.g. "[[2,0]]"')
     p.add_argument("--n", required=True, help="value or range A..B")
-    p.add_argument("--fit", action="store_true")
+    p.add_argument("--fit", action="store_true", help="also report the exact closed form, whatever --n is")
     p.add_argument("--verify", action="store_true", help="cross-check against the word-enumeration oracle")
     _add_common(p)
 
@@ -160,7 +160,7 @@ def build_parser() -> _Parser:
     p.add_argument("--preset", choices=("planes", "roots-of-unity"), required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--n", required=True)
-    p.add_argument("--fit", action="store_true")
+    p.add_argument("--fit", action="store_true", help="fit the computed --n window empirically")
     _add_common(p)
 
     p = sub.add_parser("example", help="run a worked example with its oracle")
@@ -168,7 +168,7 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n", required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--fit", action="store_true")
+    p.add_argument("--fit", action="store_true", help="fit the computed --n window empirically")
     _add_common(p)
 
     p = sub.add_parser("codes", help="classify linear codes up to equivalence")

@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import lcm, prod
+from math import comb
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import TooLarge, require, tick
-from .lattice import denumerant
+from .lattice import denumerant, terms_quasipolynomial
 # fit is not called here; the benchmark's traced run wraps it at this module
-from .quasipoly import FittedQuasipolynomial, build_quasipolynomial, fit  # noqa: F401
+from .quasipoly import FittedQuasipolynomial, fit  # noqa: F401
 
 Element = int
 Vector = Tuple[Element, ...]
@@ -409,10 +409,10 @@ def count_codes_direct(q: int, m: int, n: int, family=None) -> int:
     """
     if n > DIRECT_BUDGET["n"] or q > DIRECT_BUDGET["q"] or m > DIRECT_BUDGET["m"]:
         raise TooLarge("direct classification budget is n <= 8, q <= 4, m <= 2")
-    codes = prod(q ** (n - i) - 1 for i in range(m)) // prod(q ** (i + 1) - 1 for i in range(m))
-    require(codes, None, f"{m}-dimensional codes of length {n}")
     if n < m:
         return 0
+    k = alphabet_size(q, m)
+    require(comb(k + n - m - 1, n - m), None, f"anchored column multisets of length {n}")
     F = field(q)
     pts = projective_points(q, m)
     anchor = tuple(pts.index_of(tuple(int(i == j) for j in range(m))) for i in range(m))
@@ -510,19 +510,15 @@ def count_codes_burnside(q: int, m: int, n: int) -> int:
     return total // group_size
 
 
-def codes_quasipolynomial(
-    q: int, m: int, n_max: int, max_period: int = 6, max_degree: int = 6
-) -> FittedQuasipolynomial:
-    """The length-counting quasipolynomial, built exact for every n >= 0.
+def codes_quasipolynomial(q: int, m: int, n_max: int, max_period: int = 6,
+                          max_degree: int = 6) -> FittedQuasipolynomial:
+    """The length-counting quasipolynomial, built exact for every n >= 0
+    from the Burnside terms.
 
     Every semilinear map fixes the zero point, which every subspace holds,
-    so each Burnside term is a denumerant with a non-empty weight vector:
-    a quasipolynomial for all n >= 0 of degree below k = alphabet_size(q, m)
-    and period dividing the lcm of all the maps' cycle lengths.  ``n_max``,
+    so each Burnside term is a denumerant with a non-empty weight vector
+    and base level 0: a quasipolynomial for all n >= 0.  ``n_max``,
     ``max_period`` and ``max_degree`` do not affect the result.
     """
-    k = alphabet_size(q, m)
-    period = lcm(
-        *(len(c) for table in semilinear_point_maps(q, m) for c in _cycles(table, range(1, k + 1)))
-    )
-    return build_quasipolynomial(lambda n: count_codes_burnside(q, m, n), period, k - 1, 0)
+    terms = {(w, 0): coeff for w, coeff in _burnside_terms(q, m)}
+    return terms_quasipolynomial(terms, len(semilinear_point_maps(q, m)))

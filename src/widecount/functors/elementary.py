@@ -8,13 +8,12 @@ route enumerates words and dedups by canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import List
 
 from ..actions import PermGroup, canonical_form, require, tick
-from ..lattice import DownwardClosedSet, count_level, cycle_contract, level_quasipolynomial
-from ..quasipoly import FittedQuasipolynomial, Quasipolynomial
+from ..lattice import DownwardClosedSet, count_level, cycle_contract, level_terms, terms_quasipolynomial
+from ..quasipoly import FittedQuasipolynomial
 
 BRUTE_BUDGET = 10**7
 
@@ -57,23 +56,19 @@ class ElementaryModelFunctor:
 
 def elementary_count(emf: ElementaryModelFunctor, n: int) -> int:
     """Number of Sym(n)-orbits on E([n])/G, by averaged fixed-vector counts."""
-    total = Fraction(0)
-    for g in emf.group:
-        total += count_level(cycle_contract(emf.countset, g), n)
-    total /= emf.group.order
-    if total.denominator != 1:
+    total = sum(count_level(cycle_contract(emf.countset, g), n) for g in emf.group)
+    if total % emf.group.order:
         raise AssertionError("orbit count came out non-integer")
-    return int(total)
+    return total // emf.group.order
 
 
 def elementary_quasipolynomial(emf: ElementaryModelFunctor) -> FittedQuasipolynomial:
-    """The counting quasipolynomial, exact for every n >= onset: the average
-    over the group of the exact fixed-vector forms of ``level_quasipolynomial``."""
-    parts = [level_quasipolynomial(emf.countset, g) for g in emf.group]
-    total = sum((part.qp for part in parts), Quasipolynomial.zero())
-    onset = max(part.onset for part in parts)
-    end = max(part.validated_range[1] for part in parts)
-    return FittedQuasipolynomial(total.scale(Fraction(1, emf.group.order)), onset, (onset, end))
+    """The counting quasipolynomial, exact for every n >= onset: the level terms
+    of every g's fixed-vector count, added up and built once divided by |G|."""
+    terms = {}
+    for g in emf.group:
+        level_terms(cycle_contract(emf.countset, g), terms=terms)
+    return terms_quasipolynomial(terms, emf.group.order)
 
 
 def elementary_brute(emf: ElementaryModelFunctor, n: int) -> int:
@@ -99,8 +94,6 @@ def all_subgroups(k: int) -> List[PermGroup]:
     found = {}
     # closure of every subset of elements is wasteful but fine for k <= 3;
     # use subsets of size <= 2 as generating sets (enough for k <= 4)
-    from itertools import combinations
-
     for size in (0, 1, 2):
         for gens in combinations(elements, size):
             grp = PermGroup(k, list(gens))

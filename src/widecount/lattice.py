@@ -5,11 +5,18 @@ complement ("obstructions"): beta belongs iff no obstruction is <= beta
 componentwise.  Stanley decomposition splits such a set into disjoint
 translated coordinate cones; per-level counts then reduce to weighted
 denumerants computed by an exact integer DP.
+
+Every level count built here, and every orbit count made of them, is kept
+as level terms: a dict {(sorted free weights w, base level b): c} standing
+for the sum of c * d_w(n - b), d_w the denumerant.  They are built once;
+``evaluate_terms`` gives the count at one n, ``terms_quasipolynomial`` its
+exact closed form.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -18,6 +25,8 @@ from .actions import Permutation, tick
 from .quasipoly import FittedQuasipolynomial, build_quasipolynomial, fit  # noqa: F401
 
 Vector = Tuple[int, ...]
+# (sorted free weights w, base level b) -> c, standing for c * denumerant(w, n - b)
+LevelTerms = Dict[Tuple[Tuple[int, ...], int], int | Fraction]
 
 
 def _leq(a: Vector, b: Vector) -> bool:
@@ -251,14 +260,44 @@ def denumerant(weights: Sequence[int], n: int) -> int:
     return table[n]
 
 
+def level_terms(problem: WeightedLevelProblem, shift: int = 0, coeff: int | Fraction = 1,
+                terms: Optional[LevelTerms] = None) -> LevelTerms:
+    """Add coeff times n -> (feasible y at level n - shift) to ``terms`` (a new
+    dict when None), one term per Stanley piece: a piece with offset a and
+    free coordinates F holds d_w(m - w.a) vectors at level m, w the weights on F."""
+    terms = {} if terms is None else terms
+    for piece in stanley_decompose(problem.feasible):
+        base = shift + sum(problem.weights[j] * piece.offset[j] for j in range(problem.dimension))
+        key = (tuple(sorted(problem.weights[j] for j in piece.free)), base)
+        terms[key] = terms.get(key, 0) + coeff
+    return terms
+
+
+def evaluate_terms(terms: LevelTerms, n: int) -> int | Fraction:
+    """The sum of c * d_w(n - b) over the terms."""
+    return sum(c * denumerant(w, n - b) for (w, b), c in terms.items())
+
+
+def terms_quasipolynomial(terms: LevelTerms, divisor: int = 1) -> FittedQuasipolynomial:
+    """n -> evaluate_terms(terms, n) / divisor, built exact for every n >= onset.
+
+    d_w(m) is, for m >= 0, a quasipolynomial of degree |w| - 1 whose period
+    divides lcm(w); for empty w it is 1 at m = 0 and 0 after.  So over the
+    nonzero terms: period lcm(all w), degree bound max |w| - 1, and onset
+    the largest b, or b + 1 where w is empty.
+    """
+    live = [(w, b) for (w, b), c in terms.items() if c]
+    period = lcm(*(x for w, _ in live for x in w))
+    degree = max([0] + [len(w) - 1 for w, _ in live])
+    onset = max([0] + [b if w else b + 1 for w, b in live])
+    return build_quasipolynomial(
+        lambda n: Fraction(evaluate_terms(terms, n), divisor), period, degree, onset
+    )
+
+
 def count_level(problem: WeightedLevelProblem, n: int) -> int:
     """Exact number of feasible y at weighted level n, via Stanley pieces."""
-    total = 0
-    for piece in stanley_decompose(problem.feasible):
-        base = sum(problem.weights[j] * piece.offset[j] for j in range(problem.dimension))
-        free_weights = [problem.weights[j] for j in sorted(piece.free)]
-        total += denumerant(free_weights, n - base)
-    return total
+    return evaluate_terms(level_terms(problem), n)
 
 
 def cycle_contract(M: DownwardClosedSet, g: Permutation) -> WeightedLevelProblem:
@@ -273,9 +312,7 @@ def cycle_contract(M: DownwardClosedSet, g: Permutation) -> WeightedLevelProblem
         raise ValueError("permutation degree must match dimension")
     cycles = g.cycles(include_fixed=True)
     weights = [len(c) for c in cycles]
-    contracted = []
-    for o in M.obstructions:
-        contracted.append(tuple(max(o[j - 1] for j in c) for c in cycles))
+    contracted = [tuple(max(o[j - 1] for j in c) for c in cycles) for o in M.obstructions]
     return WeightedLevelProblem(weights, DownwardClosedSet(len(cycles), contracted))
 
 
@@ -307,18 +344,6 @@ def fixed_count_level(M: DownwardClosedSet, g: Permutation, n: int) -> int:
 
 
 def level_quasipolynomial(M: DownwardClosedSet, g: Permutation) -> FittedQuasipolynomial:
-    """Quasipolynomial n -> |M_n^g|, built exact for every n >= onset.
-
-    A Stanley piece with base level b and free weights w contributes
-    d_w(n - b), a quasipolynomial of degree |w| - 1 and period dividing
-    lcm(cycle lengths of g) for n >= b, or 0 for n > b when w is empty.
-    """
-    problem = cycle_contract(M, g)
-    onset, degree = 0, 0
-    for piece in stanley_decompose(problem.feasible):
-        base = sum(problem.weights[j] * piece.offset[j] for j in range(problem.dimension))
-        onset = max(onset, base if piece.free else base + 1)
-        degree = max(degree, len(piece.free) - 1)
-    return build_quasipolynomial(
-        lambda n: count_level(problem, n), lcm(*problem.weights), degree, onset
-    )
+    """Quasipolynomial n -> |M_n^g|, built exact for every n >= onset from
+    the level terms of the cycle contraction."""
+    return terms_quasipolynomial(level_terms(cycle_contract(M, g)))

@@ -196,12 +196,13 @@ class Quasipolynomial:
 class FittedQuasipolynomial:
     """A quasipolynomial plus the onset from which it agrees with its source.
 
-    Forms made by ``build_quasipolynomial`` (the level, elementary and code
-    closed forms) are exact for every n >= onset: their period, degree bound
-    and onset are proven, and ``validated_range`` is the span of arguments
-    whose values determined them.  Forms returned by ``fit`` are empirical:
-    they matched the data on ``validated_range`` and nothing is claimed
-    beyond it.
+    The level, elementary and code closed forms are built from their level
+    terms (``lattice.terms_quasipolynomial``, a sum of shifted denumerants)
+    by ``build_quasipolynomial``: exact for every n >= onset, with period,
+    degree bound and onset proven from the terms and ``validated_range`` the
+    span of arguments whose values determined them.  Forms returned by
+    ``fit`` are empirical: they matched the data on ``validated_range`` and
+    nothing is claimed beyond it.
     """
 
     qp: Quasipolynomial

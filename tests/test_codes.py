@@ -143,10 +143,11 @@ def test_family_is_asked_once_per_code():
 def test_budget_guard():
     with pytest.raises(TooLarge):
         count_codes_direct(5, 2, 4)
-    # F_2^6 has 651 planes
-    with budget(max_states=651):
+    # the guard counts the C(4 + 6 - 2 - 1, 6 - 2) = 35 anchored column
+    # multisets that are listed, not the 651 planes of F_2^6
+    with budget(max_states=35):
         assert count_codes_direct(2, 2, 6) == 16
-    with budget(max_states=650), pytest.raises(TooLarge, match="651 exceeds"):
+    with budget(max_states=34), pytest.raises(TooLarge, match="35 exceeds"):
         count_codes_direct(2, 2, 6)
 
 

@@ -47,6 +47,17 @@ def _check_from_onset(emf, expected):
     return res
 
 
+def test_quasipolynomial_validated_range_is_the_build_span():
+    # one build from the terms of every g: its span is onset .. onset +
+    # period * (degree + 1) - 1, with the period lcm(cycle lengths) and the
+    # degree bound k - 1, which the forms below attain
+    for k, group, period in ((3, PermGroup.trivial(3), 1), (2, PermGroup.symmetric(2), 2),
+                             (3, PermGroup.symmetric(3), 6), (4, PermGroup.cyclic(4), 4)):
+        res = elementary_quasipolynomial(ElementaryModelFunctor(k, group, DownwardClosedSet.full(k)))
+        assert (res.qp.period, res.qp.degree, res.onset) == (period, k - 1, 0)
+        assert res.validated_range == (res.onset, res.onset + period * k - 1)
+
+
 def test_quasipolynomial_points_and_galois():
     points = ElementaryModelFunctor(3, PermGroup.trivial(3), DownwardClosedSet.full(3))
     assert _check_from_onset(points, lambda n: comb(n + 2, 2)).qp.period == 1

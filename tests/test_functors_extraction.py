@@ -6,6 +6,7 @@ from math import comb, gcd
 
 import pytest
 
+from widecount import lattice
 from widecount.actions import (
     PermGroup,
     Permutation,
@@ -284,6 +285,28 @@ def test_plan_is_built_once_per_sweep(monkeypatch):
     before = len(builds)
     mf_count_via_groupoid(twin, 70)
     assert len(builds) == before + alone
+
+
+def test_stanley_pieces_are_built_once_per_sweep(monkeypatch):
+    # each stratum keeps its count as level terms, so later n only evaluate them
+    calls = []
+    decompose = lattice.stanley_decompose
+
+    def counting_decompose(M):
+        calls.append(None)
+        return decompose(M)
+
+    monkeypatch.setattr(lattice, "stanley_decompose", counting_decompose)
+    pres = roots_of_unity(2)
+    _PLAN_CACHE.clear()
+    assert mf_count_via_groupoid(pres, 25) == cube_orbit_count(2, 25)
+    alone = len(calls)
+    assert alone > 0
+    _PLAN_CACHE.clear()
+    calls.clear()
+    for n in range(25, 75):
+        assert mf_count_via_groupoid(pres, n) == cube_orbit_count(2, n), n
+    assert len(calls) == alone
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations, product
 from math import comb
 
@@ -17,10 +18,13 @@ from widecount.lattice import (
     count_level,
     cycle_contract,
     denumerant,
+    evaluate_terms,
     expand_vector,
     fixed_count_level,
     level_quasipolynomial,
+    level_terms,
     stanley_decompose,
+    terms_quasipolynomial,
 )
 
 
@@ -202,6 +206,55 @@ def test_level_quasipolynomial_matches_counts_with_obstructions():
             end = res.onset + 4 * res.qp.period * (res.qp.degree + 2)
             for n in range(res.onset, end + 1):
                 assert res.qp.evaluate(n) == fixed_count_level(M, g, n)
+
+
+def _check_terms_form(terms, divisor=1):
+    res = terms_quasipolynomial(terms, divisor)
+    end = res.onset + 4 * res.qp.period * (res.qp.degree + 2)
+    for n in range(res.onset, end + 1):
+        assert res(n) == Fraction(evaluate_terms(terms, n), divisor), (terms, n)
+    return res
+
+
+def test_terms_quasipolynomial_equals_the_evaluated_sum():
+    rng = random.Random(8)
+    for _ in range(80):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            w = tuple(sorted(rng.randint(1, 4) for _ in range(rng.randint(0, 3))))
+            key = (w, rng.randint(0, 7))
+            terms[key] = terms.get(key, 0) + rng.randint(-3, 3)  # zero and negative too
+        if terms and rng.random() < 0.5:
+            # a term cancelled by another at the same place
+            (w, b), c = rng.choice(sorted(terms.items()))
+            terms[(w, b + 2)] = terms.get((w, b + 2), 0) + c
+            terms[(w, b + 2)] -= c
+        _check_terms_form(terms, rng.randint(1, 4))
+
+
+def test_terms_quasipolynomial_period_degree_onset():
+    # period lcm(2, 3), degree bound 2, onset the largest base level
+    res = _check_terms_form({((2, 3), 4): 1, ((1, 1, 1), 1): -2, ((2,), 0): 1})
+    assert res.onset == 4 and res.validated_range == (4, 4 + 6 * 3 - 1)
+    # an empty weight vector counts only at its base level, so its onset is one later
+    res = _check_terms_form({((), 5): 3, ((1,), 2): 1})
+    assert res.onset == 6 and res.qp.degree == 0
+    # terms with coefficient 0 play no part
+    assert _check_terms_form({((1,), 1): 1, ((5,), 40): 0}).onset == 1
+    assert _check_terms_form({((2,), 3): Fraction(1, 2), ((2,), 5): Fraction(-1, 2)}).onset == 5
+    # d_(1,1)(n) - d_(1,1)(n - 1) = 1 for n >= 1
+    res = _check_terms_form({((1, 1), 0): 1, ((1, 1), 1): -1})
+    assert res.qp.period == 1 and res.qp.degree == 0 and res(100) == 1
+    assert _check_terms_form({}).qp.degree == -1
+
+
+def test_level_terms_shift_and_scale():
+    M = DownwardClosedSet(3, [(2, 1, 0), (0, 0, 3)])
+    g = Permutation.from_cycles("(1 2)", 3)
+    problem = cycle_contract(M, g)
+    terms = level_terms(problem, 3, -2, level_terms(problem))
+    for n in range(30):
+        assert evaluate_terms(terms, n) == count_level(problem, n) - 2 * count_level(problem, n - 3)
 
 
 def _level_brute_force(M, n):

@@ -96,8 +96,11 @@ def parse_range(text: str) -> List[int]:
         lo_i, hi_i = int(lo), int(hi)
         if hi_i < lo_i:
             raise UsageError(f"empty range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [int(text)]
+    else:
+        lo_i = hi_i = int(text)
+    if lo_i < 0:
+        raise UsageError(f"n must be non-negative, got {text!r}")
+    return list(range(lo_i, hi_i + 1))
 
 
 def _emit(report: RunReport, args) -> int:

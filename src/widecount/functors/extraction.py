@@ -8,8 +8,9 @@ finite groupoid of quadruples acting on count vectors; their Sym-orbits are
 counted by the groupoid orbit-counting lemma, a sum each stratum keeps as
 level terms (shifted denumerants, see ``lattice``) built once and evaluated
 at each n.  The complement is a sub-model functor with a strictly smaller
-count set (Dickson recursion) and bottoms out in a finite tail counted with
-one shadow call per class.
+count set (Dickson recursion).  The recursion ends in a tail that counts one
+level of the count set left, with one shadow call per class: that set is
+finite, or its next stratum is not yet occupied at n.
 
 Everything the oracle contributes is probed through targeted equivalence
 queries on canonical seed pairs; the count-vector shadow of builtin oracles
@@ -17,6 +18,7 @@ drives the peel and the tail.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +26,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import factorial
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..actions import Arrow, Groupoid, GroupoidAction, Permutation, TooLarge, UnionFind, require, tick
+from ..actions import Arrow, Groupoid, GroupoidAction, Permutation, TooLarge, require, tick
 from ..lattice import (
     DownwardClosedSet, LevelTerms, antichain_reduce, cycle_contract, evaluate_terms, level_terms
 )
@@ -204,10 +206,6 @@ class Quintuple:
     quadruple: Quadruple
     u: Vector
 
-    @property
-    def level(self) -> int:
-        return sum(self.u)
-
 
 def canonical_rep(
     J: Tuple[int, ...],
@@ -232,6 +230,11 @@ def canonical_rep(
     return Quadruple(J, tuple(sigma0), tuple(sigma1), abar)
 
 
+# the arrows out of an object: (labeled target quadruple, bijection g as the
+# images of sorted J)
+Arrows = List[Tuple[Quadruple, Tuple[int, ...]]]
+
+
 class StratumAnalysis:
     """Extraction machinery for one stratum (a count set plus calibration).
 
@@ -245,47 +248,8 @@ class StratumAnalysis:
         self.M = M
         self.t = t
         self.frame = compute_frame(M)
-        self._object_cache: Dict[int, List[dict]] = {}
+        self._object_cache: Dict[int, List[Tuple[Quadruple, Arrows]]] = {}
         self._terms: Optional[LevelTerms] = None
-
-    # -- seed pairs -----------------------------------------------------------
-
-    def build_seed(self, q: Quadruple, u: Dict[int, int]) -> Optional[MFPair]:
-        """The canonical pair on [e] + blocks with quintuple (q, u); None if
-        the fiber sizes cannot host the concealed positions."""
-        e = q.e
-        floor = q.sigma1_floor()
-        if any(u.get(l, 0) < floor.get(l, 0) for l in q.J):
-            return None
-        if any(u.get(l, 0) < 0 for l in q.J):
-            return None
-        n = e + sum(u.values())
-        if n > MAX_GROUND:
-            raise TooLarge(f"seed ground set {n} exceeds {MAX_GROUND}")
-        block_start: Dict[int, int] = {}
-        pos = e + 1
-        for l in q.J:
-            block_start[l] = pos
-            pos += u.get(l, 0)
-        sigma: List[int] = [0] * self.pres.s0
-        used: Dict[int, int] = {l: 0 for l in q.J}
-        for i in range(self.pres.s0):
-            if q.sigma0[i] is not None:
-                sigma[i] = q.sigma0[i]
-            else:
-                l = q.sigma1[i]
-                sigma[i] = block_start[l] + used[l]
-                used[l] += 1
-        letters: Dict[int, int] = {}
-        for slot, letter in q.abar:
-            letters[slot] = letter
-        sigma_set = set(sigma)
-        for l in q.J:
-            for p in range(block_start[l], block_start[l] + u.get(l, 0)):
-                if p not in sigma_set:
-                    letters[p] = l
-        alpha = tuple(letters[p] for p in sorted(letters))
-        return MFPair(n, tuple(sigma), alpha)
 
     # -- the operational equivalence-class position relation -------------------
 
@@ -299,40 +263,34 @@ class StratumAnalysis:
         lemma read backwards; exact for the shipped oracles at calibration,
         guarded by stability and the direct-agreement checks).
         Returns (tau, core): tau maps non-core positions to letters of J.
+        The relation's blocks are the letters' preimages under tau and the
+        positions outside tau, so the core is every position outside tau or
+        alone in its letter's block.
         """
         n = pair.n
         letters = pair.letters()
         Jset = set(J)
         fibers: Dict[int, List[int]] = {l: [] for l in J}
-        for p, l in letters.items():
-            if l in Jset:
-                fibers[l].append(p)
-        uf = UnionFind(range(1, n + 1))
-        for l, fiber in fibers.items():
-            for p in fiber[1:]:
-                uf.union(fiber[0], p)
-        specials = sorted(
-            [p for p in pair.sigma] + [p for p, l in letters.items() if l not in Jset]
-        )
         tau: Dict[int, int] = {}
         for p, l in letters.items():
             if l in Jset:
+                fibers[l].append(p)
                 tau[p] = l
+        specials = sorted(
+            [p for p in pair.sigma] + [p for p, l in letters.items() if l not in Jset]
+        )
         for p in specials:
             # a concealed or infrequent position joins at most one frequent
             # fiber; a merge between two such positions always routes through
             # a fiber (fibers are large at calibration), so fiber probes are
             # the only ones needed
             for l in J:
-                fiber = [x for x in fibers[l] if x != p]
-                if not fiber:
-                    continue
-                if self.pres.eq(n, pair, transposed(pair, p, fiber[0])):
-                    uf.union(p, fiber[0])
+                fiber = fibers[l]
+                if fiber and self.pres.eq(n, pair, transposed(pair, p, fiber[0])):
                     tau[p] = l
                     break
-        blocks = uf.blocks()
-        core = sorted(p for block in blocks if len(block) == 1 for p in block)
+        block_size = Counter(tau.values())
+        core = [p for p in range(1, n + 1) if p not in tau or block_size[tau[p]] == 1]
         return tau, core
 
     def observed_quadruple(
@@ -453,7 +411,7 @@ class StratumAnalysis:
 
     def is_good(self, q: Quadruple, u: Dict[int, int]) -> bool:
         """Is (q, u) the quintuple of a pair in the peeled (calibrated) part?"""
-        seed = self.build_seed(q, u)
+        seed = self.build_target(q, u, q, {l: l for l in q.J})
         if seed is None:
             return False
         beta = seed.count_vector(self.pres.k)
@@ -467,30 +425,20 @@ class StratumAnalysis:
         seed lies in the count set and is calibrated with quintuple q); None
         otherwise."""
         u0 = self.u_test(q)
-        seed = self.build_seed(q, u0)
+        seed = self.build_target(q, u0, q, {l: l for l in q.J})
         if seed is None or not self.M.membership(seed.count_vector(self.pres.k)):
             return None
         return seed if self.is_good(q, u0) else None
 
-    def object_data(self, e: int) -> List[dict]:
-        """Per realized orbit-rep quadruple: seed, arrows, and level-set data."""
+    def object_data(self, e: int) -> List[Tuple[Quadruple, Arrows]]:
+        """(q, arrows out of q) per realized orbit-rep quadruple q."""
         if e in self._object_cache:
             return self._object_cache[e]
         out = []
         for q in self.orbit_reps(e):
             seed = self.realized_seed(q)
-            if seed is None:
-                continue
-            arrows = self.discover_arrows(q, seed)
-            up_min = self.learn_up_antichain(q)
-            out.append(
-                {
-                    "quadruple": q,
-                    "seed": seed,
-                    "arrows": arrows,
-                    "up_min": up_min,
-                }
-            )
+            if seed is not None:
+                out.append((q, self.discover_arrows(q, seed)))
         self._object_cache[e] = out
         return out
 
@@ -498,8 +446,11 @@ class StratumAnalysis:
         self, q: Quadruple, u: Dict[int, int], q_target: Quadruple, g: Dict[int, int]
     ) -> Optional[MFPair]:
         """The pair with quintuple (J', g o tau, sigma0', sigma1', abar') on
-        the ground set of build_seed(q, u): seed fibers keep their positions
-        but are reassigned through g."""
+        [e] plus one block of u[l] positions per letter l of J: the blocks
+        keep their positions but are reassigned through g.  With q_target = q
+        and g the identity this is the seed of (q, u), the canonical pair
+        with quintuple (q, u).  None if the fiber sizes cannot host the
+        concealed positions."""
         e = q.e
         block: Dict[int, List[int]] = {}
         pos = e + 1
@@ -507,6 +458,8 @@ class StratumAnalysis:
             block[l] = list(range(pos, pos + u.get(l, 0)))
             pos += u.get(l, 0)
         n = pos - 1
+        if n > MAX_GROUND:
+            raise TooLarge(f"seed ground set {n} exceeds {MAX_GROUND}")
         g_inv = {v: key for key, v in g.items()}
         sigma: List[int] = [0] * self.pres.s0
         used: Dict[int, int] = {l: 0 for l in q.J}
@@ -532,9 +485,7 @@ class StratumAnalysis:
         alpha = tuple(letters[p] for p in sorted(letters))
         return MFPair(n, tuple(sigma), alpha)
 
-    def discover_arrows(
-        self, q: Quadruple, seed: MFPair
-    ) -> List[Tuple[Quadruple, Tuple[int, ...]]]:
+    def discover_arrows(self, q: Quadruple, seed: MFPair) -> Arrows:
         """All arrows out of q: (labeled target quadruple, bijection g).
 
         g is stored as a tuple mapping sorted(J) position-wise onto letters
@@ -547,8 +498,6 @@ class StratumAnalysis:
         arrows = []
         for q_target in self.labeled_quadruples(e):
             tick()
-            if len(q_target.J) != len(q.J):
-                continue
             for g_images in permutations(q_target.J):
                 g = dict(zip(q.J, g_images))
                 target = self.build_target(q, u0, q_target, g)
@@ -633,16 +582,17 @@ class StratumAnalysis:
     def stratum_terms(self) -> LevelTerms:
         """The stratum's count as level terms, built once for every core size:
         each object q adds, for each arrow from q to a relabeling of q, its
-        fixed-level count divided by the number of arrows out of q."""
+        fixed-level count divided by the number of arrows out of q.  The
+        calibrated up-sets are learned here, the only place that reads them."""
         if self._terms is None:
             terms: LevelTerms = {}
             for e in range(self.pres.s0 + self.frame.d_inf + 1):
-                for data in self.object_data(e):
-                    q, arrows = data["quadruple"], data["arrows"]
+                for q, arrows in self.object_data(e):
+                    up_min = self.learn_up_antichain(q)
                     for q_target, g_images in arrows:
                         if q_target.sym_orbit_invariant() == q.sym_orbit_invariant():
                             coeff = Fraction(1, len(arrows))
-                            self._add_fixed_terms(terms, q, g_images, data["up_min"], e, coeff)
+                            self._add_fixed_terms(terms, q, g_images, up_min, e, coeff)
             self._terms = terms
         return self._terms
 
@@ -661,11 +611,8 @@ class StratumAnalysis:
     def fingerprint(self) -> tuple:
         out = []
         for e in range(self.pres.s0 + self.frame.d_inf + 1):
-            for data in self.object_data(e):
-                arrows = sorted(
-                    (qt.sort_key(), g) for qt, g in data["arrows"]
-                )
-                out.append((data["quadruple"].sort_key(), tuple(arrows)))
+            for q, arrows in self.object_data(e):
+                out.append((q.sort_key(), tuple(sorted((qt.sort_key(), g) for qt, g in arrows))))
         return tuple(out)
 
 
@@ -816,9 +763,10 @@ def extract_groupoid(
 
 
 def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) -> int:
-    """Sym-orbits of classes over a finite count region, with one shadow
-    call per class.  The shadow of a vector is its whole class's
-    count-vector set, so a vector no earlier shadow reached starts a class."""
+    """Sym-orbits of the classes on [n] whose count vectors lie in M (one
+    finite level of it), with one shadow call per class.  The shadow of a
+    vector is its whole class's count-vector set, so a vector no earlier
+    shadow reached starts a class."""
     level = n - pres.s0
     if level < 0:
         return 0
@@ -946,8 +894,9 @@ def mf_count_via_groupoid(
 
     Peels calibrated strata from the count set (each counted by a groupoid
     Burnside sum over exact lattice level counts), recursing on the
-    complement sub-model functor until the count set is finite; the finite
-    tail is counted with one shadow call per class.  Requires the
+    complement sub-model functor until the count set is finite or its next
+    stratum is not occupied at n; the tail then counts the level n - s0 of
+    the count set left with one shadow call per class.  Requires the
     presentation's count-vector shadow.  The n-independent work is kept in a
     plan per presentation and reused by later calls.
     """

@@ -1,5 +1,5 @@
-"""Exact quasipolynomials: evaluation, arithmetic, exact building from a proven
-period, degree and onset, and fitting of integer sequences.
+"""Exact quasipolynomials: evaluation, exact building from a proven period,
+degree and onset, and fitting of integer sequences.
 
 A quasipolynomial of period N is a list of N polynomials with rational
 coefficients; constituent i is used at arguments congruent to i mod N.
@@ -11,7 +11,7 @@ import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 Poly = Tuple[Fraction, ...]  # coefficients, ascending degree; () is the zero polynomial
@@ -41,15 +41,6 @@ def _poly_eval(poly: Poly, n: int) -> Fraction:
     for c in reversed(poly):
         acc = acc * n + c
     return acc
-
-
-def _poly_add(p: Poly, q: Poly) -> Poly:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
 
 
 def _interpolate(points: Sequence[Tuple[int, Fraction]]) -> Poly:
@@ -112,52 +103,6 @@ class Quasipolynomial:
 
     def __call__(self, n: int) -> Fraction:
         return self.evaluate(n)
-
-    def constituent_at(self, residue: int) -> Poly:
-        return self.constituents[residue % self.period]
-
-    def with_period(self, new_period: int) -> "Quasipolynomial":
-        """Re-present with a multiple of the current period (the constructor
-        normalizes, so the result's stored period is still minimal)."""
-        if new_period % self.period:
-            raise ValueError("new period must be a multiple of the current period")
-        return Quasipolynomial(
-            new_period, [self.constituents[i % self.period] for i in range(new_period)]
-        )
-
-    def add(self, other: "Quasipolynomial") -> "Quasipolynomial":
-        p = lcm(self.period, other.period)
-        return Quasipolynomial(
-            p,
-            [
-                _poly_add(self.constituent_at(i), other.constituent_at(i))
-                for i in range(p)
-            ],
-        )
-
-    def __add__(self, other: "Quasipolynomial") -> "Quasipolynomial":
-        return self.add(other)
-
-    def scale(self, factor) -> "Quasipolynomial":
-        f = Fraction(factor)
-        return Quasipolynomial(
-            self.period, [tuple(c * f for c in poly) for poly in self.constituents]
-        )
-
-    def equal_eventually(self, other: "Quasipolynomial") -> bool:
-        """True iff the constituents agree after aligning to a common period."""
-        p = lcm(self.period, other.period)
-        return all(
-            self.constituent_at(i) == other.constituent_at(i) for i in range(p)
-        )
-
-    @staticmethod
-    def zero() -> "Quasipolynomial":
-        return Quasipolynomial(1, [()])
-
-    @staticmethod
-    def constant(value) -> "Quasipolynomial":
-        return Quasipolynomial(1, [(Fraction(value),)])
 
     def to_json_dict(self, onset: Optional[int] = None) -> dict:
         return {

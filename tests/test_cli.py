@@ -5,9 +5,9 @@ from math import comb
 import pytest
 
 from widecount import gallery
-from widecount.cli import parse_range, run
-from widecount.gallery import unlabeled_tree_counts
-from widecount.quasipoly import write_sequence_csv
+from widecount.cli import UsageError, parse_range, run
+from widecount.gallery import cube_orbit_count, unlabeled_tree_counts
+from widecount.quasipoly import Quasipolynomial, write_sequence_csv
 
 
 def _run_json(argv, capsys):
@@ -19,6 +19,17 @@ def _run_json(argv, capsys):
 def test_parse_range():
     assert parse_range("0..4") == [0, 1, 2, 3, 4]
     assert parse_range("7") == [7]
+
+
+@pytest.mark.parametrize("n", ["-2", "-3..4"])
+def test_negative_n_is_a_usage_error(n, capsys):
+    with pytest.raises(UsageError, match="non-negative"):
+        parse_range(n)
+    for argv in (["example", "cube", "--d", "3"], ["elementary", "--k", "2"],
+                 ["model", "--preset", "roots-of-unity", "--d", "2"]):
+        assert run(argv + [f"--n={n}", "--no-timing"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-negative" in captured.err
 
 
 def test_example_cube_verify(capsys):
@@ -60,6 +71,30 @@ def test_fit_subcommand_nofit_on_trees(tmp_path, capsys):
     )
     assert code == 2  # the NoFit verdict is a reported cross-check failure
     assert any("nofit" in v.get("witness", {}) for v in data["checks"])
+
+
+def test_example_cube_fit(capsys):
+    code, data = _run_json(["example", "cube", "--d", "3", "--n", "0..30", "--fit"], capsys)
+    assert code == 0
+    qp = data["quasipolynomial"]
+    assert qp["period"] == 3 and qp["onset"] == 0
+    form = Quasipolynomial.from_json_dict(qp)
+    assert all(form.evaluate(n) == cube_orbit_count(3, n) for n in range(61))
+
+
+def test_example_trees_fit_reports_nofit(capsys):
+    code, data = _run_json(["example", "trees", "--n", "1..10", "--fit"], capsys)
+    assert code == 2
+    failed = [v for v in data["checks"] if v["check"] == "fit"]
+    assert len(failed) == 1 and failed[0]["status"] == "fail"
+    assert "nofit" in failed[0]["witness"]
+
+
+def test_precomp_planes_fit(capsys):
+    code, data = _run_json(["precomp", "--preset", "planes", "--n", "0..12", "--fit"], capsys)
+    assert code == 0
+    qp = data["quasipolynomial"]
+    assert qp["period"] == 1 and qp["constituents"] == [[["1", "1"]]]
 
 
 def test_fit_subcommand_success(tmp_path, capsys):

@@ -332,6 +332,53 @@ def test_extract_groupoid_needs_the_shadow():
         extract_groupoid(pres, e=0)
 
 
+def test_up_set_guard_rejects_a_calibrated_region_that_is_not_monotone(monkeypatch):
+    # punch a hole just above every minimal element of each object's
+    # calibrated region: it still holds deep in the cone, at u_test, but it
+    # is no longer an up-set, and the count that reads it must say so
+    pres = roots_of_unity(2)
+    _PLAN_CACHE.clear()
+    analysis = _plan(pres, None, True).calibrated(pres.countset)
+    holes = {}
+    for e in range(pres.s0 + analysis.frame.d_inf + 1):
+        for q, _ in analysis.object_data(e):
+            holes[q] = {(m[0] + 1,) + m[1:] for m in analysis.learn_up_antichain(q)}
+    assert holes
+    is_good = StratumAnalysis.is_good
+
+    def holed(self, q, u):
+        return tuple(u[l] for l in q.J) not in holes.get(q, ()) and is_good(self, q, u)
+
+    monkeypatch.setattr(StratumAnalysis, "is_good", holed)
+    _PLAN_CACHE.clear()
+    try:
+        for q in holes:
+            assert holed(analysis, q, analysis.u_test(q))
+        n = pres.s0 + analysis.min_occupied_total()
+        # below the stratum's first occupied length nothing reads the region
+        assert mf_count_via_groupoid(pres, n - 1) == cube_orbit_count(2, n - 1)
+        with pytest.raises(Unstable, match="not monotone"):
+            mf_count_via_groupoid(pres, n)
+    finally:
+        _PLAN_CACHE.clear()
+
+
+def test_up_sets_are_learned_only_at_the_counted_threshold(monkeypatch):
+    # the t + 1 analysis exists only for the stability check, which compares
+    # objects and arrows: it learns no up-set
+    learned = []
+    learn = StratumAnalysis.learn_up_antichain
+
+    def counting_learn(self, q):
+        learned.append(self.t)
+        return learn(self, q)
+
+    monkeypatch.setattr(StratumAnalysis, "learn_up_antichain", counting_learn)
+    _PLAN_CACHE.clear()
+    assert mf_count_via_groupoid(roots_of_unity(3), 70) == cube_orbit_count(3, 70)
+    assert learned and set(learned) == {8}
+
+
 def test_minimal_element_search_against_brute_force():
     rng = random.Random(7)
     for _ in range(300):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -25,30 +26,19 @@ def test_evaluate_floor_half():
 
 
 def test_evaluate_constant_and_zero():
-    assert Quasipolynomial.constant(1).evaluate(100) == 1
-    zero = Quasipolynomial.zero()
+    assert Quasipolynomial(1, [(F(1),)]).evaluate(100) == 1
+    zero = Quasipolynomial(1, [()])
     for n in (-3, 0, 7, 1000):
         assert zero.evaluate(n) == 0
+    # trailing zero coefficients are trimmed, so zero has degree -1
+    assert Quasipolynomial(3, [(F(0),)] * 3) == zero and zero.degree == -1
 
 
-def test_add_floor_plus_ceil_is_linear():
-    ceil_half = Quasipolynomial(2, [(F(0), F(1, 2)), (F(1, 2), F(1, 2))])
-    total = HALF_FLOOR.add(ceil_half)
-    # floor(n/2)+1 + ceil(n/2) == n+1, so the sum collapses to period 1
-    assert total.period == 1
-    assert total.constituents == ((F(1), F(1)),)
-
-
-def test_scale_constant():
-    assert Quasipolynomial.constant(1).scale(3).evaluate(17) == 3
-
-
-def test_equal_eventually_under_period_refinement():
-    refined = HALF_FLOOR.with_period(4)
-    assert refined.period == 2  # normalization collapses it again
+def test_construction_normalizes_to_the_minimal_period():
     padded = Quasipolynomial(4, [HALF_FLOOR.constituents[i % 2] for i in range(4)])
-    assert padded.equal_eventually(HALF_FLOOR)
-    assert not padded.equal_eventually(Quasipolynomial.constant(1))
+    assert padded.period == 2
+    assert padded == HALF_FLOOR
+    assert padded != Quasipolynomial(1, [(F(1),)])
 
 
 def test_degree_and_integrality():
@@ -64,7 +54,7 @@ def test_json_round_trip():
     assert data["onset"] == 3
     assert data["constituents"][0] == [["1", "1"], ["1", "2"]]
     back = Quasipolynomial.from_json_dict(data)
-    assert back.equal_eventually(HALF_FLOOR)
+    assert back == HALF_FLOOR
 
 
 def test_fit_galois_sequence():
@@ -104,7 +94,7 @@ def test_fit_holds_out_as_many_points_as_it_trains_on():
 def test_build_interpolates_each_class_from_the_onset():
     # floor(n/2)+1 from n = 3 on, junk before: degree bound 1, period 2
     res = build_quasipolynomial(lambda n: n // 2 + 1 if n >= 3 else 99, 2, 1, 3)
-    assert res.qp.equal_eventually(HALF_FLOOR)
+    assert res.qp == HALF_FLOOR
     assert res.onset == 3 and res.validated_range == (3, 6)
 
 
@@ -129,32 +119,29 @@ def _random_qp(rng: random.Random) -> Quasipolynomial:
     return Quasipolynomial(period, consts)
 
 
+def _scaled_to_integers(qp: Quasipolynomial) -> Quasipolynomial:
+    """qp times the lcm of its coefficients' denominators."""
+    denom = lcm(*(c.denominator for poly in qp.constituents for c in poly))
+    return Quasipolynomial(qp.period, [tuple(c * denom for c in poly) for poly in qp.constituents])
+
+
 def test_fit_round_trip_random():
     rng = random.Random(20240811)
     for _ in range(40):
         qp = _random_qp(rng)
         window = (qp.degree + 2) * qp.period * 2 + qp.period * 2
-        seq = {n: qp.evaluate(n) for n in range(window)}
         # quasipoly.fit expects integers; scale away denominators
-        denom = 1
-        for poly in qp.constituents:
-            for c in poly:
-                denom = denom * c.denominator // __import__("math").gcd(denom, c.denominator)
-        scaled = qp.scale(denom)
+        scaled = _scaled_to_integers(qp)
         seq = {n: int(scaled.evaluate(n)) for n in range(window)}
         res = fit(seq, max_period=6, max_degree=4)
-        assert res.qp.equal_eventually(scaled)
+        assert res.qp == scaled
 
 
 def test_fit_never_reports_failing_holdout():
     rng = random.Random(7)
     for _ in range(25):
         qp = _random_qp(rng)
-        denom = 1
-        for poly in qp.constituents:
-            for c in poly:
-                denom = denom * c.denominator // __import__("math").gcd(denom, c.denominator)
-        scaled = qp.scale(denom)
+        scaled = _scaled_to_integers(qp)
         window = (qp.degree + 2) * qp.period * 2 + 12
         seq = {n: int(scaled.evaluate(n)) for n in range(window)}
         try:

@@ -171,7 +171,7 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n", required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--fit", action="store_true", help="fit the computed --n window empirically")
+    p.add_argument("--fit", action="store_true", help="report the exact form (trees: fit --n)")
     _add_common(p)
 
     p = sub.add_parser("codes", help="classify linear codes up to equivalence")
@@ -320,8 +320,7 @@ def _check_example(name: str, d: int, n: int, count: int, report: RunReport) -> 
         brute = gallery.tree_orbit_count(n)[1]
         _agree(report, "trees-brute-vs-growth", n, brute=brute, growth=count)
     elif name == "points":
-        emf = ElementaryModelFunctor(d, PermGroup.trivial(d), DownwardClosedSet.full(d))
-        brute = _oracle(elementary_brute, emf, n)
+        brute = _oracle(elementary_brute, gallery.example_functor(name, d), n)
         if brute is not None:
             _agree(report, "points-formula-vs-brute", n, formula=count, brute=brute)
     elif name == "planes":
@@ -338,7 +337,10 @@ def _run_example(args, report: RunReport) -> None:
         return count
 
     _sweep(report, parse_range(args.n), step)
-    if args.fit and report.sequence:
+    emf = gallery.example_functor(args.name, args.d)
+    if args.fit and emf is not None:
+        report.quasipolynomial = elementary_quasipolynomial(emf).to_json_dict()
+    elif args.fit and report.sequence:
         try:
             res = fit(dict(report.sequence), max_period=max(args.d, 6), max_degree=6)
             report.quasipolynomial = res.to_json_dict()

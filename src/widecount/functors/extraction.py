@@ -525,11 +525,10 @@ class StratumAnalysis:
         )
         good = lru_cache(maxsize=None)(lambda u_vec: self.is_good(q, dict(zip(J, u_vec))))
         ac = _minimal_elements(good, floor_vec, cap)
-        # up-closedness spot check: points just above each minimal stay good
+        # up-closedness check: every point above a minimal along one axis stays good
         for m in ac:
             for j in range(len(m)):
-                probe = m[:j] + (m[j] + 1,) + m[j + 1 :]
-                if all(p <= c for p, c in zip(probe, cap)) and not good(probe):
+                if not all(good(m[:j] + (x,) + m[j + 1 :]) for x in range(m[j] + 1, cap[j] + 1)):
                     raise Unstable(
                         f"calibrated region is not monotone near {m} for {q}; raise t"
                     )

@@ -5,7 +5,9 @@ A pair on ground set [n] is an injection sigma: [s0] -> [n] together with a
 word alpha over [k] on the remaining positions, whose letter counts lie in a
 downward-closed set.  Builtin presentations also expose the count-vector
 shadow of their oracle (the set of count vectors realized within one
-equivalence class), which powers the groupoid-based counting route.
+equivalence class), which powers the groupoid-based counting route.  The
+direct count groups explicit classes with the oracle and reads their
+Sym([n])-orbits off the count-vector sets they realize.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from itertools import combinations, permutations
 from math import factorial, perm, prod
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from ..actions import UnionFind, require, tick
+from ..actions import NotAnAction, UnionFind, require, tick
 from ..lattice import DownwardClosedSet
 from .elementary import ElementaryModelFunctor
 
@@ -235,33 +237,26 @@ def mf_classes(pres: ModelFunctorPresentation, n: int) -> List[List[MFPair]]:
     return group_in_buckets(pres.pairs(n), pres.shadow_key, partial(pres.eq, n))
 
 
-def sym_orbit_count(
-    n: int, blocks: Iterable[int], moves: Callable[[List[int]], Iterable[Tuple[int, int]]]
-) -> int:
-    """Number of Sym([n])-orbits on the blocks (ints), by union-find along
-    a transposition and an n-cycle, which generate Sym([n]).  ``moves``
-    maps a permutation's image list to (block, image block) pairs."""
-    uf = UnionFind(blocks)
-    merges = 0
-    if n >= 2:
-        swap = [2, 1] + list(range(3, n + 1))
-        for images in (swap, list(range(2, n + 1)) + [1]):
-            for block, image in moves(images):
-                tick()
-                merges += uf.union(block, image)
-    return len(uf.parent) - merges
+def count_vector_blocks(classes: Iterable[Sequence[T]], key: Callable[[T], object]) -> Dict:
+    """Each item's key mapped to its class's key set.  Sym([n]) is transitive
+    on the pairs with one count vector, so for an equivariant oracle two
+    classes are translates exactly when their count-vector sets meet, and
+    then the sets are equal: the orbits are the distinct sets.  Sets that
+    meet but differ raise NotAnAction."""
+    block_of: Dict = {}
+    for cls in classes:
+        tick()
+        block = frozenset(map(key, cls))
+        for item_key in block:
+            if block_of.setdefault(item_key, block) != block:
+                raise NotAnAction(f"eq is not Sym([n])-equivariant at the count vector {item_key}")
+    return block_of
 
 
 def mf_orbit_count_direct(pres: ModelFunctorPresentation, n: int) -> int:
     """Number of Sym([n])-orbits on F([n]) / ~, via explicit classes."""
-    classes = mf_classes(pres, n)
-    class_of = {pair: idx for idx, cls in enumerate(classes) for pair in cls}
-
-    def moves(images: List[int]):
-        for pair, idx in class_of.items():
-            yield idx, class_of[apply_permutation(pair, images)]
-
-    return sym_orbit_count(n, range(len(classes)), moves)
+    blocks = count_vector_blocks(mf_classes(pres, n), lambda pair: pair.count_vector(pres.k))
+    return len(set(blocks.values()))
 
 
 def _equivalence_classes(

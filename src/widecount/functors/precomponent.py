@@ -5,7 +5,8 @@ Items are tagged pairs (b, pair) with b the 1-based functor index.  The
 quasi-order must satisfy the three compatibility properties (checked
 exhaustively at small n): comparability respects the functor order, its
 restriction to one functor is that functor's equivalence, and it is
-preserved by pull-backs covering both concealed images.
+preserved by pull-backs covering both concealed images.  Orbits of maximal
+classes are read off their (functor index, count vector) sets.
 """
 from __future__ import annotations
 
@@ -13,16 +14,15 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..actions import require, tick
+from ..actions import NotAnAction, require, tick
 from ..lattice import DownwardClosedSet
 from ..quasipoly import FittedQuasipolynomial, fit
 from .model import (
     MFPair,
     ModelFunctorPresentation,
     apply_injection,
-    apply_permutation,
+    count_vector_blocks,
     group_in_buckets,
-    sym_orbit_count,
     trivial_presentation,
 )
 
@@ -120,7 +120,7 @@ class CompatibilityReport:
         return self.failures[0] if self.failures else None
 
 
-def _maximal_classes(pc: PreComponentPresentation, n: int) -> Tuple[List[List[Item]], Dict[Item, int], List[int]]:
+def _maximal_classes(pc: PreComponentPresentation, n: int) -> Tuple[List[List[Item]], List[int]]:
     """The classes of mutual comparability, by the bucketed grouping that
     ``mf_classes`` uses, and the indices of the maximal ones.
 
@@ -137,30 +137,30 @@ def _maximal_classes(pc: PreComponentPresentation, n: int) -> Tuple[List[List[It
         lambda item: (item[0], pc.functors[item[0] - 1].shadow_key(item[1])),
         lambda x, y: pc.preceq(n, x, y) and pc.preceq(n, y, x),
     )
-    class_of = {item: idx for idx, cls in enumerate(classes) for item in cls}
     reps = [cls[0] for cls in classes]
     maximal = []
     for idx, rep in enumerate(reps):
         tick()
         if not any(pc.preceq(n, rep, other) for other in reps if other[0] > rep[0]):
             maximal.append(idx)
-    return classes, class_of, maximal
+    return classes, maximal
 
 
 def precomp_count(pc: PreComponentPresentation, n: int) -> int:
-    """Number of Sym([n])-orbits on the maximal classes of the quasi-order."""
-    classes, class_of, maximal = _maximal_classes(pc, n)
-    maximal_set = set(maximal)
+    """Number of Sym([n])-orbits on the maximal classes of the quasi-order.
+    Sym permutes the maximal classes among themselves, so an orbit of
+    classes that holds a maximal and a non-maximal class raises NotAnAction."""
+    classes, maximal = _maximal_classes(pc, n)
 
-    def moves(images: List[int]):
-        for idx in maximal:
-            b, pair = classes[idx][0]
-            target = class_of[(b, apply_permutation(pair, images))]
-            # Sym permutes maximal classes among themselves
-            assert target in maximal_set, "symmetry moved a maximal class to a non-maximal one"
-            yield idx, target
+    def key(item: Item) -> Tuple[int, Tuple[int, ...]]:
+        return item[0], item[1].count_vector(pc.functors[item[0] - 1].k)
 
-    return sym_orbit_count(n, maximal, moves)
+    block_of = count_vector_blocks(classes, key)
+    blocks = [block_of[key(cls[0])] for cls in classes]
+    maximal_blocks = {blocks[idx] for idx in maximal}
+    if sum(block in maximal_blocks for block in blocks) != len(maximal):
+        raise NotAnAction("symmetry moved a maximal class to a non-maximal one")
+    return len(maximal_blocks)
 
 
 def precomp_quasipolynomial(

@@ -6,7 +6,8 @@ fraction-free elimination over the integers, with each basis row kept
 primitive.  The fixed-rank counts rank no matrix one by one: they settle
 rows in order and count prefixes per reduced state (the rank so far and the
 unsettled rows' parts reduced modulo the settled span, fraction-free and
-divided by their gcd), so each state's new row values are listed once.
+divided by their gcd), so each state's new row values are listed once;
+their caps bound the states of one row and the value choices of one state.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial, gcd, prod
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import PermGroup, TooLarge, require, tick
 from .functors.elementary import ElementaryModelFunctor, elementary_brute
@@ -24,6 +25,8 @@ from .lattice import DownwardClosedSet
 
 TREE_BRUTE_LIMIT = 9
 RANK_CELL_BUDGET = 10**8
+RANK_STATE_BUDGET = 10**6
+RANK_CHOICE_BUDGET = 10**4
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +68,7 @@ def galois_orbit_count(n: int) -> int:
 
 def galois_orbit_count_brute(n: int) -> int:
     """Oracle: enumerate two-letter words modulo positions and letter swap."""
-    emf = ElementaryModelFunctor(2, PermGroup.symmetric(2), DownwardClosedSet.full(2))
-    return elementary_brute(emf, n)
+    return elementary_brute(example_functor("galois"), n)
 
 
 def cube_orbit_count(d: int, n: int) -> int:
@@ -84,20 +86,11 @@ def cube_orbit_count(d: int, n: int) -> int:
     return total // d
 
 
-def _compositions(n: int, d: int) -> Iterable[Tuple[int, ...]]:
-    if d == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, d - 1):
-            yield (first,) + rest
-
-
 def cube_orbit_count_brute(d: int, n: int) -> int:
     """Oracle: canonical rotation representatives of compositions."""
     require(comb(n + d - 1, d - 1), None, f"compositions of {n} into {d} parts")
     seen = set()
-    for c in _compositions(n, d):
+    for c in DownwardClosedSet.full(d).enumerate_level(n):
         tick()
         seen.add(min(c[i:] + c[:i] for i in range(d)))
     return len(seen)
@@ -297,13 +290,11 @@ def fixed_rank_orbit_counts(
     are constant on its cell orbits.  They are counted per rank by a dynamic
     programme over rows (`_fixed_rank_histogram`) that keeps one count per
     reduced state rather than listing the matrices, so no fixed matrix is
-    ranked on its own.  The cap still bounds |entries|^cells, the number of
-    matrices the identity fixes.
+    ranked on its own.  The cap bounds what the programme keeps: the reduced
+    states of one row, and the value choices it expands one state into.
     """
     symmetric = _is_symmetric(shape, n)
     entry_list = sorted({Fraction(e) for e in entries})
-    cells = n * (n + 1) // 2 if symmetric else n * n
-    require(len(entry_list) ** cells, RANK_CELL_BUDGET, "entry assignments")
     ints = _integerize(entry_list)
 
     totals = [0] * (n + 1)
@@ -371,6 +362,7 @@ def _fixed_rank_histogram(
             later = flat[known_end + own * m :]
             partial = [flat[:known_end]]
             for places in spread:
+                require(len(partial) * len(entries), RANK_CHOICE_BUDGET, "row value choices")
                 step = [0] * known_end
                 for row, t in places:
                     at = known_end + t * m
@@ -401,6 +393,7 @@ def _fixed_rank_histogram(
                     rest = [-x for x in rest]
                 key = (key_rank, tuple(rest))
                 nxt[key] = nxt.get(key, 0) + count
+            require(len(nxt), RANK_STATE_BUDGET, "reduced rank states")
         states = nxt
     hist = [0] * (n + 1)
     for (rank, _), count in states.items():
@@ -575,6 +568,17 @@ def unlabeled_tree_counts(n_max: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 EXAMPLES = ("planes", "points", "galois", "cube", "trees")
+
+
+def example_functor(name: str, d: int = 3) -> Optional[ElementaryModelFunctor]:
+    """The elementary model functor counting the example's orbits: words over
+    one letter (planes), d letters (points), two letters up to swap (galois)
+    or d letters up to rotation (cube); None for trees (not quasipolynomial)."""
+    if name == "trees":
+        return None
+    k, group = {"planes": (1, PermGroup.trivial), "points": (d, PermGroup.trivial),
+                "galois": (2, PermGroup.symmetric), "cube": (d, PermGroup.cyclic)}[name]
+    return ElementaryModelFunctor(k, group(k), DownwardClosedSet.full(k))
 
 
 def example_counts(name: str, n: int, d: int = 3) -> Dict[str, int]:

@@ -82,6 +82,24 @@ def test_example_cube_fit(capsys):
     assert all(form.evaluate(n) == cube_orbit_count(3, n) for n in range(61))
 
 
+@pytest.mark.parametrize(
+    "name,d,period,degree",
+    [("points", 8, 1, 7), ("cube", 7, 7, 6), ("cube", 3, 3, 2), ("galois", 3, 2, 1), ("planes", 3, 1, 0)],
+)
+def test_example_fit_is_the_exact_elementary_form(capsys, name, d, period, degree):
+    # a window fit would need degree 7 for points at d = 8, and more points
+    # than 0..40 holds for period 7: the exact form needs neither
+    code, data = _run_json(["example", name, "--d", str(d), "--n", "0..40", "--fit"], capsys)
+    assert code == 0 and data["verdict"] == "pass"
+    qp = data["quasipolynomial"]
+    assert qp["period"] == period and qp["onset"] == 0
+    form = Quasipolynomial.from_json_dict(qp)
+    assert max(len(c) for c in form.constituents) - 1 == degree
+    assert all(
+        form.evaluate(n) == gallery.example_counts(name, n, d=d)["orbits"] for n in range(81)
+    )
+
+
 def test_example_trees_fit_reports_nofit(capsys):
     code, data = _run_json(["example", "trees", "--n", "1..10", "--fit"], capsys)
     assert code == 2
@@ -211,14 +229,15 @@ def test_time_limit_truncates(capsys):
 
 
 def test_time_limit_stops_inside_a_count(capsys):
-    # 3^15 identity assignments, within the 10^8 cap: a few seconds of
-    # counting reduced row states without the deadline
+    # at most 23 703 reduced states in one row, within the default cap: a
+    # couple of seconds of counting without the deadline
     argv = ["ranks", "--entries", "0,1,2", "--k", "4", "--n", "5", "--shape", "symmetric"]
     start = time.monotonic()
     code, data = _run_json(argv + ["--max-states", "100000000", "--time-limit", "0.5"], capsys)
     assert time.monotonic() - start < 3
     assert code == 0 and data["truncated"] is True and data["sequence"] == []
-    # at the default --max-states the run is over its cap before it starts
-    code, data = _run_json(argv, capsys)
-    assert code == 0 and data["truncated"] is True
-    assert "14348907 exceeds the budget 1000000" in data["checks"][0]["witness"]["truncated_by"]
+    # below that peak the cap stops the count while it settles the rows
+    code, data = _run_json(argv + ["--max-states", "10000"], capsys)
+    assert code == 0 and data["truncated"] is True and data["sequence"] == []
+    reason = data["checks"][0]["witness"]["truncated_by"]
+    assert "reduced rank states" in reason and "exceeds the budget 10000" in reason

@@ -363,6 +363,30 @@ def test_up_set_guard_rejects_a_calibrated_region_that_is_not_monotone(monkeypat
         _PLAN_CACHE.clear()
 
 
+@pytest.mark.parametrize("d,n", [(2, 25), (3, 49)])
+def test_up_set_guard_probes_every_step_along_each_axis(monkeypatch, d, n):
+    # the true region cut by offset(J[0]) >= offset(J[1]) is not an up-set:
+    # it fails far above a minimal element along the second axis, out of
+    # reach of a probe one step up, and the guard must still catch it
+    is_good = StratumAnalysis.is_good
+
+    def tilted(self, q, u):
+        if len(q.J) >= 2:
+            floor = q.sigma1_floor()
+            offset = [u[l] - floor.get(l, 0) for l in q.J[:2]]
+            if offset[0] < offset[1]:
+                return False
+        return is_good(self, q, u)
+
+    monkeypatch.setattr(StratumAnalysis, "is_good", tilted)
+    _PLAN_CACHE.clear()
+    try:
+        with pytest.raises(Unstable, match="not monotone"):
+            mf_count_via_groupoid(roots_of_unity(d), n)
+    finally:
+        _PLAN_CACHE.clear()
+
+
 def test_up_sets_are_learned_only_at_the_counted_threshold(monkeypatch):
     # the t + 1 analysis exists only for the stability check, which compares
     # objects and arrows: it learns no up-set
@@ -476,3 +500,37 @@ def test_deadline_reaches_the_tail_loop():
     pres = roots_of_unity(4)
     with budget(seconds=0), pytest.raises(TooLarge, match="time limit"):
         _tail_count(pres, pres.countset, 81)
+
+
+S3_WORDS = elementary_embedding(
+    ElementaryModelFunctor(3, PermGroup.symmetric(3), DownwardClosedSet.full(3))
+)
+
+
+@pytest.mark.parametrize(
+    "pres,levels",
+    [
+        pytest.param(roots_of_unity(2), [*range(25, 40), *range(76, 90)], id="roots2"),
+        pytest.param(roots_of_unity(3), range(49, 60), id="roots3"),
+        pytest.param(roots_of_unity(4), [81, 82], id="roots4"),
+        pytest.param(S3_WORDS, range(36, 44), id="S3-words"),
+    ],
+)
+def test_each_counted_stratum_counts_what_its_peel_removes(pres, levels):
+    # the classes of a stratum correspond to its groupoid orbits, so at every
+    # level where the count reads a stratum, its count is the number of
+    # classes that its peel takes out of the count set
+    plan = _plan(pres, None, True)
+    checked = 0
+    for n in levels:
+        M = pres.countset
+        while not M.is_finite():
+            analysis = plan.calibrated(M, n)
+            if n - pres.s0 < analysis.min_occupied_total():
+                break
+            peeled = plan.peeled(analysis)
+            removed = _tail_count(pres, M, n) - _tail_count(pres, peeled, n)
+            assert analysis.stratum_count(n) == removed, (n, analysis.t)
+            checked += 1
+            M = peeled
+    assert checked >= len(levels)

@@ -4,7 +4,7 @@ from math import comb, gcd
 
 import pytest
 
-from widecount.actions import PermGroup
+from widecount.actions import NotAnAction, PermGroup
 from widecount.functors.elementary import ElementaryModelFunctor, elementary_count
 from widecount.functors.model import (
     MFPair,
@@ -108,6 +108,22 @@ def test_elementary_embedding_reduces():
     pres = elementary_embedding(emf)
     for n in range(8):
         assert mf_orbit_count_direct(pres, n) == elementary_count(emf, n)
+
+
+def test_direct_count_refuses_an_oracle_that_is_not_equivariant():
+    # joining (1, 2) with (2, 2) but not (2, 1) with (2, 2): the classes
+    # {(1, 2), (2, 2)} and {(2, 1)} share the count vector (1, 1), so the
+    # orbit step cannot be read off count vectors (a generator search
+    # would merge them and return 2)
+    joined = {(1, 2), (2, 2)}
+    pres = dataclasses.replace(
+        trivial_presentation(2),
+        eq=lambda n, a, b: a == b or {a.alpha, b.alpha} == joined,
+        count_equivalents=None,
+    )
+    assert mf_orbit_count_direct(pres, 1) == 2
+    with pytest.raises(NotAnAction, match=r"\(1, 1\)"):
+        mf_orbit_count_direct(pres, 2)
 
 
 def test_no_pairs_below_s0():

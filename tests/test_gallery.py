@@ -6,6 +6,7 @@ import pytest
 
 from widecount import gallery
 from widecount.actions import TooLarge, budget
+from widecount.functors.elementary import elementary_count
 from widecount.gallery import (
     canonical_tree,
     canonical_tree_exhaustive,
@@ -69,6 +70,15 @@ def test_cube_formula_vs_brute():
     for d in range(1, 7):
         for n in range(13):
             assert cube_orbit_count(d, n) == cube_orbit_count_brute(d, n), (d, n)
+
+
+def test_example_functor_counts_each_elementary_example():
+    for name in ("planes", "points", "galois", "cube"):
+        for d in (1, 2, 5):
+            emf = gallery.example_functor(name, d)
+            for n in range(10):
+                assert elementary_count(emf, n) == gallery.example_counts(name, n, d)["orbits"]
+    assert gallery.example_functor("trees") is None
 
 
 def test_cube_fit_recovers_period():
@@ -304,12 +314,16 @@ def test_example_counts_run_no_brute_force(monkeypatch):
 
 
 def test_budget_only_tightens_the_rank_cap():
-    with budget(max_states=10**9), pytest.raises(TooLarge):
+    # the 8-cycle's first row meets all eight cell orbits: 4^8 value
+    # choices, over the route's own cap of 10^4 whatever the budget
+    with budget(max_states=10**9), pytest.raises(TooLarge, match="choices: 16384 exceeds the budget 10000"):
         fixed_rank_orbit_counts([0, 1, 2, 3], 8, "general")
-    # 2^10 assignments: within the route's cap, above a budget of 1000
-    assert fixed_rank_orbit_counts([0, 1], 4, "symmetric")
-    with budget(max_states=1000), pytest.raises(TooLarge, match="1024 exceeds the budget 1000"):
-        fixed_rank_orbit_counts([0, 1], 4, "symmetric")
+    # at most 1 787 reduced states in one row: within the route's cap, above
+    # a budget of 1000
+    assert fixed_rank_orbit_counts([0, 1], 5, "general")
+    with budget(max_states=1000), pytest.raises(TooLarge, match="reduced rank states: .* exceeds the budget 1000"):
+        fixed_rank_orbit_counts([0, 1], 5, "general")
+    # the brute force lists 2^10 assignments
     with budget(max_states=1000), pytest.raises(TooLarge):
         fixed_rank_orbit_counts_brute([0, 1], 4, "symmetric")
 

@@ -1,6 +1,6 @@
 import pytest
 
-from widecount.actions import PermGroup, TooLarge, budget
+from widecount.actions import NotAnAction, PermGroup, TooLarge, budget
 from widecount.functors.elementary import ElementaryModelFunctor
 from widecount.functors.model import (
     elementary_embedding,
@@ -133,3 +133,20 @@ def test_maximal_classes_check_the_budget_before_building():
         precomp_count(pc, 16)
     with budget(max_states=10), pytest.raises(TooLarge):
         precomp_count(pc, 3)
+
+
+def test_a_block_that_is_partly_maximal_is_refused():
+    # the third functor dominates only the classes of the first that conceal
+    # position 1, so on [2] the class concealing 2 is maximal and its
+    # translate concealing 1 is not: the order is not Sym([n])-stable
+    functors = (trivial_presentation(1, s0=1), trivial_presentation(1), trivial_presentation(1))
+
+    def preceq(n, x, y):
+        if x[0] == y[0]:
+            return x == y
+        return (x[0], y[0]) == (1, 3) and x[1].sigma == (1,)
+
+    pc = PreComponentPresentation("half-dominated", functors, preceq)
+    assert precomp_count(pc, 1) == 2
+    with pytest.raises(NotAnAction, match="symmetry moved a maximal class to a non-maximal one"):
+        precomp_count(pc, 2)

@@ -111,10 +111,10 @@ def test_elementary_embedding_reduces():
 
 
 def test_direct_count_refuses_an_oracle_that_is_not_equivariant():
-    # joining (1, 2) with (2, 2) but not (2, 1) with (2, 2): the classes
-    # {(1, 2), (2, 2)} and {(2, 1)} share the count vector (1, 1), so the
-    # orbit step cannot be read off count vectors (a generator search
-    # would merge them and return 2)
+    # joining (1, 2) with (2, 2) but not (2, 1) with (2, 2) breaks the swap
+    # symmetry: the classes {(1, 2), (2, 2)} and {(2, 1)} share the count
+    # vector (1, 1) with different count-vector sets, so no orbit count of
+    # the classes is defined
     joined = {(1, 2), (2, 2)}
     pres = dataclasses.replace(
         trivial_presentation(2),

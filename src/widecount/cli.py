@@ -26,7 +26,7 @@ from .functors.elementary import (
     elementary_count,
     elementary_quasipolynomial,
 )
-from .functors.extraction import mf_count_via_groupoid
+from .functors.extraction import mf_count_via_groupoid, strata_against_peels
 from .functors.model import mf_orbit_count_direct, roots_of_unity, elementary_embedding
 from .functors.precomponent import (
     PreComponentPresentation,
@@ -416,6 +416,20 @@ def _run_verify(args, report: RunReport) -> None:
     report.add_verdict(
         "galois-brute", all(elementary_count(galois, n) == elementary_brute(galois, n) for n in range(9))
     )
+    # the built forms are exact from their onset: on the span they were built
+    # from, and far beyond it
+    s4 = ElementaryModelFunctor(4, PermGroup.symmetric(4), DownwardClosedSet.full(4))
+    c4 = ElementaryModelFunctor(4, PermGroup.cyclic(4), DownwardClosedSet.full(4))
+    exact = True
+    for emf in (galois, s4, c4):
+        form = elementary_quasipolynomial(emf)
+        lo, hi = form.validated_range
+        exact = exact and all(form(n) == elementary_count(emf, n) for n in [*range(lo, hi + 1), 10**4])
+    for q in (2, 3):
+        form = codes_quasipolynomial(q, 2, 0)
+        span = range(2 * form.validated_range[1] + 1)
+        exact = exact and all(form(n) == count_codes_burnside(q, 2, n) for n in [*span, 10**3])
+    report.add_verdict("closed-forms-exact", exact)
     report.add_verdict("cube-brute", all(
         gallery.cube_orbit_count(d, n) == gallery.cube_orbit_count_brute(d, n)
         for d in (2, 3, 4) for n in range(10)
@@ -429,6 +443,12 @@ def _run_verify(args, report: RunReport) -> None:
         mf_count_via_groupoid(cube, n) == gallery.cube_orbit_count(cube.k, n)
         for cube, nmax in ((cube2, 100), (cube3, 90)) for n in range(1, nmax + 1)
     ))
+    # each stratum the count reads counts the classes its peel removes
+    peels = strata_against_peels(cube2, range(25, 40))
+    report.add_verdict(
+        "stratum-vs-peel",
+        len(peels) >= 15 and all(count == removed for _, _, count, removed in peels),
+    )
     report.add_verdict("codes-direct-vs-burnside", all(
         count_codes_direct(2, m, n) == count_codes_burnside(2, m, n)
         for m in (1, 2) for n in range(2, 6)

@@ -924,6 +924,31 @@ def mf_count_via_groupoid(
     raise Unstable("stratification did not terminate")
 
 
+def strata_against_peels(
+    pres: ModelFunctorPresentation, levels: Sequence[int]
+) -> List[Tuple[int, int, int, int]]:
+    """(n, t, stratum count, classes its peel removes) for every stratum the
+    stratified count reads at each n of ``levels``, at its calibrated t.
+
+    The classes of a stratum correspond to its groupoid orbits, so the
+    stratum count must equal the number of classes that its peel takes out
+    of the count set at level n - s0, which the tail counts directly.
+    """
+    plan = _plan(pres, None, True)
+    rows = []
+    for n in levels:
+        M = pres.countset
+        while not M.is_finite():
+            analysis = plan.calibrated(M, n)
+            if n - pres.s0 < analysis.min_occupied_total():
+                break
+            peeled = plan.peeled(analysis)
+            removed = _tail_count(pres, M, n) - _tail_count(pres, peeled, n)
+            rows.append((n, analysis.t, analysis.stratum_count(n), removed))
+            M = peeled
+    return rows
+
+
 def _learn_minimal_nonmembers(
     member: Callable[[Vector], bool], caps: Vector
 ) -> List[Vector]:

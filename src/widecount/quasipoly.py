@@ -3,15 +3,18 @@ degree and onset, and fitting of integer sequences.
 
 A quasipolynomial of period N is a list of N polynomials with rational
 coefficients; constituent i is used at arguments congruent to i mod N.
-All arithmetic is over ``fractions.Fraction`` -- no floating point.
+All arithmetic is exact and runs on integers -- interpolation by Newton
+differences over one denominator, evaluation by Horner's rule on integer
+numerators -- with a ``fractions.Fraction`` made once per coefficient or
+value; no floating point.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
 from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 Poly = Tuple[Fraction, ...]  # coefficients, ascending degree; () is the zero polynomial
@@ -30,39 +33,47 @@ class NoFit(Exception):
 
 
 def _trim(coeffs: Sequence[Fraction]) -> Poly:
-    cs = [Fraction(c) for c in coeffs]
+    cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
 
-def _poly_eval(poly: Poly, n: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * n + c
-    return acc
+def _over_one_denominator(xs: Sequence[int | Fraction]) -> Tuple[Tuple[int, ...], int]:
+    """xs as integer numerators over the lcm of their denominators."""
+    denom = lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (denom // x.denominator) for x in xs), denom
 
 
-def _interpolate(points: Sequence[Tuple[int, Fraction]]) -> Poly:
-    """Lagrange interpolation through distinct integer abscissae, exact."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        # build the i-th Lagrange basis polynomial incrementally
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] += c * (-xj)
-                new[k + 1] += c
-            basis = new
-        scale = yi / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    return _trim(coeffs)
+def _interpolate(first: int, step: int, values: Sequence[int | Fraction]) -> Tuple[Fraction, ...]:
+    """The polynomial of degree < len(values) through (first + i*step, values[i]),
+    exact, as its coefficients in ascending degree (not trimmed).
+
+    Newton's forward-difference form: with d = len(values) - 1 and
+    a_i = first + i*step, p(x) = sum_j diff_j * prod_{i<j} (x - a_i) / (j! * step^j).
+    The values are scaled by the lcm of their denominators, so the differences
+    and the expansion over the one denominator d! * step^d run in integers.
+    """
+    d = len(values) - 1
+    row, scale = _over_one_denominator(values)
+    diffs = []
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    # the nested form p = c_0 + (x - a_0)(c_1 + (x - a_1)(... + (x - a_{d-1}) c_d)),
+    # expanded from the innermost factor out; c_j = diff_j * weight with
+    # weight = d!/j! * step^(d-j) puts every term over d! * step^d
+    poly = [diffs[d]]
+    weight = 1
+    for j in range(d - 1, -1, -1):
+        weight *= (j + 1) * step
+        a = first + j * step
+        poly.insert(0, 0)
+        for k in range(len(poly) - 1):
+            poly[k] -= a * poly[k + 1]
+        poly[0] += diffs[j] * weight
+    denom = scale * factorial(d) * step ** d
+    return tuple(Fraction(c, denom) for c in poly)
 
 
 @dataclass(frozen=True)
@@ -70,11 +81,14 @@ class Quasipolynomial:
     """Period plus one exact polynomial constituent per residue class.
 
     Instances are normalized on construction: the stored period is the
-    smallest one reproducing all constituents.
+    smallest one reproducing all constituents.  Each constituent is also
+    kept as integer numerators over one denominator, which ``evaluate``
+    runs Horner's rule on.
     """
 
     period: int
     constituents: Tuple[Poly, ...]
+    _scaled: Tuple[Tuple[Tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, period: int, constituents: Iterable[Sequence[Fraction]]):
         if period < 1:
@@ -92,6 +106,7 @@ class Quasipolynomial:
                 break
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "constituents", consts)
+        object.__setattr__(self, "_scaled", tuple(_over_one_denominator(c) for c in consts))
 
     @property
     def degree(self) -> int:
@@ -99,7 +114,15 @@ class Quasipolynomial:
         return max(len(c) - 1 for c in self.constituents)
 
     def evaluate(self, n: int) -> Fraction:
-        return _poly_eval(self.constituents[n % self.period], n)
+        return Fraction(*self._scaled_value(n))
+
+    def _scaled_value(self, n: int) -> Tuple[int, int]:
+        """The value at n as (numerator, denominator), not reduced."""
+        nums, denom = self._scaled[n % self.period]
+        acc = 0
+        for c in reversed(nums):
+            acc = acc * n + c
+        return acc, denom
 
     def __call__(self, n: int) -> Fraction:
         return self.evaluate(n)
@@ -182,7 +205,7 @@ def build_quasipolynomial(
     for r in range(period):
         first = onset + (r - onset) % period
         points = range(first, first + period * (degree + 1), period)
-        constituents.append(_interpolate([(n, Fraction(value(n))) for n in points]))
+        constituents.append(_interpolate(first, period, [value(n) for n in points]))
     return FittedQuasipolynomial(
         Quasipolynomial(period, constituents), onset, (onset, onset + period * (degree + 1) - 1)
     )
@@ -212,7 +235,6 @@ def fit(seq: Mapping[int, int], max_period: int, max_degree: int) -> FittedQuasi
     first, last = ns[0], ns[-1]
     if last - first + 1 != len(ns):
         raise ValueError("sequence range must be contiguous")
-    values = {n: Fraction(seq[n]) for n in ns}
     best_witness: Optional[dict] = None
     for period in range(1, max_period + 1):
         for degree in range(max_degree + 1):
@@ -223,15 +245,17 @@ def fit(seq: Mapping[int, int], max_period: int, max_degree: int) -> FittedQuasi
             span = period * (degree + 1)
             signs = [(-1) ** (degree + 1 - j) * comb(degree + 1, j) for j in range(degree + 2)]
 
-            def difference(n: int) -> Fraction:
-                return sum(c * values[n + j * period] for j, c in enumerate(signs))
+            def difference(n: int) -> int:
+                return sum(c * seq[n + j * period] for j, c in enumerate(signs))
 
             late = next((n for n in range(last - span, first - 1, -1) if difference(n)), None)
             onset = first if late is None else late + 1
             if (last - onset + 1) // period >= degree + 1 + max(2, degree + 1):
-                built = build_quasipolynomial(values.__getitem__, period, degree, onset)
-                if any(built(n) != values[n] for n in range(onset, last + 1)):
-                    raise AssertionError("internal fit verification failed")
+                built = build_quasipolynomial(seq.__getitem__, period, degree, onset)
+                for n in range(onset, last + 1):
+                    num, denom = built.qp._scaled_value(n)
+                    if num != seq[n] * denom:
+                        raise AssertionError("internal fit verification failed")
                 return FittedQuasipolynomial(built.qp, onset, (onset, last))
             failure = {"period": period, "degree": degree, "onset": onset}
             if late is None:
@@ -239,8 +263,8 @@ def fit(seq: Mapping[int, int], max_period: int, max_degree: int) -> FittedQuasi
             else:
                 # interpolating from onset ``late`` mispredicts n = late + span
                 n = late + span
-                failure.update(onset=late, residue=n % period, n=n, expected=str(values[n]),
-                               actual=str(values[n] - difference(late)))
+                failure.update(onset=late, residue=n % period, n=n, expected=str(seq[n]),
+                               actual=str(seq[n] - difference(late)))
             if best_witness is None or (failure["onset"], -period) > (
                 best_witness["onset"], -best_witness["period"]
             ):

@@ -192,6 +192,8 @@ def test_verify_suite(capsys):
     code, data = _run_json(["verify"], capsys)
     assert code == 0
     assert data["verdict"] == "pass"
+    checks = {c["check"] for c in data["checks"]}
+    assert {"closed-forms-exact", "stratum-vs-peel"} <= checks and len(checks) == 9
 
 
 def test_usage_error_exit_code(capsys):

@@ -29,6 +29,7 @@ from widecount.functors.extraction import (
     analyze_pair,
     extract_groupoid,
     mf_count_via_groupoid,
+    strata_against_peels,
 )
 from widecount.functors.model import (
     MFPair,
@@ -517,20 +518,7 @@ S3_WORDS = elementary_embedding(
     ],
 )
 def test_each_counted_stratum_counts_what_its_peel_removes(pres, levels):
-    # the classes of a stratum correspond to its groupoid orbits, so at every
-    # level where the count reads a stratum, its count is the number of
-    # classes that its peel takes out of the count set
-    plan = _plan(pres, None, True)
-    checked = 0
-    for n in levels:
-        M = pres.countset
-        while not M.is_finite():
-            analysis = plan.calibrated(M, n)
-            if n - pres.s0 < analysis.min_occupied_total():
-                break
-            peeled = plan.peeled(analysis)
-            removed = _tail_count(pres, M, n) - _tail_count(pres, peeled, n)
-            assert analysis.stratum_count(n) == removed, (n, analysis.t)
-            checked += 1
-            M = peeled
-    assert checked >= len(levels)
+    rows = strata_against_peels(pres, levels)
+    for n, t, count, removed in rows:
+        assert count == removed, (n, t)
+    assert len(rows) >= len(levels)

@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 
 from widecount.codes import count_codes_burnside
+from widecount.lattice import evaluate_terms, terms_quasipolynomial
 from widecount.quasipoly import (
     FittedQuasipolynomial,
     NoFit,
@@ -157,3 +158,87 @@ def test_fitted_quasipolynomial_fields():
     assert isinstance(res, FittedQuasipolynomial)
     assert res.validated_range == (2, 7)
     assert res.evaluate(100) == 3
+
+
+def _lagrange(points):
+    """Reference: Lagrange interpolation in Fractions through distinct abscissae."""
+    coeffs = [F(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [F(1)]
+        denom = F(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            denom *= xi - xj
+            new = [F(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                new[k] += c * (-xj)
+                new[k + 1] += c
+            basis = new
+        for k, c in enumerate(basis):
+            coeffs[k] += c * yi / denom
+    return coeffs
+
+
+def _horner(poly, n):
+    acc = F(0)
+    for c in reversed(poly):
+        acc = acc * n + c
+    return acc
+
+
+def test_build_matches_lagrange_interpolation():
+    # each residue class is interpolated on points spaced ``period`` apart
+    # from its first argument at or after the onset: random rational
+    # constituents (some zero, some integer-valued), onsets from -30 to 60
+    rng = random.Random(20261019)
+    for trial in range(150):
+        period, degree, onset = rng.randint(1, 12), rng.randint(0, 6), rng.randint(-30, 60)
+        consts = []
+        for _ in range(period):
+            shape = rng.random()
+            if shape < 0.15:
+                consts.append(())
+            elif shape < 0.4:
+                consts.append(tuple(F(rng.randint(-9, 9)) for _ in range(degree + 1)))
+            else:
+                consts.append(tuple(F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(degree + 1)))
+
+        def value(n):
+            v = _horner(consts[n % period], n)
+            return v.numerator if v.denominator == 1 and trial % 2 else v
+
+        built = build_quasipolynomial(value, period, degree, onset)
+        reference = []
+        for r in range(period):
+            first = onset + (r - onset) % period
+            points = [(n, F(value(n))) for n in range(first, first + period * (degree + 1), period)]
+            reference.append(_lagrange(points))
+        assert built.qp == Quasipolynomial(period, reference) == Quasipolynomial(period, consts)
+        for n in (-7, 0, 1, 10**6):
+            assert built.qp.evaluate(n) == _horner(consts[n % period], n)
+
+
+def test_build_from_fraction_valued_terms():
+    # the divisor path of terms_quasipolynomial hands the builder Fractions;
+    # period lcm(2, 3, 4) = 12, degree bound 1, onset 2
+    terms = {((2, 3), 1): 1, ((1, 2), 0): 3, ((4,), 2): -1}
+    for divisor in (1, 2, 6, 7):
+        res = terms_quasipolynomial(terms, divisor)
+        assert res.onset == 2
+        for r in range(12):
+            first = 2 + r
+            points = [(n, F(evaluate_terms(terms, n), divisor)) for n in (first, first + 12)]
+            ref = _lagrange(points)
+            for n in (first, first + 12 * 1000, first - 24):
+                assert res.qp.evaluate(n) == _horner(ref, n)
+
+
+def test_evaluate_matches_fraction_horner():
+    rng = random.Random(3)
+    for _ in range(60):
+        qp = _random_qp(rng)
+        for n in (-7, 0, 1, 10**6):
+            value = qp.evaluate(n)
+            assert isinstance(value, Fraction)
+            assert value == _horner(qp.constituents[n % qp.period], n)

@@ -18,7 +18,7 @@ drives the peel and the tail.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -765,21 +765,33 @@ def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) ->
     """Sym-orbits of the classes on [n] whose count vectors lie in M (one
     finite level of it), with one shadow call per class.  The shadow of a
     vector is its whole class's count-vector set, so a vector no earlier
-    shadow reached starts a class."""
+    shadow reached starts a class.  The level is walked run by run
+    (``level_runs``); what the shadows reached is kept as marks, the
+    second-to-last coordinates under each prefix, and a prefix's marks are
+    dropped once its run is done."""
     level = n - pres.s0
     if level < 0:
         return 0
     hook = pres.count_equivalents
     assert hook is not None
-    seen: Set[Vector] = set()
-    classes = 0
-    for beta in M.enumerate_level(level):
-        if beta in seen:
-            seen.discard(beta)
-        else:
+    if M.k < 2:  # a level of at most one point
+        members = M.enumerate_level(level)
+        if members:
             tick()
-            classes += 1
-            seen.update(hook(beta))
+            hook(members[0])
+        return len(members)
+    marks: Dict[Vector, Set[int]] = defaultdict(set)
+    classes = 0
+    for prefix, remaining, gaps in M.level_runs(level):
+        marked = marks[prefix]
+        for gap in gaps:
+            for x in gap:
+                if x not in marked:
+                    tick()
+                    classes += 1
+                    for gamma in hook(prefix + (x, remaining - x)):
+                        marks[gamma[:-2]].add(gamma[-2])
+        del marks[prefix]
     return classes
 
 

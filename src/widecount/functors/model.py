@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import combinations, permutations
 from math import factorial, perm, prod
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..actions import NotAnAction, UnionFind, require, tick
@@ -397,10 +398,6 @@ def roots_of_unity(d: int) -> ModelFunctorPresentation:
     that amount.
     """
 
-    def letter_of(r: int) -> int:
-        r %= d
-        return d if r == 0 else r
-
     def eq(n: int, p1: MFPair, p2: MFPair) -> bool:
         j0, j0p = p1.sigma[0], p2.sigma[0]
         if j0 == j0p:
@@ -415,26 +412,17 @@ def roots_of_unity(d: int) -> ModelFunctorPresentation:
         return True
 
     # concealing a position with letter l shifts every residue by -l: new
-    # letter m counts old letter m + l (so index d - 1 counts the old l's,
-    # one of which is now concealed), and the revealed position reads -l
-    moves = [
-        (
-            letter - 1,
-            tuple(letter_of(m + letter) - 1 for m in range(1, d + 1)),
-            letter_of(-letter) - 1,
-        )
-        for letter in range(1, d + 1)
-    ]
-
+    # letter m counts old letter m + l, so the counts rotate left by l; index
+    # d - 1 counts the old l's, one of which is now concealed, and the
+    # revealed position reads -l, index d - 1 - l.  Letter d moves nothing.
     def count_equivalents(beta: Vector) -> FrozenSet[Vector]:
         out = [beta]
-        for letter_index, source, landing in moves:
-            if beta[letter_index] == 0:
-                continue
-            shifted = [beta[s] for s in source]
-            shifted[d - 1] -= 1
-            shifted[landing] += 1
-            out.append(tuple(shifted))
+        for l in range(1, d):
+            if beta[l - 1]:
+                rotated = [*beta[l:], *beta[:l]]
+                rotated[-1] -= 1
+                rotated[d - 1 - l] += 1
+                out.append(tuple(rotated))
         return frozenset(out)
 
     return ModelFunctorPresentation(
@@ -457,11 +445,17 @@ def elementary_embedding(emf: ElementaryModelFunctor) -> ModelFunctorPresentatio
     def eq(n: int, p1: MFPair, p2: MFPair) -> bool:
         return any(tuple(g(c) for c in p1.alpha) == p2.alpha for g in group)
 
-    # beta read through g^-1, as 0-based source indices per group element
-    sources = [tuple(g.inverse()(m) - 1 for m in range(1, emf.k + 1)) for g in group]
+    # beta read through g^-1: one getter of 0-based source indices per group
+    # element.  With k < 2 the group is trivial, and an itemgetter of one
+    # index would give a scalar, not a 1-tuple.
+    readers = (
+        [itemgetter(*(g.inverse()(m) - 1 for m in range(1, emf.k + 1))) for g in group]
+        if emf.k >= 2
+        else [tuple]
+    )
 
     def count_equivalents(beta: Vector) -> FrozenSet[Vector]:
-        return frozenset(tuple([beta[i] for i in source]) for source in sources)
+        return frozenset(read(beta) for read in readers)
 
     return ModelFunctorPresentation(
         name=f"elementary-k{emf.k}",

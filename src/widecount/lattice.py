@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .actions import Permutation, tick
 # fit is not called here; the benchmark's traced run wraps it at this module
@@ -94,53 +94,67 @@ class DownwardClosedSet:
                 capped.update(support if support else range(self.k))
         return self.k == 0 or capped == set(range(self.k))
 
-    def enumerate_level(self, n: int) -> List[Vector]:
-        """All members of total degree n, in lexicographic order.
+    def level_runs(self, n: int) -> Iterator[Tuple[Vector, int, List[range]]]:
+        """The members of total degree n as runs, one per prefix, for k >= 2.
 
         Compositions of n are built one coordinate at a time (stars and
-        bars) over all coordinates but the last two.  An obstruction stays
-        live while it lies below the prefix; once a live one needs nothing
-        of the coordinates still open, it is met by every completion, so
-        that prefix and every larger value of its last coordinate are
-        skipped.  A prefix leaving ``remaining`` is completed by the points
-        (x, remaining - x); a live obstruction o meets exactly those with
-        o[-2] <= x <= remaining - o[-1], so each gap between the merged
-        intervals is emitted as one run.  The budget's deadline is checked
-        once per prefix.
+        bars) over all coordinates but the last two, in lexicographic order.
+        An obstruction stays live while it lies below the prefix; once a
+        live one needs nothing of the coordinates still open, it is met by
+        every completion, so that prefix and every larger value of its last
+        coordinate are skipped.  A prefix leaving ``remaining`` is completed
+        by the points (x, remaining - x); a live obstruction o meets exactly
+        those with o[-2] <= x <= remaining - o[-1].  Each prefix with a
+        member is yielded once as (prefix, remaining, gaps), the gaps being
+        the ascending, disjoint, non-empty ranges of x between the merged
+        intervals.  The budget's deadline is checked once per prefix.
         """
-        k = self.k
-        if n < 0:
-            return []
+        if self.k < 2:
+            raise ValueError("level runs need k >= 2")
+        if n < 0 or self.is_empty():
+            return
         # (obstruction, index of its last nonzero coordinate)
-        obs = [(o, max((j for j, x in enumerate(o) if x), default=-1)) for o in self.obstructions]
-        if any(last < 0 for _, last in obs):
-            return []  # the zero obstruction: the set is empty
-        if k == 0:
-            return [()] if n == 0 else []
-        if k == 1:
-            return [(n,)] if all(n < o[0] for o, _ in obs) else []
-        out: List[Vector] = []
-        pair = k - 2
+        obs = [(o, max(j for j, x in enumerate(o) if x)) for o in self.obstructions]
+        pair = self.k - 2
 
-        def rec(prefix: Tuple[int, ...], j: int, remaining: int, live: list) -> None:
+        def rec(prefix: Vector, j: int, remaining: int, live: list):
             tick()
             if j == pair:
-                lo = 0
+                gaps, lo = [], 0
                 for start, end in sorted(
                     (o[j], remaining - o[j + 1]) for o, _ in live if o[j] + o[j + 1] <= remaining
                 ):
-                    out.extend([prefix + (x, remaining - x) for x in range(lo, start)])
+                    if lo < start:
+                        gaps.append(range(lo, start))
                     lo = max(lo, end + 1)
-                out.extend([prefix + (x, remaining - x) for x in range(lo, remaining + 1)])
+                if lo <= remaining:
+                    gaps.append(range(lo, remaining + 1))
+                if gaps:
+                    yield prefix, remaining, gaps
                 return
             for x in range(remaining + 1):
                 still = [ol for ol in live if ol[0][j] <= x]
                 if any(last <= j for _, last in still):
                     break
-                rec(prefix + (x,), j + 1, remaining - x, still)
+                yield from rec(prefix + (x,), j + 1, remaining - x, still)
 
-        rec((), 0, n, obs)
-        return out
+        yield from rec((), 0, n, obs)
+
+    def enumerate_level(self, n: int) -> List[Vector]:
+        """All members of total degree n, in lexicographic order: the
+        expansion of ``level_runs`` for k >= 2."""
+        if n < 0 or self.is_empty():
+            return []
+        if self.k == 0:
+            return [()] if n == 0 else []
+        if self.k == 1:
+            return [(n,)] if all(n < o[0] for o in self.obstructions) else []
+        return [
+            prefix + (x, remaining - x)
+            for prefix, remaining, gaps in self.level_runs(n)
+            for gap in gaps
+            for x in gap
+        ]
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "obstructions": [list(o) for o in self.obstructions]}

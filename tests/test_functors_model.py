@@ -150,6 +150,69 @@ def test_count_equivalents_shadow_is_exact():
                     assert counts == set(pres.count_equivalents(p.count_vector(d)))
 
 
+def _roots_shadow_reference(d):
+    """The per-entry roots-of-unity shadow: one source index table and one
+    landing index per letter, the concealed letter's count moved to the
+    revealed letter's."""
+
+    def letter_of(r):
+        r %= d
+        return d if r == 0 else r
+
+    moves = [
+        (
+            letter - 1,
+            tuple(letter_of(m + letter) - 1 for m in range(1, d + 1)),
+            letter_of(-letter) - 1,
+        )
+        for letter in range(1, d + 1)
+    ]
+
+    def count_equivalents(beta):
+        out = [beta]
+        for letter_index, source, landing in moves:
+            if beta[letter_index] == 0:
+                continue
+            shifted = [beta[s] for s in source]
+            shifted[d - 1] -= 1
+            shifted[landing] += 1
+            out.append(tuple(shifted))
+        return frozenset(out)
+
+    return count_equivalents
+
+
+def _elementary_shadow_reference(emf):
+    """The per-entry elementary shadow: beta read through every g^-1."""
+    sources = [tuple(g.inverse()(m) - 1 for m in range(1, emf.k + 1)) for g in emf.group]
+
+    def count_equivalents(beta):
+        return frozenset(tuple([beta[i] for i in source]) for source in sources)
+
+    return count_equivalents
+
+
+def _shadow_cases():
+    for d in range(1, 7):
+        yield f"roots{d}", roots_of_unity(d), _roots_shadow_reference(d)
+    for k in range(1, 5):
+        for name in ("symmetric", "cyclic", "trivial"):
+            emf = ElementaryModelFunctor(k, getattr(PermGroup, name)(k), DownwardClosedSet.full(k))
+            yield f"{name}{k}", elementary_embedding(emf), _elementary_shadow_reference(emf)
+
+
+@pytest.mark.parametrize(
+    "pres,reference", [pytest.param(pres, ref, id=label) for label, pres, ref in _shadow_cases()]
+)
+def test_builtin_shadows_equal_the_per_entry_reference(pres, reference):
+    full = DownwardClosedSet.full(pres.k)
+    for level in range(13):
+        for beta in full.enumerate_level(level):
+            shadow = pres.count_equivalents(beta)
+            assert shadow == reference(beta), beta
+            assert all(type(gamma) is tuple and len(gamma) == pres.k for gamma in shadow)
+
+
 def test_verify_axioms_builtins_pass():
     assert verify_axioms(roots_of_unity(2), 4).passed
     assert verify_axioms(roots_of_unity(3), 3).passed

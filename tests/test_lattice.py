@@ -7,7 +7,7 @@ import pytest
 
 from widecount import lattice
 from widecount.actions import PermGroup, Permutation, TooLarge, budget
-from widecount.functors.extraction import _plan
+from widecount.functors.extraction import _plan, _tail_count
 from widecount.functors.model import roots_of_unity
 from widecount.lattice import (
     DownwardClosedSet,
@@ -277,6 +277,39 @@ def test_enumerate_level_equals_filtered_brute_force():
             assert M.enumerate_level(n) == _level_brute_force(M, n), (M, n)
     assert DownwardClosedSet.empty(3).enumerate_level(2) == []
     assert DownwardClosedSet.full(0).enumerate_level(0) == [()]
+
+
+def test_level_runs_are_prefixes_with_disjoint_gaps():
+    rng = random.Random(18)
+    for _ in range(250):
+        k = rng.randint(2, 5)
+        M = DownwardClosedSet(
+            k, [tuple(rng.randint(0, 4) for _ in range(k)) for _ in range(rng.randint(0, 4))]
+        )
+        for n in range(-1, 10):
+            runs = list(M.level_runs(n))
+            prefixes = [prefix for prefix, _, _ in runs]
+            # one yield per prefix, in lexicographic order
+            assert all(a < b for a, b in zip(prefixes, prefixes[1:])), (M, n)
+            expanded = []
+            for prefix, remaining, gaps in runs:
+                assert len(prefix) == k - 2 and remaining == n - sum(prefix), (M, n, prefix)
+                assert gaps and all(gap.step == 1 and len(gap) for gap in gaps), (M, n, prefix)
+                assert 0 <= gaps[0].start and gaps[-1].stop <= remaining + 1, (M, n, prefix)
+                assert all(a.stop < b.start for a, b in zip(gaps, gaps[1:])), (M, n, prefix)
+                expanded += [prefix + (x, remaining - x) for gap in gaps for x in gap]
+            expected = _level_brute_force(M, n) if n >= 0 else []
+            assert expanded == M.enumerate_level(n) == expected, (M, n)
+    with pytest.raises(ValueError):
+        next(DownwardClosedSet.full(1).level_runs(3))
+
+
+def test_deadline_stops_the_tail_during_the_walk():
+    pres = roots_of_unity(4)
+    with budget(seconds=0), pytest.raises(TooLarge, match="time limit reached") as caught:
+        _tail_count(pres, pres.countset, 81)
+    frames = {entry.name for entry in caught.traceback}
+    assert "level_runs" in frames and "enumerate_level" not in frames
 
 
 @pytest.mark.parametrize(

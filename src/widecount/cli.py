@@ -453,6 +453,16 @@ def _run_verify(args, report: RunReport) -> None:
         count_codes_direct(2, m, n) == count_codes_burnside(2, m, n)
         for m in (1, 2) for n in range(2, 6)
     ))
+    rank_sets = [([0, 1], "symmetric"), ([0, 1, 2], "symmetric"), ([-1, 0, 1], "symmetric"),
+                 ([0, Fraction(1, 2), 1], "symmetric"), ([0, 1], "general")]
+    report.add_verdict("rank-brute", all(
+        gallery.fixed_rank_orbit_counts(entries, n, shape)
+        == gallery.fixed_rank_orbit_counts_brute(entries, n, shape)
+        for entries, shape in rank_sets for n in range(4)
+    ) and all(
+        sum(gallery.fixed_rank_orbit_counts([0, 1], n).values()) == gallery.matrix_orbit_count([0, 1], n)
+        for n in range(6)
+    ))
     limit = gallery.TREE_BRUTE_LIMIT
     growth = gallery.unlabeled_tree_counts(limit)
     report.add_verdict("trees-growth", all(

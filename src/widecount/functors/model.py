@@ -192,6 +192,19 @@ class ModelFunctorPresentation:
             return 0
         return min(self.count_equivalents(pair.count_vector(self.k)))
 
+    def shadow_keys(self) -> Callable[[MFPair], object]:
+        """``shadow_key`` asking the shadow once per count vector, since
+        ``count_equivalents`` is a function of the vector alone."""
+        keys: Dict[Vector, object] = {}
+
+        def key(pair: MFPair) -> object:
+            beta = pair.count_vector(self.k)
+            if beta not in keys:
+                keys[beta] = self.shadow_key(pair)
+            return keys[beta]
+
+        return key
+
 
 # ---------------------------------------------------------------------------
 # classes and direct orbit counting
@@ -231,11 +244,12 @@ def mf_classes(pres: ModelFunctorPresentation, n: int) -> List[List[MFPair]]:
     """The equivalence classes of F([n]) by oracle grouping.
 
     The bucketed grouping of ``group_in_buckets``, with the least count
-    vector of the shadow (``shadow_key``) as the bucket.  Transitivity of
-    the oracle is a presentation invariant (see check_equivalence).
+    vector of the shadow (``shadow_key``, once per count vector) as the
+    bucket.  Transitivity of the oracle is a presentation invariant (see
+    check_equivalence).
     """
     require(pres.pair_count(n), CLASS_BUDGET, f"|F([{n}])|")
-    return group_in_buckets(pres.pairs(n), pres.shadow_key, partial(pres.eq, n))
+    return group_in_buckets(pres.pairs(n), pres.shadow_keys(), partial(pres.eq, n))
 
 
 def count_vector_blocks(classes: Iterable[Sequence[T]], key: Callable[[T], object]) -> Dict:

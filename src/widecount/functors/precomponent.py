@@ -132,9 +132,10 @@ def _maximal_classes(pc: PreComponentPresentation, n: int) -> Tuple[List[List[It
     strictly dominated by a class of a later functor, and any comparability
     with one is strict."""
     require(pc.item_count(n), ITEM_BUDGET, f"items on [{n}]")
+    keys = [pres.shadow_keys() for pres in pc.functors]
     classes = group_in_buckets(
         pc.items(n),
-        lambda item: (item[0], pc.functors[item[0] - 1].shadow_key(item[1])),
+        lambda item: (item[0], keys[item[0] - 1](item[1])),
         lambda x, y: pc.preceq(n, x, y) and pc.preceq(n, y, x),
     )
     reps = [cls[0] for cls in classes]

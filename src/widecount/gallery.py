@@ -321,10 +321,13 @@ def _fixed_rank_histogram(
     value at its first row.  Rows are settled in order, keeping a count of
     prefixes per reduced state: the rank so far, then, reduced modulo the
     span of the settled rows, each later row's known part (its cells whose
-    orbit has a value) and the indicator on each later row of every orbit
-    without a value that meets it.  Completions, and so final ranks, depend
-    only on that state, so settling a row lists its new orbits' values once
-    per state, summed one orbit at a time so that choices share prefixes.
+    orbit has a value) and one block per distinct indicator vector that an
+    orbit without a value puts on a later row (reduction keeps equal vectors
+    equal, so copies would merge no other prefixes).  Completions, and so
+    final ranks, depend only on that state, so settling a row lists its new
+    orbits' values once per state, summed one orbit at a time so that
+    choices share prefixes.  The last row's choices are only counted: at
+    the state's rank where the row is zero, one above elsewhere.
 
     Reduction is fraction-free: a nonzero reduced row w with first nonzero
     coordinate p maps every stored x to w[p] x - x[p] w, which keeps one
@@ -342,24 +345,32 @@ def _fixed_rank_histogram(
         for i, j in orbit:
             for a, b in ((i, j), (j, i)) if symmetric else ((i, j),):
                 indicator.setdefault((k, a - 1), [0] * n)[b - 1] = 1
+    # one block per distinct indicator, alive until the last first row of
+    # the orbits that use it; blocks that leave sooner come first
+    last: Dict[Tuple[int, ...], int] = {}
+    for (k, _), vec in indicator.items():
+        last[tuple(vec)] = max(last.get(tuple(vec), 0), first[k])
+    blocks = sorted(last, key=last.__getitem__)
     # before row r a state holds, flat, n - rank coordinates for each of:
-    # the known parts of rows r..n-1, then the indicators (orbit, row) of
-    # the orbits without a value, row r's own orbits first
-    slots = sorted(indicator, key=lambda s: (first[s[0]], s))
-    start = [0] * (n * n) + [v for s in slots for v in indicator[s]]
+    # the known parts of rows r..n-1, then the blocks still alive
+    start = [0] * (n * n) + [v for vec in blocks for v in vec]
     states = {(0, tuple(start)): 1}
+    others = [[[c for c in range(m) if c != p] for p in range(m)] for m in range(n + 1)]
+    hist = [0] * (n + 1)
     for r in range(n):
-        slots = [s for s in slots if first[s[0]] >= r]
-        group = [k for k, f in enumerate(first) if f == r]
-        # per orbit of row r: (its row's offset among rows r.., its slot)
-        spread = [[(j - r, t) for t, (o, j) in enumerate(slots) if o == k] for k in group]
-        own = sum(len(places) for places in spread)
+        alive = [vec for vec in blocks if last[vec] >= r]
+        drop = sum(last[vec] == r for vec in alive)
+        # per orbit of row r: (its row's offset among rows r.., its block)
+        spread = [
+            [(a - r, alive.index(tuple(vec))) for (o, a), vec in indicator.items() if o == k]
+            for k, f in enumerate(first) if f == r
+        ]
         nxt: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         for (rank, flat), count in states.items():
             tick()
             m = n - rank
             known_end = (n - r) * m
-            later = flat[known_end + own * m :]
+            later = flat[known_end + drop * m :]
             partial = [flat[:known_end]]
             for places in spread:
                 require(len(partial) * len(entries), RANK_CHOICE_BUDGET, "row value choices")
@@ -370,35 +381,38 @@ def _fixed_rank_histogram(
                 partial = [
                     [a + v * d for a, d in zip(known, step)] for known in partial for v in entries
                 ]
+            if r == n - 1:
+                # no state follows: the row is zero or raises the rank
+                zero = sum(1 for w in partial if not any(w))
+                hist[rank] += count * zero
+                hist[rank + 1] += count * (len(partial) - zero)
+                continue
             for known in partial:
-                w = known[:m]
-                rest = known[m:]
-                rest += later
-                p = next((c for c, x in enumerate(w) if x), None)
-                if p is None:
-                    key_rank = rank
-                else:
-                    key_rank = rank + 1
-                    wp = w[p]
-                    cols = [c for c in range(m) if c != p]
-                    out = []
-                    for s in range(0, len(rest), m):
-                        f = rest[s + p]
-                        out += [wp * rest[s + c] - f * w[c] for c in cols]
-                    rest = out
+                rest = [*known[m:], *later]
+                key_rank = rank
+                for p in range(m):
+                    if known[p]:
+                        key_rank += 1
+                        wp = known[p]
+                        rest = [
+                            wp * rest[s + c] - f * known[c]
+                            for s in range(0, len(rest), m)
+                            for f in (rest[s + p],)
+                            for c in others[m][p]
+                        ]
+                        break
                 g = gcd(*rest)
-                if g > 1:
+                for x in rest:
+                    if x:
+                        g = -g if x < 0 else g
+                        break
+                if g != 1 and g:
                     rest = [x // g for x in rest]
-                if next((x for x in rest if x), 0) < 0:
-                    rest = [-x for x in rest]
                 key = (key_rank, tuple(rest))
                 nxt[key] = nxt.get(key, 0) + count
             require(len(nxt), RANK_STATE_BUDGET, "reduced rank states")
         states = nxt
-    hist = [0] * (n + 1)
-    for (rank, _), count in states.items():
-        hist[rank] += count
-    return hist
+    return hist if n else [1]  # the 0 x 0 matrix, of rank 0
 
 
 def fixed_rank_orbit_count(

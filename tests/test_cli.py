@@ -193,7 +193,7 @@ def test_verify_suite(capsys):
     assert code == 0
     assert data["verdict"] == "pass"
     checks = {c["check"] for c in data["checks"]}
-    assert {"closed-forms-exact", "stratum-vs-peel"} <= checks and len(checks) == 9
+    assert {"closed-forms-exact", "stratum-vs-peel", "rank-brute"} <= checks and len(checks) == 10
 
 
 def test_usage_error_exit_code(capsys):

@@ -5,7 +5,7 @@ from math import comb, gcd
 import pytest
 
 from widecount import gallery
-from widecount.actions import TooLarge, budget
+from widecount.actions import TooLarge, budget, require, tick
 from widecount.functors.elementary import elementary_count
 from widecount.gallery import (
     canonical_tree,
@@ -415,3 +415,119 @@ def test_fixed_rank_histogram_merges_equal_states(monkeypatch):
     states.clear()
     assert gallery._fixed_rank_histogram(identity, False, [0, 1]) == [1, 225, 6750, 36000, 22560]
     assert len(states) == 204
+
+
+def _reference_histogram(images, symmetric, entries):
+    """The row programme with one stored vector per (orbit, row) indicator
+    and a keyed state per last-row choice: `_fixed_rank_histogram` must give
+    the same histograms and trip the same caps."""
+    n = len(images)
+    orbits = gallery._cell_orbits(images, symmetric)
+    first = [min(i for i, _ in orbit) - 1 for orbit in orbits]
+    indicator = {}
+    for k, orbit in enumerate(orbits):
+        for i, j in orbit:
+            for a, b in ((i, j), (j, i)) if symmetric else ((i, j),):
+                indicator.setdefault((k, a - 1), [0] * n)[b - 1] = 1
+    slots = sorted(indicator, key=lambda s: (first[s[0]], s))
+    start = [0] * (n * n) + [v for s in slots for v in indicator[s]]
+    states = {(0, tuple(start)): 1}
+    for r in range(n):
+        slots = [s for s in slots if first[s[0]] >= r]
+        group = [k for k, f in enumerate(first) if f == r]
+        spread = [[(j - r, t) for t, (o, j) in enumerate(slots) if o == k] for k in group]
+        own = sum(len(places) for places in spread)
+        nxt = {}
+        for (rank, flat), count in states.items():
+            tick()
+            m = n - rank
+            known_end = (n - r) * m
+            later = flat[known_end + own * m :]
+            partial = [flat[:known_end]]
+            for places in spread:
+                require(len(partial) * len(entries), gallery.RANK_CHOICE_BUDGET, "row value choices")
+                step = [0] * known_end
+                for row, t in places:
+                    at = known_end + t * m
+                    step[row * m : (row + 1) * m] = flat[at : at + m]
+                partial = [
+                    [a + v * d for a, d in zip(known, step)] for known in partial for v in entries
+                ]
+            for known in partial:
+                w = known[:m]
+                rest = list(known[m:]) + list(later)
+                p = next((c for c, x in enumerate(w) if x), None)
+                if p is None:
+                    key_rank = rank
+                else:
+                    key_rank = rank + 1
+                    out = []
+                    for s in range(0, len(rest), m):
+                        f = rest[s + p]
+                        out += [w[p] * rest[s + c] - f * w[c] for c in range(m) if c != p]
+                    rest = out
+                g = gcd(*rest)
+                if g > 1:
+                    rest = [x // g for x in rest]
+                if next((x for x in rest if x), 0) < 0:
+                    rest = [-x for x in rest]
+                key = (key_rank, tuple(rest))
+                nxt[key] = nxt.get(key, 0) + count
+            require(len(nxt), gallery.RANK_STATE_BUDGET, "reduced rank states")
+        states = nxt
+    hist = [0] * (n + 1)
+    for (rank, _), count in states.items():
+        hist[rank] += count
+    return hist
+
+
+def _random_entries(rng, size):
+    """`size` distinct rationals, one of them negative and one not an integer."""
+    pool = sorted({Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)})
+    while True:
+        values = sorted(rng.sample(pool, size))
+        if values[0] < 0 and any(v.denominator > 1 for v in values):
+            return values
+
+
+# (number of entries, shape, largest n); four entries stop at n = 3 in
+# general shape, where the identity of Sym(4) holds over 10^6 states a row
+@pytest.mark.parametrize(
+    "size, shape, top",
+    [(2, "symmetric", 5), (2, "general", 5), (3, "symmetric", 4), (3, "general", 4),
+     (4, "symmetric", 4), (4, "general", 3)],
+)
+def test_fixed_rank_histogram_equals_reference(size, shape, top):
+    symmetric = shape == "symmetric"
+    rng = random.Random(f"{size} {shape}")
+    ints = gallery._integerize(_random_entries(rng, size))
+    for n in range(top + 1):
+        for images, _ in gallery._cycle_type_representatives(n):
+            want = _reference_histogram(images, symmetric, ints)
+            assert gallery._fixed_rank_histogram(images, symmetric, ints) == want, (ints, images)
+
+
+def _least_state_budget(histogram, images, symmetric, entries):
+    """The least S for which `histogram` finishes within budget(max_states=S)."""
+    lo, hi = 0, gallery.RANK_STATE_BUDGET
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            with budget(max_states=mid):
+                histogram(images, symmetric, entries)
+            hi = mid
+        except TooLarge:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize(
+    "images, symmetric, entries",
+    [((1,), True, [0, 1]), ((1,), False, [1, 2]), ((1, 2, 3, 4), True, [0, 1, 2]),
+     ((1, 2, 3), False, [-2, 0, 1]), ((2, 1, 3, 4), False, [0, 1]), ((2, 3, 1, 4), True, [-1, 1])],
+)
+def test_fixed_rank_histogram_trips_the_reference_caps(images, symmetric, entries):
+    # the state cap and --max-states stop the programme on the same inputs
+    least = _least_state_budget(gallery._fixed_rank_histogram, images, symmetric, entries)
+    assert least == _least_state_budget(_reference_histogram, images, symmetric, entries)
+    assert 1 < least < gallery.RANK_STATE_BUDGET

@@ -34,7 +34,7 @@ from .functors.precomponent import (
     precomp_count,
 )
 from .lattice import DownwardClosedSet
-from .quasipoly import NoFit, fit, read_sequence_csv
+from .quasipoly import FittedQuasipolynomial, NoFit, fit, read_sequence_csv
 
 
 class UsageError(Exception):
@@ -293,6 +293,20 @@ def _run_model(args, report: RunReport) -> None:
     _sweep(report, parse_range(args.n), step)
 
 
+def _fit_into(
+    report: RunReport, seq: Dict[int, int], max_period: int, max_degree: int
+) -> Optional[FittedQuasipolynomial]:
+    """Fit seq into the report's quasipolynomial; on NoFit, record a failed
+    ``fit`` verdict with its witness and return None."""
+    try:
+        res = fit(seq, max_period=max_period, max_degree=max_degree)
+    except NoFit as exc:
+        report.add_verdict("fit", False, {"nofit": str(exc), **(exc.witness or {})})
+        return None
+    report.quasipolynomial = res.to_json_dict()
+    return res
+
+
 def _run_precomp(args, report: RunReport) -> None:
     if args.preset == "planes":
         pc = planes_precomponent()
@@ -300,11 +314,7 @@ def _run_precomp(args, report: RunReport) -> None:
         pc = PreComponentPresentation.from_single(roots_of_unity(args.d))
     _sweep(report, parse_range(args.n), lambda n: precomp_count(pc, n))
     if args.fit and report.sequence:
-        try:
-            res = fit(dict(report.sequence), max_period=4, max_degree=3)
-            report.quasipolynomial = res.to_json_dict()
-        except NoFit as exc:
-            report.add_verdict("fit", False, {"nofit": str(exc), **(exc.witness or {})})
+        _fit_into(report, dict(report.sequence), max_period=4, max_degree=3)
 
 
 def _check_example(name: str, d: int, n: int, count: int, report: RunReport) -> None:
@@ -341,11 +351,7 @@ def _run_example(args, report: RunReport) -> None:
     if args.fit and emf is not None:
         report.quasipolynomial = elementary_quasipolynomial(emf).to_json_dict()
     elif args.fit and report.sequence:
-        try:
-            res = fit(dict(report.sequence), max_period=max(args.d, 6), max_degree=6)
-            report.quasipolynomial = res.to_json_dict()
-        except NoFit as exc:
-            report.add_verdict("fit", False, {"nofit": str(exc), **(exc.witness or {})})
+        _fit_into(report, dict(report.sequence), max_period=max(args.d, 6), max_degree=6)
 
 
 def _run_codes(args, report: RunReport) -> None:
@@ -396,15 +402,12 @@ def _run_ranks(args, report: RunReport) -> None:
 def _run_fit(args, report: RunReport) -> None:
     seq = read_sequence_csv(args.infile)
     report.sequence = sorted(seq.items())
-    try:
-        res = fit(seq, max_period=args.max_period, max_degree=args.max_degree)
-        report.quasipolynomial = res.to_json_dict()
+    res = _fit_into(report, seq, max_period=args.max_period, max_degree=args.max_degree)
+    if res is not None:
         for n, value in seq.items():
             if n >= res.onset and res.qp.evaluate(n) != value:
                 report.add_verdict("fit-recheck", False, {"n": n})
                 break
-    except NoFit as exc:
-        report.add_verdict("fit", False, {"nofit": str(exc), **(exc.witness or {})})
 
 
 def _run_verify(args, report: RunReport) -> None:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import factorial
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from math import factorial, prod
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..actions import Arrow, Groupoid, GroupoidAction, Permutation, TooLarge, require, tick
 from ..lattice import (
@@ -61,14 +61,7 @@ class CalibrationFrame:
     d_inf: int
 
     def v(self, t: int) -> Vector:
-        return tuple(
-            v + (t if (j + 1) in set(self.I) else 0) for j, v in enumerate(self.v0)
-        )
-
-    def v_tilde(self, t: int) -> Vector:
-        return tuple(
-            v + (2 * t if (j + 1) in set(self.I) else 0) for j, v in enumerate(self.v0)
-        )
+        return tuple(x + t if j in self.I else x for j, x in enumerate(self.v0, start=1))
 
 
 def compute_frame(M: DownwardClosedSet) -> CalibrationFrame:
@@ -81,48 +74,30 @@ def compute_frame(M: DownwardClosedSet) -> CalibrationFrame:
     k = M.k
     obstructions = M.obstructions
     supports = [frozenset(j + 1 for j, x in enumerate(o) if x > 0) for o in obstructions]
-
-    def pumpable(candidate: FrozenSet[int]) -> bool:
-        return not any(s <= candidate for s in supports)
-
-    best: Optional[FrozenSet[int]] = None
-    for size in range(k, -1, -1):
-        options = [
-            frozenset(c) for c in combinations(range(1, k + 1), size) if pumpable(frozenset(c))
-        ]
-        if options:
-            best = sorted(options, key=lambda s: tuple(sorted(s)))[0]
-            break
-    assert best is not None  # the empty set is always pumpable
-    I = tuple(sorted(best))
+    # the lexicographically first pumpable set of the largest size (the
+    # empty set is always pumpable)
+    best = next(
+        I
+        for size in range(k, -1, -1)
+        for I in map(frozenset, combinations(range(1, k + 1), size))
+        if not any(s <= I for s in supports)
+    )
     off = [j for j in range(1, k + 1) if j not in best]
-    caps = {}
-    for j in off:
-        forced = [
-            o[j - 1]
-            for o, s in zip(obstructions, supports)
-            if s <= best | {j}
-        ]
-        caps[j] = min(forced) - 1 if forced else 0
-        if caps[j] < 0:
-            caps[j] = -1  # coordinate cannot carry anything: blocked at zero
-    best_v0: Optional[Tuple[int, ...]] = None
-    for values in product(*(range(max(caps[j], 0) + 1) for j in off)) if off else [()]:
-        v0 = [0] * k
-        for j, val in zip(off, values):
-            v0[j - 1] = val
-        if any(caps[j] < 0 and v0[j - 1] > 0 for j in off):
-            continue
-        blocked = all(
-            any(o[j - 1] > v0[j - 1] for j in off) for o in obstructions
-        ) if obstructions else True
-        if not blocked:
-            continue
-        key = (sum(v0), tuple(v0))
-        if best_v0 is None or key > (sum(best_v0), tuple(best_v0)):
-            best_v0 = tuple(v0)
-    assert best_v0 is not None
-    return CalibrationFrame(I, best_v0, sum(best_v0))
+    # best | {j} is not pumpable, so an obstruction inside it is positive at
+    # j: every cap is at least 0, and the zero profile blocks everything
+    caps = [
+        min(o[j - 1] for o, s in zip(obstructions, supports) if s <= best | {j}) - 1
+        for j in off
+    ]
+    _, profile = max(
+        (sum(p), p)
+        for p in product(*(range(c + 1) for c in caps))
+        if all(any(o[j - 1] > x for j, x in zip(off, p)) for o in obstructions)
+    )
+    v0 = [0] * k
+    for j, x in zip(off, profile):
+        v0[j - 1] = x
+    return CalibrationFrame(tuple(sorted(best)), tuple(v0), sum(v0))
 
 
 def default_threshold(M: DownwardClosedSet, s0: int) -> int:
@@ -169,12 +144,8 @@ class Quadruple:
             self.abar,
         )
 
-    def sigma1_floor(self) -> Dict[int, int]:
-        floor: Dict[int, int] = {}
-        for letter in self.sigma1:
-            if letter is not None:
-                floor[letter] = floor.get(letter, 0) + 1
-        return floor
+    def sigma1_floor(self) -> Counter[int]:
+        return Counter(letter for letter in self.sigma1 if letter is not None)
 
     def relabel(self, pi: Permutation) -> "Quadruple":
         """Apply a permutation of the core slots [e]."""
@@ -189,13 +160,7 @@ class Quadruple:
         return (self.J, dom, self.sigma1, letters)
 
     def stabilizer_order(self) -> int:
-        mult: Dict[int, int] = {}
-        for _, letter in self.abar:
-            mult[letter] = mult.get(letter, 0) + 1
-        out = 1
-        for m in mult.values():
-            out *= factorial(m)
-        return out
+        return prod(factorial(m) for m in Counter(letter for _, letter in self.abar).values())
 
 
 @dataclass(frozen=True)
@@ -250,6 +215,8 @@ class StratumAnalysis:
         self.frame = compute_frame(M)
         self._object_cache: Dict[int, List[Tuple[Quadruple, Arrows]]] = {}
         self._terms: Optional[LevelTerms] = None
+        self._fingerprint: Optional[tuple] = None
+        self._peeled: Optional[DownwardClosedSet] = None
 
     # -- the operational equivalence-class position relation -------------------
 
@@ -329,14 +296,6 @@ class StratumAnalysis:
 
     # -- F'' / peel membership through the count-vector shadow -----------------
 
-    def equivalent_counts(self, beta: Vector) -> FrozenSet[Vector]:
-        hook = self.pres.count_equivalents
-        if hook is None:
-            raise TooLarge(
-                "the stratified count requires the presentation's count-vector shadow"
-            )
-        return hook(beta)
-
     def in_cone(self, beta: Vector, base: Vector) -> bool:
         Iset = set(self.frame.I)
         return all(
@@ -345,7 +304,29 @@ class StratumAnalysis:
         )
 
     def cone_equivalent(self, beta: Vector, base: Vector) -> bool:
-        return any(self.in_cone(g, base) for g in self.equivalent_counts(beta))
+        return any(self.in_cone(g, base) for g in self.pres.count_equivalents(beta))
+
+    def peeled(self) -> DownwardClosedSet:
+        """The count set left once the stratum's classes are peeled: those
+        equivalent into the v-tilde cone leave it."""
+        if self._peeled is None:
+            M, v_tilde = self.M, self.frame.v(2 * self.t)
+
+            def member(beta: Vector) -> bool:
+                return M.membership(beta) and not self.cone_equivalent(beta, v_tilde)
+
+            # the shadow maps permute entries (up to bounded fuzz), so a
+            # minimal non-member can carry the cone's large entry in any
+            # coordinate: the cap box must be uniform
+            box = max(
+                max(v_tilde),
+                max((x for o in M.obstructions for x in o), default=0),
+            ) + 2
+            peeled = DownwardClosedSet(M.k, _learn_minimal_nonmembers(member, (box,) * M.k))
+            if set(peeled.obstructions) == set(M.obstructions):
+                raise Unstable("peel did not shrink the count set")
+            self._peeled = peeled
+        return self._peeled
 
     # -- objects, arrows, level sets -------------------------------------------
 
@@ -407,7 +388,7 @@ class StratumAnalysis:
         # the concealed positions and the core
         floor = q.sigma1_floor()
         depth = 2 * self.t + self.pres.s0 + q.e + 1
-        return {l: depth + floor.get(l, 0) for l in q.J}
+        return {l: depth + floor[l] for l in q.J}
 
     def is_good(self, q: Quadruple, u: Dict[int, int]) -> bool:
         """Is (q, u) the quintuple of a pair in the peeled (calibrated) part?"""
@@ -415,7 +396,7 @@ class StratumAnalysis:
         if seed is None:
             return False
         beta = seed.count_vector(self.pres.k)
-        if not self.cone_equivalent(beta, self.frame.v_tilde(self.t)):
+        if not self.cone_equivalent(beta, self.frame.v(2 * self.t)):
             return False
         observed = self.observed_quadruple(seed, q.J, expected_e=q.e)
         return observed is not None and observed[0] == q
@@ -518,8 +499,7 @@ class StratumAnalysis:
         minimal elements are found by corner probes and coordinate descent.
         """
         J = q.J
-        floor = q.sigma1_floor()
-        floor_vec = tuple(floor.get(l, 0) for l in J)
+        floor_vec = tuple(q.sigma1_floor()[l] for l in J)
         cap = tuple(
             f + 2 * self.t + q.e + self.pres.s0 + 3 for f in floor_vec
         )
@@ -552,7 +532,7 @@ class StratumAnalysis:
                 if l not in set(J)
             ):
                 continue  # never triggered at any u
-            out.append(tuple(o[l - 1] + floor.get(l, 0) for l in J))
+            out.append(tuple(o[l - 1] + floor[l] for l in J))
         return antichain_reduce(out) if out else []
 
     def _add_fixed_terms(self, terms: LevelTerms, q: Quadruple, g_images: Tuple[int, ...],
@@ -561,7 +541,7 @@ class StratumAnalysis:
         (count-set region) and calibrated}| to ``terms``, by
         inclusion-exclusion over the calibrated antichain."""
         J = q.J
-        floor = [q.sigma1_floor().get(l, 0) for l in J]
+        floor = [q.sigma1_floor()[l] for l in J]
         n_obs = self.n_obstructions_u(q)
         # g acting on positions of sorted J
         g = Permutation([J.index(l) + 1 for l in g_images])
@@ -603,16 +583,18 @@ class StratumAnalysis:
 
     def min_occupied_total(self) -> int:
         """No class of this stratum exists below this word length."""
-        return sum(self.frame.v_tilde(self.t))
+        return sum(self.frame.v(2 * self.t))
 
     # -- structural fingerprint for the stability check ----------------------------
 
     def fingerprint(self) -> tuple:
-        out = []
-        for e in range(self.pres.s0 + self.frame.d_inf + 1):
-            for q, arrows in self.object_data(e):
-                out.append((q.sort_key(), tuple(sorted((qt.sort_key(), g) for qt, g in arrows))))
-        return tuple(out)
+        if self._fingerprint is None:
+            self._fingerprint = tuple(
+                (q.sort_key(), tuple(sorted((qt.sort_key(), g) for qt, g in arrows)))
+                for e in range(self.pres.s0 + self.frame.d_inf + 1)
+                for q, arrows in self.object_data(e)
+            )
+        return self._fingerprint
 
 
 def _arrangements(counts: Dict, length: int):
@@ -689,8 +671,7 @@ class ExtractedGroupoid:
         anchor = {}
         fibers: Dict[Quadruple, List[Quintuple]] = {q: [] for q in self.groupoid.objects}
         for q in self.groupoid.objects:
-            floor = q.sigma1_floor()
-            floor_vec = tuple(floor.get(l, 0) for l in q.J)
+            floor_vec = tuple(q.sigma1_floor()[l] for l in q.J)
             in_stratum = DownwardClosedSet(len(q.J), self.analysis.n_obstructions_u(q))
             for u in in_stratum.enumerate_level(level):
                 if any(x < f for x, f in zip(u, floor_vec)):
@@ -749,10 +730,7 @@ def extract_groupoid(
         g2 = dict(zip(a.dst.J, b.label))
         return Arrow(q, b.dst, tuple(g2[g1[l]] for l in q.J))
 
-    def identity_label(q: Quadruple):
-        return tuple(q.J)
-
-    groupoid = Groupoid.from_compose_fn(objects, arrows, compose_fn, identity_label)
+    groupoid = Groupoid.from_compose_fn(objects, arrows, compose_fn, lambda q: tuple(q.J))
     return ExtractedGroupoid(pres, e, analysis.t, groupoid, analysis)
 
 
@@ -773,7 +751,6 @@ def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) ->
     if level < 0:
         return 0
     hook = pres.count_equivalents
-    assert hook is not None
     if M.k < 2:  # a level of at most one point
         members = M.enumerate_level(level)
         if members:
@@ -799,11 +776,11 @@ class StratifiedPlan:
     """Everything of the stratified count that does not depend on n, for one
     presentation and one choice of (t, check_stability).
 
-    The strata are recorded as the counts reach them, memoised per count
-    set M and threshold t: the analysis (with its object cache), whether
-    its structure at t agrees with t + 1, and the peeled count set that
-    follows.  A stratum is still stability-checked only at an n where it is
-    occupied, so every n gets the threshold a fresh count would pick.
+    The strata are recorded as the counts reach them, one analysis per count
+    set M and threshold t; each keeps its own structure, fingerprint, level
+    terms and peeled count set.  A stratum is still stability-checked only
+    at an n where it is occupied, so every n gets the threshold a fresh
+    count would pick.
     """
 
     def __init__(
@@ -812,12 +789,15 @@ class StratifiedPlan:
         t: Optional[int],
         check_stability: bool,
     ):
+        if pres.count_equivalents is None:
+            raise TooLarge(
+                "the stratified route needs the presentation's count-vector shadow; "
+                "use mf_orbit_count_direct instead"
+            )
         self.pres = pres
         self.t = t
         self.check_stability = check_stability
         self._analyses: Dict[Tuple[DownwardClosedSet, int], StratumAnalysis] = {}
-        self._stable: Dict[Tuple[DownwardClosedSet, int], bool] = {}
-        self._peeled: Dict[Tuple[DownwardClosedSet, int], DownwardClosedSet] = {}
 
     def analysis(self, M: DownwardClosedSet, t: int) -> StratumAnalysis:
         key = (M, t)
@@ -825,19 +805,10 @@ class StratifiedPlan:
             self._analyses[key] = StratumAnalysis(self.pres, M, t)
         return self._analyses[key]
 
-    def stable(self, M: DownwardClosedSet, t: int) -> bool:
-        """Does the stratum's structure at t agree with that at t + 1?"""
-        key = (M, t)
-        if key not in self._stable:
-            self._stable[key] = (
-                self.analysis(M, t).fingerprint() == self.analysis(M, t + 1).fingerprint()
-            )
-        return self._stable[key]
-
     def calibrated(self, M: DownwardClosedSet, n: Optional[int] = None) -> StratumAnalysis:
         """The stratum's analysis at the threshold for n: from the default,
         doubled while the stratum is occupied at n (at every n when n is
-        None) and unstable."""
+        None) and its structure at t disagrees with that at t + 1."""
         s0 = self.pres.s0
         t0 = self.t if self.t is not None else max(default_threshold(M, s0), 2)
         t_cur = max(t0, minimum_threshold(M))
@@ -847,35 +818,29 @@ class StratifiedPlan:
                 n is not None and n - s0 < analysis.min_occupied_total()
             ):
                 return analysis
-            if self.stable(M, t_cur):
+            if analysis.fingerprint() == self.analysis(M, t_cur + 1).fingerprint():
                 return analysis
             if self.t is not None or 2 * t_cur > MAX_T:
                 raise Unstable(f"stratum unstable between t={t_cur} and t={t_cur + 1}")
             t_cur *= 2
 
-    def peeled(self, analysis: StratumAnalysis) -> DownwardClosedSet:
-        """The count set left once the stratum's classes are peeled: those
-        equivalent into the v-tilde cone leave it."""
-        key = (analysis.M, analysis.t)
-        if key not in self._peeled:
-            M = analysis.M
-            v_tilde = analysis.frame.v_tilde(analysis.t)
-
-            def member(beta: Vector) -> bool:
-                return M.membership(beta) and not analysis.cone_equivalent(beta, v_tilde)
-
-            # the shadow maps permute entries (up to bounded fuzz), so a
-            # minimal non-member can carry the cone's large entry in any
-            # coordinate: the cap box must be uniform
-            box = max(
-                max(v_tilde),
-                max((x for o in M.obstructions for x in o), default=0),
-            ) + 2
-            peeled = DownwardClosedSet(M.k, _learn_minimal_nonmembers(member, (box,) * M.k))
-            if set(peeled.obstructions) == set(M.obstructions):
-                raise Unstable("peel did not shrink the count set")
-            self._peeled[key] = peeled
-        return self._peeled[key]
+    def strata(self, n: int) -> Tuple[List[StratumAnalysis], DownwardClosedSet]:
+        """The strata counted at n, in peel order, and the count set left for
+        the tail.  The walk stops at a finite count set or at a stratum not
+        occupied at n: the shadow preserves word length, so no peel from that
+        or any deeper stratum (their cone levels only grow) can remove a
+        vector at level n - s0, and the classes left are countable now."""
+        strata: List[StratumAnalysis] = []
+        M = self.pres.countset
+        for _ in range(10000):
+            if M.is_finite():
+                return strata, M
+            analysis = self.calibrated(M, n)
+            if n - self.pres.s0 < analysis.min_occupied_total():
+                return strata, M
+            strata.append(analysis)
+            M = analysis.peeled()
+        raise Unstable("stratification did not terminate")
 
 
 # One plan per (presentation, options), so a sweep over n builds each
@@ -911,29 +876,8 @@ def mf_count_via_groupoid(
     presentation's count-vector shadow.  The n-independent work is kept in a
     plan per presentation and reused by later calls.
     """
-    if pres.count_equivalents is None:
-        raise TooLarge(
-            "groupoid-route counting needs a builtin presentation "
-            "(count-vector shadow); use mf_orbit_count_direct instead"
-        )
-    if n < pres.s0:
-        return 0
-    plan = _plan(pres, t, check_stability)
-    total = 0
-    M_cur = pres.countset
-    for _ in range(10000):
-        if M_cur.is_empty():
-            return total
-        analysis = None if M_cur.is_finite() else plan.calibrated(M_cur, n)
-        if analysis is None or n - pres.s0 < analysis.min_occupied_total():
-            # a finite count set, or a stratum not occupied at n: the shadow
-            # preserves word length, so no peel from this or any deeper
-            # stratum (their cone levels only grow) can remove a vector at
-            # this level, and the remaining classes are countable now
-            return total + _tail_count(pres, M_cur, n)
-        total += analysis.stratum_count(n)
-        M_cur = plan.peeled(analysis)
-    raise Unstable("stratification did not terminate")
+    strata, M = _plan(pres, t, check_stability).strata(n)
+    return sum(analysis.stratum_count(n) for analysis in strata) + _tail_count(pres, M, n)
 
 
 def strata_against_peels(
@@ -949,15 +893,9 @@ def strata_against_peels(
     plan = _plan(pres, None, True)
     rows = []
     for n in levels:
-        M = pres.countset
-        while not M.is_finite():
-            analysis = plan.calibrated(M, n)
-            if n - pres.s0 < analysis.min_occupied_total():
-                break
-            peeled = plan.peeled(analysis)
-            removed = _tail_count(pres, M, n) - _tail_count(pres, peeled, n)
+        for analysis in plan.strata(n)[0]:
+            removed = _tail_count(pres, analysis.M, n) - _tail_count(pres, analysis.peeled(), n)
             rows.append((n, analysis.t, analysis.stratum_count(n), removed))
-            M = peeled
     return rows
 
 

@@ -2,7 +2,7 @@ import dataclasses
 import random
 import tracemalloc
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, gcd
 
 import pytest
@@ -28,6 +28,7 @@ from widecount.functors.extraction import (
     _plan,
     _tail_count,
     analyze_pair,
+    compute_frame,
     extract_groupoid,
     mf_count_via_groupoid,
     strata_against_peels,
@@ -220,6 +221,50 @@ def test_default_thresholds_above_fill_level():
         assert mf_count_via_groupoid(words, n) == elementary_count(emf, n), n
 
 
+def _frame_brute_force(M):
+    """The calibration frame from its definition, through membership alone:
+    I is pumpable when M holds a vector exceeding every obstruction entry on
+    I and zero elsewhere, and a profile v0 off I blocks every obstruction
+    when v0 plus that vector lies in M."""
+    k = M.k
+    top = max((x for o in M.obstructions for x in o), default=0)
+    pumped = [
+        I
+        for size in range(k + 1)
+        for I in combinations(range(1, k + 1), size)
+        if M.membership(tuple(top + 1 if j in I else 0 for j in range(1, k + 1)))
+    ]
+    I = min(pumped, key=lambda I: (-len(I), I))
+    off = [j for j in range(1, k + 1) if j not in I]
+
+    def full(profile):
+        v = [top + 1 if j in I else 0 for j in range(1, k + 1)]
+        for j, x in zip(off, profile):
+            v[j - 1] = x
+        return tuple(v)
+
+    blocking = [p for p in product(range(top + 1), repeat=len(off)) if M.membership(full(p))]
+    profile = max(blocking, key=lambda p: (sum(p), p))
+    v0 = tuple(0 if j in I else x for j, x in enumerate(full(profile), start=1))
+    return I, v0, sum(v0)
+
+
+def test_compute_frame_against_its_definition():
+    rng = random.Random(5)
+    checked = 0
+    while checked < 300:
+        k = rng.randint(1, 5)
+        obstructions = [
+            tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(rng.randint(0, 4))
+        ]
+        M = DownwardClosedSet(k, obstructions)
+        if M.is_empty():
+            continue
+        frame = compute_frame(M)
+        assert (frame.I, frame.v0, frame.d_inf) == _frame_brute_force(M), M
+        checked += 1
+
+
 def test_relabelings_equal_sym_e_expansion():
     # I = {1}: two infrequent letters, so abar letters mix; s0 = 2 puts
     # distinct sigma0 indices among them
@@ -328,10 +373,19 @@ def test_extract_groupoid_takes_the_plan_calibration(label, t, arrows):
     assert len(eg.groupoid.arrows) == arrows
 
 
-def test_extract_groupoid_needs_the_shadow():
+@pytest.mark.parametrize(
+    "route",
+    [
+        pytest.param(mf_count_via_groupoid, id="mf_count_via_groupoid"),
+        pytest.param(lambda pres, n: extract_groupoid(pres, e=0), id="extract_groupoid"),
+        pytest.param(lambda pres, n: strata_against_peels(pres, [n]), id="strata_against_peels"),
+    ],
+)
+@pytest.mark.parametrize("n", [4, 25])  # the first stratum is occupied from n = 25
+def test_stratified_routes_need_the_shadow(route, n):
     pres = dataclasses.replace(roots_of_unity(2), count_equivalents=None)
     with pytest.raises(TooLarge, match="count-vector shadow"):
-        extract_groupoid(pres, e=0)
+        route(pres, n)
 
 
 def test_up_set_guard_rejects_a_calibrated_region_that_is_not_monotone(monkeypatch):
@@ -477,7 +531,7 @@ def test_tail_count_is_the_shadow_component_count(pres, n):
     plan = _plan(pres, None, True)
     analysis = plan.calibrated(pres.countset, n)
     assert n - pres.s0 == analysis.min_occupied_total()
-    for M in (pres.countset, plan.peeled(analysis)):
+    for M in (pres.countset, analysis.peeled()):
         betas = M.enumerate_level(n - pres.s0)
         on_level = set(betas)
         uf = UnionFind(betas)

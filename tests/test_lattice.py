@@ -341,7 +341,7 @@ def _tail_sized_sets():
         # n is the first length at which the first stratum is occupied
         pres = roots_of_unity(d)
         plan = _plan(pres, None, True)
-        yield f"roots{d}-peeled", plan.peeled(plan.calibrated(pres.countset, n))
+        yield f"roots{d}-peeled", plan.calibrated(pres.countset, n).peeled()
     rng = random.Random(11)
     for k in range(2, 6):
         for _ in range(3):

@@ -27,7 +27,13 @@ from .functors.elementary import (
     elementary_quasipolynomial,
 )
 from .functors.extraction import mf_count_via_groupoid, strata_against_peels
-from .functors.model import mf_orbit_count_direct, roots_of_unity, elementary_embedding
+from .functors.model import (
+    count_vector_blocks,
+    elementary_embedding,
+    mf_classes,
+    mf_orbit_count_direct,
+    roots_of_unity,
+)
 from .functors.precomponent import (
     PreComponentPresentation,
     planes_precomponent,
@@ -452,6 +458,16 @@ def _run_verify(args, report: RunReport) -> None:
         "stratum-vs-peel",
         len(peels) >= 15 and all(count == removed for _, _, count, removed in peels),
     )
+    # one seed class per orbit against every class's count-vector set
+    s3_words = elementary_embedding(
+        ElementaryModelFunctor(3, PermGroup.symmetric(3), DownwardClosedSet.full(3))
+    )
+    report.add_verdict("direct-vs-classes", all(
+        mf_orbit_count_direct(pres, n) == len(set(count_vector_blocks(
+            mf_classes(pres, n), lambda pair: pair.count_vector(pres.k)
+        ).values()))
+        for pres in (cube2, cube3, roots_of_unity(4), s3_words) for n in range(6)
+    ) and all(precomp_count(planes_precomponent(), n) == 1 for n in range(3, 9)))
     report.add_verdict("codes-direct-vs-burnside", all(
         count_codes_direct(2, m, n) == count_codes_burnside(2, m, n)
         for m in (1, 2) for n in range(2, 6)

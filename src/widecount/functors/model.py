@@ -6,17 +6,19 @@ word alpha over [k] on the remaining positions, whose letter counts lie in a
 downward-closed set.  Builtin presentations also expose the count-vector
 shadow of their oracle (the set of count vectors realized within one
 equivalence class), which powers the groupoid-based counting route.  The
-direct count groups explicit classes with the oracle and reads their
-Sym([n])-orbits off the count-vector sets they realize.
+direct count builds one seed class per Sym([n])-orbit and reads the orbit
+off the count vectors its class realizes (``seed_blocks``); ``mf_classes``
+still builds every class, as a reference.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import combinations, permutations
 from math import factorial, perm, prod
 from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from ..actions import NotAnAction, UnionFind, require, tick
 from ..lattice import DownwardClosedSet
@@ -24,6 +26,7 @@ from .elementary import ElementaryModelFunctor
 
 Vector = Tuple[int, ...]
 T = TypeVar("T")
+V = TypeVar("V")
 CLASS_BUDGET = 10**6
 CHECK_BUDGET = 3000
 
@@ -185,25 +188,12 @@ class ModelFunctorPresentation:
         )
         return words * perm(n, self.s0)
 
-    def shadow_key(self, pair: MFPair) -> object:
-        """The least count vector of the pair's class, 0 without a shadow:
+    def shadow_key(self, beta: Vector) -> object:
+        """The least count vector of beta's shadow, 0 without a shadow:
         constant on every class."""
         if self.count_equivalents is None:
             return 0
-        return min(self.count_equivalents(pair.count_vector(self.k)))
-
-    def shadow_keys(self) -> Callable[[MFPair], object]:
-        """``shadow_key`` asking the shadow once per count vector, since
-        ``count_equivalents`` is a function of the vector alone."""
-        keys: Dict[Vector, object] = {}
-
-        def key(pair: MFPair) -> object:
-            beta = pair.count_vector(self.k)
-            if beta not in keys:
-                keys[beta] = self.shadow_key(pair)
-            return keys[beta]
-
-        return key
+        return min(self.count_equivalents(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +201,40 @@ class ModelFunctorPresentation:
 # ---------------------------------------------------------------------------
 
 
+def bucketed(
+    items: Iterable[T], vector: Callable[[T], V], key: Callable[[V], object]
+) -> Dict[object, List[Tuple[T, V]]]:
+    """The items with their count vectors, bucketed by ``key`` of the count
+    vector, asked once per vector.  ``key`` must be constant on classes, so
+    no class crosses two buckets."""
+    keys: Dict[V, object] = {}
+    buckets: Dict[object, List[Tuple[T, V]]] = {}
+    for item in items:
+        beta = vector(item)
+        if beta not in keys:
+            keys[beta] = key(beta)
+        buckets.setdefault(keys[beta], []).append((item, beta))
+    return buckets
+
+
 def group_in_buckets(
-    items: Iterable[T], key: Callable[[T], object], same: Callable[[T, T], bool]
+    items: Iterable[T],
+    vector: Callable[[T], V],
+    key: Callable[[V], object],
+    same: Callable[[T, T], bool],
 ) -> List[List[T]]:
     """The classes of the equivalence ``same`` on the items, each item
     grouped against the class representatives of its own bucket only.
 
-    ``key`` must be constant on classes, so no class crosses two buckets.
-    Buckets are visited in sorted key order, and within one the classes
-    come in the order of their first member.  Grouping against
+    Buckets (``bucketed``) are visited in sorted key order, and within one
+    the classes come in the order of their first member.  Grouping against
     representatives relies on ``same`` being transitive.
     """
-    buckets: Dict[object, List[T]] = {}
-    for item in items:
-        buckets.setdefault(key(item), []).append(item)
+    buckets = bucketed(items, vector, key)
     classes: List[List[T]] = []
     for bucket_key in sorted(buckets):
         bucket_classes: List[List[T]] = []
-        for item in buckets[bucket_key]:
+        for item, _ in buckets[bucket_key]:
             tick()
             for cls in bucket_classes:
                 if same(item, cls[0]):
@@ -244,20 +250,22 @@ def mf_classes(pres: ModelFunctorPresentation, n: int) -> List[List[MFPair]]:
     """The equivalence classes of F([n]) by oracle grouping.
 
     The bucketed grouping of ``group_in_buckets``, with the least count
-    vector of the shadow (``shadow_key``, once per count vector) as the
-    bucket.  Transitivity of the oracle is a presentation invariant (see
-    check_equivalence).
+    vector of the shadow (``shadow_key``) as the bucket.  Transitivity of
+    the oracle is a presentation invariant (see check_equivalence).
     """
     require(pres.pair_count(n), CLASS_BUDGET, f"|F([{n}])|")
-    return group_in_buckets(pres.pairs(n), pres.shadow_keys(), partial(pres.eq, n))
+    k = pres.k
+    return group_in_buckets(
+        pres.pairs(n), lambda pair: pair.count_vector(k), pres.shadow_key, partial(pres.eq, n)
+    )
 
 
 def count_vector_blocks(classes: Iterable[Sequence[T]], key: Callable[[T], object]) -> Dict:
-    """Each item's key mapped to its class's key set.  Sym([n]) is transitive
-    on the pairs with one count vector, so for an equivariant oracle two
-    classes are translates exactly when their count-vector sets meet, and
-    then the sets are equal: the orbits are the distinct sets.  Sets that
-    meet but differ raise NotAnAction."""
+    """Each item's key mapped to its class's key set, from every class: the
+    reference for ``seed_blocks``.  For an equivariant oracle two classes are
+    translates exactly when their count-vector sets meet, and then the sets
+    are equal: the orbits are the distinct sets.  Sets that meet but differ
+    raise NotAnAction."""
     block_of: Dict = {}
     for cls in classes:
         tick()
@@ -268,10 +276,76 @@ def count_vector_blocks(classes: Iterable[Sequence[T]], key: Callable[[T], objec
     return block_of
 
 
+def seed_blocks(
+    items: Iterable[T],
+    vector: Callable[[T], V],
+    key: Callable[[V], object],
+    same: Callable[[T, T], bool],
+) -> List[Tuple[T, Optional[T]]]:
+    """One (seed, witness) per Sym([n])-orbit of the classes of ``same``.
+
+    Sym([n]) is transitive on the items with one count vector, so the class
+    of any one item fixes its orbit's block: the count vectors its members
+    realize.  In each bucket (``bucketed``) the first item whose count
+    vector beta has no block is a seed.  It is compared with every item of
+    its bucket, one ``same`` call each, and the count vectors of its class,
+    with their multiplicities ``met``, are the block.  The witness is the
+    first item of count vector beta outside the seed's class, None when the
+    class holds them all.
+
+    By orbit-stabiliser every class of an orbit holds the same number of
+    items of each count vector.  So NotAnAction, naming beta, is raised
+    when the block meets an earlier one, when the bucket does not hold one
+    multiple r of ``met`` for each count vector of the block, or when the
+    witness's class meets other numbers: a check at one more bucket pass
+    per block, without building every class.
+    """
+    def refuse(beta: V, why: str) -> NotAnAction:
+        return NotAnAction(f"eq is not Sym([n])-equivariant at the count vector {beta}: {why}")
+
+    blocks: List[Tuple[T, Optional[T]]] = []
+    for bucket in bucketed(items, vector, key).values():
+        sizes = Counter(beta for _, beta in bucket)
+        blocked: Set[V] = set()
+
+        def members(x: T) -> Set[int]:
+            found = set()
+            for i, (y, _) in enumerate(bucket):
+                tick()
+                if y is x or same(x, y):
+                    found.add(i)
+            return found
+
+        for seed, beta in bucket:
+            if beta in blocked:
+                continue
+            inside = members(seed)
+            met = Counter(bucket[i][1] for i in inside)
+            if not blocked.isdisjoint(met):
+                raise refuse(beta, "its block meets another")
+            r = sizes[beta] // met[beta]
+            if any(sizes[gamma] != r * count for gamma, count in met.items()):
+                raise refuse(beta, "its class does not divide the bucket evenly")
+            witness = None
+            if r > 1:
+                witness = next(
+                    y for i, (y, gamma) in enumerate(bucket) if gamma == beta and i not in inside
+                )
+                if Counter(bucket[i][1] for i in members(witness)) != met:
+                    raise refuse(beta, "a translate of its class meets other count vectors")
+            blocked.update(met)
+            blocks.append((seed, witness))
+    return blocks
+
+
 def mf_orbit_count_direct(pres: ModelFunctorPresentation, n: int) -> int:
-    """Number of Sym([n])-orbits on F([n]) / ~, via explicit classes."""
-    blocks = count_vector_blocks(mf_classes(pres, n), lambda pair: pair.count_vector(pres.k))
-    return len(set(blocks.values()))
+    """Number of Sym([n])-orbits on F([n]) / ~, one seed class per orbit
+    (``seed_blocks``)."""
+    require(pres.pair_count(n), CLASS_BUDGET, f"|F([{n}])|")
+    k = pres.k
+    return len(seed_blocks(
+        pres.pairs(n), lambda pair: pair.count_vector(k), pres.shadow_key, partial(pres.eq, n)
+    ))
 
 
 def _equivalence_classes(

@@ -6,25 +6,21 @@ quasi-order must satisfy the three compatibility properties (checked
 exhaustively at small n): comparability respects the functor order, its
 restriction to one functor is that functor's equivalence, and it is
 preserved by pull-backs covering both concealed images.  Orbits of maximal
-classes are read off their (functor index, count vector) sets.
+classes are counted from one seed class per block of (functor index, count
+vector), as the direct count of a model functor is (``seed_blocks``).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import permutations
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..actions import NotAnAction, require, tick
 from ..lattice import DownwardClosedSet
 from ..quasipoly import FittedQuasipolynomial, fit
-from .model import (
-    MFPair,
-    ModelFunctorPresentation,
-    apply_injection,
-    count_vector_blocks,
-    group_in_buckets,
-    trivial_presentation,
-)
+from .model import MFPair, ModelFunctorPresentation, apply_injection, seed_blocks, trivial_presentation
 
 Item = Tuple[int, MFPair]
 PrecOrder = Callable[[int, Item, Item], bool]
@@ -120,48 +116,42 @@ class CompatibilityReport:
         return self.failures[0] if self.failures else None
 
 
-def _maximal_classes(pc: PreComponentPresentation, n: int) -> Tuple[List[List[Item]], List[int]]:
-    """The classes of mutual comparability, by the bucketed grouping that
-    ``mf_classes`` uses, and the indices of the maximal ones.
-
-    A class lies inside one functor (compatibility (1)) and is one of that
-    functor's equivalence classes (compatibility (2)), so the functor index
-    with the functor's shadow key buckets the items.  The same two
-    properties decide domination: x <= y forces b_x <= b_y, and inside one
-    functor the order is that functor's equivalence, so a class can only be
-    strictly dominated by a class of a later functor, and any comparability
-    with one is strict."""
-    require(pc.item_count(n), ITEM_BUDGET, f"items on [{n}]")
-    keys = [pres.shadow_keys() for pres in pc.functors]
-    classes = group_in_buckets(
-        pc.items(n),
-        lambda item: (item[0], keys[item[0] - 1](item[1])),
-        lambda x, y: pc.preceq(n, x, y) and pc.preceq(n, y, x),
-    )
-    reps = [cls[0] for cls in classes]
-    maximal = []
-    for idx, rep in enumerate(reps):
-        tick()
-        if not any(pc.preceq(n, rep, other) for other in reps if other[0] > rep[0]):
-            maximal.append(idx)
-    return classes, maximal
-
-
 def precomp_count(pc: PreComponentPresentation, n: int) -> int:
     """Number of Sym([n])-orbits on the maximal classes of the quasi-order.
-    Sym permutes the maximal classes among themselves, so an orbit of
-    classes that holds a maximal and a non-maximal class raises NotAnAction."""
-    classes, maximal = _maximal_classes(pc, n)
 
-    def key(item: Item) -> Tuple[int, Tuple[int, ...]]:
-        return item[0], item[1].count_vector(pc.functors[item[0] - 1].k)
+    The orbits of classes come from ``seed_blocks``, one seed per block of
+    (functor index, count vector).  A class lies inside one functor
+    (compatibility (1)) and is one of that functor's equivalence classes
+    (compatibility (2)), so the functor index with the functor's shadow key
+    buckets the items, and mutual comparability is the class test.  The
+    same two properties decide domination: x <= y forces b_x <= b_y, and
+    inside one functor the order is that functor's equivalence, so a class
+    is maximal when its seed is below no item of a later functor.  Sym
+    permutes the maximal classes among themselves, so a block whose witness
+    gets another verdict than its seed raises NotAnAction."""
+    require(pc.item_count(n), ITEM_BUDGET, f"items on [{n}]")
+    items = pc.items(n)
+    functors = pc.functors
+    blocks = seed_blocks(
+        items,
+        lambda item: (item[0], item[1].count_vector(functors[item[0] - 1].k)),
+        lambda gamma: (gamma[0], functors[gamma[0] - 1].shadow_key(gamma[1])),
+        lambda x, y: pc.preceq(n, x, y) and pc.preceq(n, y, x),
+    )
 
-    block_of = count_vector_blocks(classes, key)
-    blocks = [block_of[key(cls[0])] for cls in classes]
-    maximal_blocks = {blocks[idx] for idx in maximal}
-    if sum(block in maximal_blocks for block in blocks) != len(maximal):
-        raise NotAnAction("symmetry moved a maximal class to a non-maximal one")
-    return len(maximal_blocks)
+    def maximal(x: Item) -> bool:
+        # items come functor by functor
+        tick()
+        later = items[bisect_right(items, x[0], key=itemgetter(0)):]
+        return not any(pc.preceq(n, x, y) for y in later)
+
+    count = 0
+    for seed, witness in blocks:
+        verdict = maximal(seed)
+        if witness is not None and maximal(witness) != verdict:
+            raise NotAnAction("symmetry moved a maximal class to a non-maximal one")
+        count += verdict
+    return count
 
 
 def precomp_quasipolynomial(

@@ -27,6 +27,7 @@ TREE_BRUTE_LIMIT = 9
 RANK_CELL_BUDGET = 10**8
 RANK_STATE_BUDGET = 10**6
 RANK_CHOICE_BUDGET = 10**4
+RANK_INTEGER_BUDGET = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +291,9 @@ def fixed_rank_orbit_counts(
     are constant on its cell orbits.  They are counted per rank by a dynamic
     programme over rows (`_fixed_rank_histogram`) that keeps one count per
     reduced state rather than listing the matrices, so no fixed matrix is
-    ranked on its own.  The cap bounds what the programme keeps: the reduced
-    states of one row, and the value choices it expands one state into.
+    ranked on its own.  The caps bound what the programme keeps: the reduced
+    states of one row, the integers their keys can hold, and the value
+    choices it expands one state into.
     """
     symmetric = _is_symmetric(shape, n)
     entry_list = sorted({Fraction(e) for e in entries})
@@ -365,6 +367,11 @@ def _fixed_rank_histogram(
             [(a - r, alive.index(tuple(vec))) for (o, a), vec in indicator.items() if o == k]
             for k, f in enumerate(first) if f == r
         ]
+        # a key of the next row holds at most n coordinates for each later
+        # row and each block still alive (none after the last row)
+        width = (n - r - 1 + len(alive) - drop) * n
+        integer_cap = RANK_INTEGER_BUDGET // max(width, 1)
+        integers = f"reduced rank states of {width} integers"
         nxt: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         for (rank, flat), count in states.items():
             tick()
@@ -411,6 +418,7 @@ def _fixed_rank_histogram(
                 key = (key_rank, tuple(rest))
                 nxt[key] = nxt.get(key, 0) + count
             require(len(nxt), RANK_STATE_BUDGET, "reduced rank states")
+            require(len(nxt), integer_cap, integers)
         states = nxt
     return hist if n else [1]  # the 0 x 0 matrix, of rank 0
 

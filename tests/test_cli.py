@@ -193,7 +193,8 @@ def test_verify_suite(capsys):
     assert code == 0
     assert data["verdict"] == "pass"
     checks = {c["check"] for c in data["checks"]}
-    assert {"closed-forms-exact", "stratum-vs-peel", "rank-brute"} <= checks and len(checks) == 10
+    assert {"closed-forms-exact", "stratum-vs-peel", "rank-brute", "direct-vs-classes"} <= checks
+    assert len(checks) == 11
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from functools import partial
 from math import comb, gcd
 
 import pytest
@@ -14,10 +15,12 @@ from widecount.functors.model import (
     broken_axiom3_presentation,
     broken_symmetry_presentation,
     check_equivalence,
+    count_vector_blocks,
     elementary_embedding,
     mf_classes,
     mf_orbit_count_direct,
     roots_of_unity,
+    seed_blocks,
     trivial_presentation,
     verify_axioms,
 )
@@ -124,6 +127,148 @@ def test_direct_count_refuses_an_oracle_that_is_not_equivariant():
     assert mf_orbit_count_direct(pres, 1) == 2
     with pytest.raises(NotAnAction, match=r"\(1, 1\)"):
         mf_orbit_count_direct(pres, 2)
+
+
+def _class_route(pres, n):
+    """The orbit count from every class: the distinct count-vector sets."""
+    blocks = count_vector_blocks(mf_classes(pres, n), lambda pair: pair.count_vector(pres.k))
+    return len(set(blocks.values()))
+
+
+def _s3_words():
+    return elementary_embedding(
+        ElementaryModelFunctor(3, PermGroup.symmetric(3), DownwardClosedSet.full(3))
+    )
+
+
+def _c3_words_obstructed():
+    return elementary_embedding(
+        ElementaryModelFunctor(
+            3, PermGroup.cyclic(3), DownwardClosedSet(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "build, n_max",
+    [
+        (lambda: roots_of_unity(2), 8),
+        (lambda: roots_of_unity(3), 6),
+        (lambda: roots_of_unity(4), 5),
+        (lambda: roots_of_unity(5), 5),
+        (_s3_words, 7),
+        (_c3_words_obstructed, 7),
+        (lambda: trivial_presentation(2), 6),
+        (lambda: trivial_presentation(2, s0=1), 5),
+        (lambda: trivial_presentation(1, s0=2), 6),
+    ],
+    ids=["roots2", "roots3", "roots4", "roots5", "S3-words", "C3-words-obstructed",
+         "trivial-k2", "trivial-k2-s1", "trivial-k1-s2"],
+)
+def test_seed_route_equals_the_class_route(build, n_max):
+    pres = build()
+    for n in range(n_max + 1):
+        assert mf_orbit_count_direct(pres, n) == _class_route(pres, n), n
+
+
+@pytest.mark.parametrize(
+    "n, joined, message",
+    [
+        # {12, 22} holds one (1, 1) word of two but the only (0, 2) word
+        (2, {(1, 2), (2, 2)}, r"\(1, 1\): its class does not divide the bucket evenly"),
+        # {112, 122} has the right numbers for the block {(2, 1), (1, 2)},
+        # but its translate 121 is alone
+        (3, {(1, 1, 2), (1, 2, 2)}, r"\(2, 1\): a translate of its class meets other"),
+        # 112 and its translate 121 are alone, so (2, 1) is a block of its
+        # own, which the class {122, 211} meets
+        (3, {(2, 1, 1), (1, 2, 2)}, r"\(1, 2\): its block meets another"),
+    ],
+    ids=["sizes", "witness", "meet"],
+)
+def test_seed_route_names_the_seed_count_vector(n, joined, message):
+    # eq joins two words of length n and nothing else
+    pres = dataclasses.replace(
+        trivial_presentation(2),
+        eq=lambda m, a, b: a == b or (m == n and {a.alpha, b.alpha} == joined),
+        count_equivalents=None,
+    )
+    assert mf_orbit_count_direct(pres, n - 1) == _class_route(pres, n - 1) == n
+    with pytest.raises(NotAnAction, match=message):
+        mf_orbit_count_direct(pres, n)
+    with pytest.raises(NotAnAction):
+        _class_route(pres, n)
+
+
+def _partition_presentation(rng):
+    """A trivial presentation whose eq is a random partition of a small
+    F([n]): random labels, or equality with one to three classes merged."""
+    k, s0 = rng.randint(1, 3), rng.randint(0, 1)
+    n = rng.randint(s0, s0 + (5 if k == 1 else 3 if k == 2 else 2))
+    base = trivial_presentation(k, s0=s0)
+    pairs = list(base.pairs(n))
+    if rng.random() < 0.5:
+        parts = rng.randint(1, len(pairs))
+        label = {pair: rng.randrange(parts) for pair in pairs}
+    else:
+        label = {pair: i for i, pair in enumerate(pairs)}
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(pairs), rng.choice(pairs)
+            label = {p: label[a] if part == label[b] else part for p, part in label.items()}
+    pres = dataclasses.replace(
+        base, eq=lambda m, a, b: label[a] == label[b], count_equivalents=None
+    )
+    return pres, n
+
+
+def _count_or_refusal(route, pres, n):
+    try:
+        return route(pres, n)
+    except NotAnAction:
+        return None
+
+
+def test_seed_route_agrees_wherever_neither_route_refuses():
+    # each route refuses some partitions the other accepts; where neither
+    # refuses, the counts agree
+    rng = random.Random(21)
+    compared = 0
+    for _ in range(4000):
+        pres, n = _partition_presentation(rng)
+        seeds = _count_or_refusal(mf_orbit_count_direct, pres, n)
+        classes = _count_or_refusal(_class_route, pres, n)
+        if seeds is not None and classes is not None:
+            assert seeds == classes
+            compared += 1
+    assert compared > 2000
+
+
+def test_seed_route_asks_eq_a_few_times_per_pair():
+    # a pass over the bucket for each seed and for each witness: 2 031
+    # calls for the 1 024 pairs, where grouping each pair against every
+    # class representative of its bucket asked 21 224 times
+    base = roots_of_unity(2)
+    calls = []
+
+    def eq(n, a, b):
+        calls.append(n)
+        return base.eq(n, a, b)
+
+    pres = dataclasses.replace(base, eq=eq)
+    assert mf_orbit_count_direct(pres, 8) == cube_formula(2, 8)
+    assert len(calls) <= 3 * pres.pair_count(8)
+
+
+def test_seed_blocks_name_a_seed_and_a_witness_per_orbit():
+    pres = roots_of_unity(3)
+    for n in range(1, 6):
+        blocks = seed_blocks(
+            pres.pairs(n), lambda pair: pair.count_vector(3), pres.shadow_key, partial(pres.eq, n)
+        )
+        assert len(blocks) == cube_formula(3, n)
+        for seed, witness in blocks:
+            if witness is not None:
+                assert witness.count_vector(3) == seed.count_vector(3)
+                assert not pres.eq(n, seed, witness)
 
 
 def test_no_pairs_below_s0():

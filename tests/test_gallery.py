@@ -328,6 +328,16 @@ def test_budget_only_tightens_the_rank_cap():
         fixed_rank_orbit_counts_brute([0, 1], 4, "symmetric")
 
 
+def test_integer_cap_bounds_what_a_row_stores(monkeypatch):
+    # {0,1} general at n = 5 keeps at most 53 610 integers in a row, by the
+    # bound of states times the longest key: within the default cap, over
+    # a cap of 10^4
+    assert fixed_rank_orbit_counts([0, 1], 5, "general")
+    monkeypatch.setattr(gallery, "RANK_INTEGER_BUDGET", 10**4)
+    with pytest.raises(TooLarge, match=r"reduced rank states of \d+ integers: \d+ exceeds the budget"):
+        fixed_rank_orbit_counts([0, 1], 5, "general")
+
+
 def _brute_histogram(images, symmetric, entries):
     """Every matrix constant on the cell orbits of `images`, ranked one by
     one by exact rational elimination."""

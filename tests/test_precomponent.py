@@ -3,10 +3,12 @@ import pytest
 from widecount.actions import NotAnAction, PermGroup, TooLarge, budget
 from widecount.functors.elementary import ElementaryModelFunctor
 from widecount.functors.model import (
+    count_vector_blocks,
     elementary_embedding,
     group_in_buckets,
     mf_orbit_count_direct,
     roots_of_unity,
+    seed_blocks,
     trivial_presentation,
 )
 from widecount.functors.precomponent import (
@@ -43,8 +45,16 @@ def test_grouping_compares_within_shadow_buckets():
     assert len(calls) < 363136
 
 
+def _vector(pc):
+    return lambda item: (item[0], item[1].count_vector(pc.functors[item[0] - 1].k))
+
+
+def _key(pc):
+    return lambda gamma: (gamma[0], pc.functors[gamma[0] - 1].shadow_key(gamma[1]))
+
+
 def test_single_functor_domination_asks_nothing():
-    # the grouping alone: with one functor no class can dominate another
+    # the seed grouping alone: with one functor no class can dominate another
     pres = roots_of_unity(2)
     calls = []
 
@@ -56,12 +66,25 @@ def test_single_functor_domination_asks_nothing():
     assert precomp_count(pc, 9) == mf_orbit_count_direct(pres, 9)
     counted = len(calls)
     calls.clear()
-    group_in_buckets(
-        pc.items(9),
-        lambda item: (item[0], pres.shadow_key(item[1])),
-        lambda x, y: preceq(9, x, y) and preceq(9, y, x),
-    )
+    seed_blocks(pc.items(9), _vector(pc), _key(pc), lambda x, y: preceq(9, x, y) and preceq(9, y, x))
     assert counted == len(calls)
+
+
+def _class_route(pc, n):
+    """The count from every class: bucketed grouping, domination against
+    every later class representative, orbits as count-vector blocks."""
+    vector = _vector(pc)
+    classes = group_in_buckets(
+        pc.items(n), vector, _key(pc), lambda x, y: pc.preceq(n, x, y) and pc.preceq(n, y, x)
+    )
+    reps = [cls[0] for cls in classes]
+    maximal = [not any(pc.preceq(n, rep, y) for y in reps if y[0] > rep[0]) for rep in reps]
+    block_of = count_vector_blocks(classes, vector)
+    blocks = [block_of[vector(rep)] for rep in reps]
+    maximal_blocks = {block for block, top in zip(blocks, maximal) if top}
+    if sum(block in maximal_blocks for block in blocks) != sum(maximal):
+        raise NotAnAction("symmetry moved a maximal class to a non-maximal one")
+    return len(maximal_blocks)
 
 
 def _dominated_pair():
@@ -84,6 +107,31 @@ def test_dominated_functor_drops_out():
     pc, high = _dominated_pair()
     for n in range(6):
         assert precomp_count(pc, n) == mf_orbit_count_direct(high, n)
+
+
+@pytest.mark.parametrize(
+    "build, n_max",
+    [
+        (lambda: PreComponentPresentation.from_single(roots_of_unity(2)), 7),
+        (lambda: PreComponentPresentation.from_single(roots_of_unity(3)), 5),
+        (lambda: PreComponentPresentation.from_single(elementary_embedding(
+            ElementaryModelFunctor(3, PermGroup.symmetric(3), DownwardClosedSet.full(3))
+        )), 6),
+        (lambda: PreComponentPresentation.from_single(elementary_embedding(
+            ElementaryModelFunctor(
+                3, PermGroup.cyclic(3), DownwardClosedSet(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+            )
+        )), 6),
+        (lambda: PreComponentPresentation.from_single(trivial_presentation(2, s0=1)), 4),
+        (lambda: _dominated_pair()[0], 5),
+        (planes_precomponent, 8),
+    ],
+    ids=["roots2", "roots3", "S3-words", "C3-words-obstructed", "trivial-k2-s1", "dominated", "planes"],
+)
+def test_seed_route_equals_the_class_route(build, n_max):
+    pc = build()
+    for n in range(n_max + 1):
+        assert precomp_count(pc, n) == _class_route(pc, n), n
 
 
 def test_planes_counts_one():
@@ -150,3 +198,4 @@ def test_a_block_that_is_partly_maximal_is_refused():
     assert precomp_count(pc, 1) == 2
     with pytest.raises(NotAnAction, match="symmetry moved a maximal class to a non-maximal one"):
         precomp_count(pc, 2)
+

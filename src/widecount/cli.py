@@ -434,10 +434,10 @@ def _run_verify(args, report: RunReport) -> None:
         form = elementary_quasipolynomial(emf)
         lo, hi = form.validated_range
         exact = exact and all(form(n) == elementary_count(emf, n) for n in [*range(lo, hi + 1), 10**4])
-    for q in (2, 3):
-        form = codes_quasipolynomial(q, 2, 0)
+    for q, m in ((2, 2), (3, 2), (2, 3)):
+        form = codes_quasipolynomial(q, m, 0)
         span = range(2 * form.validated_range[1] + 1)
-        exact = exact and all(form(n) == count_codes_burnside(q, 2, n) for n in [*span, 10**3])
+        exact = exact and all(form(n) == count_codes_burnside(q, m, n) for n in [*span, 10**3])
     report.add_verdict("closed-forms-exact", exact)
     report.add_verdict("cube-brute", all(
         gallery.cube_orbit_count(d, n) == gallery.cube_orbit_count_brute(d, n)
@@ -470,7 +470,7 @@ def _run_verify(args, report: RunReport) -> None:
     ) and all(precomp_count(planes_precomponent(), n) == 1 for n in range(3, 9)))
     report.add_verdict("codes-direct-vs-burnside", all(
         count_codes_direct(2, m, n) == count_codes_burnside(2, m, n)
-        for m in (1, 2) for n in range(2, 6)
+        for m, ns in ((1, range(2, 6)), (2, range(2, 6)), (3, range(3, 7))) for n in ns
     ))
     rank_sets = [([0, 1], "symmetric"), ([0, 1, 2], "symmetric"), ([-1, 0, 1], "symmetric"),
                  ([0, Fraction(1, 2), 1], "symmetric"), ([0, 1], "general")]

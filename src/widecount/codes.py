@@ -8,16 +8,23 @@ the projective semilinear group (with zero) on spanning multisets, which
 both the direct canonical-form route and the orbit-counting route use.
 A base change moves any m independent columns to e1..em, so the direct
 route lists only the multisets holding e1..em, each of which spans.
+
+One construction serves every dimension m: GL(m, q) is listed row by row
+and the subspaces of F_q^m are grown one projective point at a time.  Both
+routes are guarded before anything is listed, through ``require``:
+|GL(m, q)| against MAX_GROUP_ORDER, and |GammaL(m, q)| times the subspaces
+(orbit counting) or times the anchored multisets (direct route) against
+MAX_CANONICAL_OPS.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement, product
-from math import comb
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache, reduce
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, prod
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .actions import TooLarge, require, tick
+from .actions import MAX_CANONICAL_OPS, MAX_GROUP_ORDER, require, tick
 from .lattice import denumerant, terms_quasipolynomial
 # fit is not called here; the benchmark's traced run wraps it at this module
 from .quasipoly import FittedQuasipolynomial, fit  # noqa: F401
@@ -44,7 +51,7 @@ class FiniteField:
 
     def __init__(self, q: int):
         factorization = _prime_power(q)
-        if factorization is None or q > 9:
+        if factorization is None:
             raise ValueError(f"q must be a prime power <= 9, got {q}")
         self.q = q
         self.p, self.f = factorization
@@ -98,34 +105,20 @@ class FiniteField:
         return out
 
     def _validate(self) -> None:
-        q = self.q
-        rng = range(q)
-        for a in rng:
-            if self.add_table[a][0] != a or self.mul_table[a][1] != a:
-                raise AssertionError("identity axioms fail")
-            if self.mul_table[a][0] != 0:
-                raise AssertionError("zero absorbs fails")
-        for a in rng:
-            for b in rng:
-                if self.add_table[a][b] != self.add_table[b][a]:
-                    raise AssertionError("addition not commutative")
-                if self.mul_table[a][b] != self.mul_table[b][a]:
-                    raise AssertionError("multiplication not commutative")
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if self.add_table[self.add_table[a][b]][c] != self.add_table[a][self.add_table[b][c]]:
-                        raise AssertionError("addition not associative")
-                    if self.mul_table[self.mul_table[a][b]][c] != self.mul_table[a][self.mul_table[b][c]]:
-                        raise AssertionError("multiplication not associative")
-                    lhs = self.mul_table[a][self.add_table[b][c]]
-                    rhs = self.add_table[self.mul_table[a][b]][self.mul_table[a][c]]
-                    if lhs != rhs:
-                        raise AssertionError("distributivity fails")
-        # Frobenius is a field automorphism of order f
-        automorphisms = self.automorphisms()
-        if len(automorphisms) != self.f:
-            raise AssertionError("automorphism count is not f")
+        rng, add, mul = range(self.q), self.add_table, self.mul_table
+        for axiom, holds in (
+            ("identity and zero", all(add[a][0] == a and mul[a][1] == a and mul[a][0] == 0 for a in rng)),
+            ("commutativity", all(add[a][b] == add[b][a] and mul[a][b] == mul[b][a] for a in rng for b in rng)),
+            ("associativity and distributivity", all(
+                add[add[a][b]][c] == add[a][add[b][c]] and mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                and mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+                for a in rng for b in rng for c in rng
+            )),
+            # Frobenius is a field automorphism of order f
+            ("an automorphism group of order f", len(self.automorphisms()) == self.f),
+        ):
+            if not holds:
+                raise AssertionError(f"{axiom} fails")
 
     def add(self, a, b):
         return self.add_table[a][b]
@@ -155,15 +148,9 @@ class FiniteField:
 
 
 def _prime_power(q: int) -> Optional[Tuple[int, int]]:
-    for p in (2, 3, 5, 7):
-        if q % p == 0:
-            f = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                f += 1
-            return (p, f) if m == 1 else None
-    return None
+    """(p, f) with q = p^f <= 9 for a prime p; None for every other q,
+    q < 2 included."""
+    return next(((p, f) for p in (2, 3, 5, 7) for f in (1, 2, 3) if p**f == q <= 9), None)
 
 
 @lru_cache(maxsize=None)
@@ -280,22 +267,42 @@ def alphabet_size(q: int, m: int) -> int:
     return 1 + (q**m - 1) // (q - 1)
 
 
+def _semilinear_order(q: int, m: int) -> int:
+    """f * |GL(m, q)|, the number of maps semilinear_point_maps lists, with
+    |GL(m, q)| = prod (q^m - q^i) checked against the group cap."""
+    f = field(q).f
+    order = prod(q**m - q**i for i in range(m))
+    require(order, MAX_GROUP_ORDER, f"|GL({m}, {q})|")
+    return f * order
+
+
+def _span(F: FiniteField, m: int, vectors: Iterable[Vector]) -> Set[Vector]:
+    """Every linear combination of the vectors, in F_q^m."""
+    span = {(0,) * m}
+    for vec in vectors:
+        span = {tuple(F.add(x, F.mul(c, y)) for x, y in zip(u, vec)) for u in span for c in range(F.q)}
+    return span
+
+
 @lru_cache(maxsize=None)
 def gl_elements(q: int, m: int) -> Tuple[Tuple[Vector, ...], ...]:
-    """All invertible m x m matrices (tuples of rows) over F_q, m <= 2."""
+    """All invertible m x m matrices (tuples of rows) over F_q, listed row by
+    row: each row is a vector outside the span of the rows before it, so the
+    matrices come in lexicographic order."""
+    _semilinear_order(q, m)
     F = field(q)
-    if m == 0:
-        return ((),)  # the empty matrix, identity of the zero space
-    if m == 1:
-        return tuple(((a,),) for a in range(1, q))
-    if m == 2:
-        out = []
-        for a, b, c, d in product(range(q), repeat=4):
-            det = F.sub(F.mul(a, d), F.mul(b, c))
-            if det:
-                out.append(((a, b), (c, d)))
-        return tuple(out)
-    raise TooLarge("explicit general linear groups are enumerated for m <= 2 only")
+    vectors = list(product(range(q), repeat=m))
+    matrices: List[Tuple[Vector, ...]] = [()]
+    for _ in range(m):
+        grown = []
+        for rows in matrices:
+            span = _span(F, m, rows)
+            for vec in vectors:
+                if vec not in span:
+                    tick()
+                    grown.append(rows + (vec,))
+        matrices = grown
+    return tuple(matrices)
 
 
 @lru_cache(maxsize=None)
@@ -307,24 +314,12 @@ def semilinear_point_maps(q: int, m: int) -> Tuple[Tuple[int, ...], ...]:
     pts = projective_points(q, m)
     maps = []
     for phi in F.automorphisms():
+        twisted = [tuple(phi[x] for x in vec) for vec in pts.reps]
         for A in gl_elements(q, m):
-            table = [0] * (pts.k + 1)
-            for idx in range(1, pts.k + 1):
-                vec = pts.rep(idx)
-                twisted = tuple(phi[x] for x in vec)
-                image = tuple(
-                    _dot(F, row, twisted) for row in A
-                )
-                table[idx] = pts.index_of(image)
-            maps.append(tuple(table))
+            tick()
+            images = (tuple(reduce(F.add, map(F.mul, row, vec), 0) for row in A) for vec in twisted)
+            maps.append((0,) + tuple(map(pts.index_of, images)))
     return tuple(maps)
-
-
-def _dot(F: FiniteField, row: Vector, vec: Vector) -> int:
-    acc = 0
-    for a, b in zip(row, vec):
-        acc = F.add(acc, F.mul(a, b))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +331,7 @@ def canonical_point_multiset(code: LinearCode) -> Tuple[int, ...]:
     """The lexicographically least image of the column point multiset under
     the semilinear group; equal iff the codes are equivalent."""
     base = code.column_points()
-    best = None
-    for table in semilinear_point_maps(code.q, code.m):
-        image = tuple(sorted(table[i] for i in base))
-        if best is None or image < best:
-            best = image
-    return best
+    return min(tuple(sorted(table[i] for i in base)) for table in semilinear_point_maps(code.q, code.m))
 
 
 def canonical_code(code: LinearCode) -> LinearCode:
@@ -358,19 +348,8 @@ def canonical_code(code: LinearCode) -> LinearCode:
 
 def all_codes(q: int, m: int, n: int) -> Iterable[LinearCode]:
     """Every m-dimensional code of length n: all rank-m RREF matrices."""
-    if m == 0:
-        yield LinearCode(q, n, ())
-        return
-    F = field(q)
-
-    def place(pivots: List[int], start: int):
-        if len(pivots) == m:
-            yield tuple(pivots)
-            return
-        for col in range(start, n + 1):
-            yield from place(pivots + [col], col + 1)
-
-    for pivots in place([], 1):
+    field(q)  # rejects a q that is no field size
+    for pivots in combinations(range(1, n + 1), m):
         # free cells: to the right of the row's pivot and not a pivot column
         free_cells = [
             (i, j)
@@ -387,9 +366,6 @@ def all_codes(q: int, m: int, n: int) -> Iterable[LinearCode]:
             yield LinearCode(q, n, tuple(tuple(r) for r in rows))
 
 
-DIRECT_BUDGET = dict(n=8, q=4, m=2)
-
-
 def count_codes_direct(q: int, m: int, n: int, family=None) -> int:
     """Equivalence classes of m-dimensional length-n codes by canonical-form
     deduplication over one code per column multiset holding e1..em.
@@ -399,7 +375,10 @@ def count_codes_direct(q: int, m: int, n: int, family=None) -> int:
     every size-n multiset holding them spans.  Those anchored multisets,
     C(k + n - m - 1, n - m) of them for k = alphabet_size(q, m), are each
     built into one code and canonicalised once; no generator matrix is
-    enumerated.
+    enumerated.  Each canonical form is a least image over the
+    |GammaL(m, q)| semilinear maps, so the multisets are capped at
+    MAX_CANONICAL_OPS // |GammaL(m, q)|, checked with the group order
+    before the group is listed.
 
     ``family`` optionally restricts to a user family via a membership
     predicate on LinearCode, asked once per anchored multiset.  It must be
@@ -407,12 +386,12 @@ def count_codes_direct(q: int, m: int, n: int, family=None) -> int:
     spot-checked on the counted codes (one allowed puncture each), not
     proved.
     """
-    if n > DIRECT_BUDGET["n"] or q > DIRECT_BUDGET["q"] or m > DIRECT_BUDGET["m"]:
-        raise TooLarge("direct classification budget is n <= 8, q <= 4, m <= 2")
+    group = _semilinear_order(q, m)
     if n < m:
         return 0
     k = alphabet_size(q, m)
-    require(comb(k + n - m - 1, n - m), None, f"anchored column multisets of length {n}")
+    require(comb(k + n - m - 1, n - m), MAX_CANONICAL_OPS // group,
+            f"anchored column multisets of length {n}, each under {group} semilinear maps")
     F = field(q)
     pts = projective_points(q, m)
     anchor = tuple(pts.index_of(tuple(int(i == j) for j in range(m))) for i in range(m))
@@ -445,20 +424,35 @@ def count_codes_direct(q: int, m: int, n: int, family=None) -> int:
 
 def _subspace_point_sets(q: int, m: int) -> List[Tuple[FrozenSet[int], int]]:
     """(point set of the subspace including 0, Moebius value to the top) for
-    every subspace of F_q^m, m <= 2."""
-    pts = projective_points(q, m)
-    full = frozenset(range(1, pts.k + 1))
-    if m == 0:
-        return [(frozenset({1}), 1)]
-    if m == 1:
-        return [(full, 1), (frozenset({1}), -1)]
-    if m == 2:
-        out = [(full, 1)]
-        for idx in range(2, pts.k + 1):
-            out.append((frozenset({1, idx}), -1))
-        out.append((frozenset({1}), q))
-        return out
-    raise TooLarge("subspace lattices are enumerated for m <= 2 only")
+    every subspace of F_q^m, the larger first.
+
+    Each subspace is the span of a subspace one dimension lower and a
+    projective point outside it; mu(top) = 1 and mu(W) = -sum of mu(U) over
+    the U strictly above W, which makes mu = (-1)^j q^(j(j-1)/2) at
+    codimension j.
+    """
+    F, pts = field(q), projective_points(q, m)
+    levels = [{frozenset({1}): ()}]  # per dimension: each subspace's point set and a basis
+    for _ in range(m):
+        levels.append({})
+        for points, basis in levels[-2].items():
+            covered = set(points)  # each subspace just above is spanned once from here
+            for idx in range(2, pts.k + 1):
+                if idx not in covered:
+                    grown = basis + (pts.rep(idx),)
+                    above = frozenset(map(pts.index_of, _span(F, m, grown)))
+                    covered |= above
+                    levels[-1].setdefault(above, grown)
+    moebius: Dict[FrozenSet[int], int] = {}
+    for level in reversed(levels):
+        for points in level:
+            moebius[points] = -sum(mu for above, mu in moebius.items() if above > points) if moebius else 1
+    return list(moebius.items())
+
+
+def _subspace_count(q: int, m: int) -> int:
+    """The number of subspaces of F_q^m, Gaussian binomials summed over the dimension."""
+    return sum(prod(q**m - q**i for i in range(j)) // prod(q**j - q**i for i in range(j)) for j in range(m + 1))
 
 
 def _cycles(table: Tuple[int, ...], points: Iterable[int]) -> List[List[int]]:
@@ -488,10 +482,15 @@ def _burnside_terms(q: int, m: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     the multiset is constant on the map's cycles inside that set, so the
     term is the denumerant of those cycle lengths, whatever n is.
     """
+    require(_subspace_count(q, m), MAX_CANONICAL_OPS // _semilinear_order(q, m),
+            f"subspaces of F_{q}^{m} times the semilinear maps")
+    subspaces = _subspace_point_sets(q, m)
     terms: Dict[Tuple[int, ...], int] = {}
     for table in semilinear_point_maps(q, m):
-        for points, moebius in _subspace_point_sets(q, m):
-            weights = tuple(sorted(len(c) for c in _cycles(table, points) if points.issuperset(c)))
+        tick()
+        cycles = _cycles(table, range(1, len(table)))
+        for points, moebius in subspaces:
+            weights = tuple(sorted(len(c) for c in cycles if points.issuperset(c)))
             terms[weights] = terms.get(weights, 0) + moebius
     return tuple((w, coeff) for w, coeff in sorted(terms.items()) if coeff)
 

@@ -202,6 +202,16 @@ def test_usage_error_exit_code(capsys):
     assert run(["nonsense"]) == 1
 
 
+def test_codes_reject_a_field_size_below_two(capsys):
+    # a usage error, not a hang: 0 is divisible by every prime
+    for argv in (["codes", "count", "--q", "0", "--m", "1", "--n", "3"],
+                 ["codes", "fit", "--q", "0", "--m", "1", "--nmax", "3"],
+                 ["codes", "count", "--q", "-4", "--m", "1", "--n", "3", "--method", "direct"]):
+        assert run(argv + ["--no-timing"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "prime power" in captured.err
+
+
 def test_reports_byte_stable(capsys):
     code1 = run(["example", "galois", "--n", "0..6", "--verify", "--no-timing"])
     out1 = capsys.readouterr().out

@@ -1,13 +1,18 @@
 import random
-from math import comb
+import time
+from collections import Counter
+from itertools import combinations, product
+from math import comb, prod
 
 import pytest
 
 from widecount import codes
 from widecount.actions import TooLarge, budget
 from widecount.codes import (
+    FiniteField,
     LinearCode,
     _cycles,
+    _subspace_count,
     _subspace_point_sets,
     alphabet_size,
     all_codes,
@@ -17,8 +22,10 @@ from widecount.codes import (
     count_codes_burnside,
     count_codes_direct,
     field,
+    gl_elements,
     projective_points,
     puncture,
+    rref,
     semilinear_point_maps,
 )
 from widecount.lattice import denumerant
@@ -32,6 +39,10 @@ def test_fields_construct_and_validate():
         field(6)
     with pytest.raises(ValueError):
         field(16)
+    # no field size below 2, and 0 is divisible by every prime
+    for q in (0, -4, 1):
+        with pytest.raises(ValueError, match="prime power"):
+            FiniteField(q)
 
 
 def test_f4_arithmetic():
@@ -89,7 +100,7 @@ def test_direct_counts():
 def test_direct_matches_burnside():
     for q in (2, 3, 4):
         for m in (0, 1, 2):
-            for n in range(0, codes.DIRECT_BUDGET["n"] + 1):
+            for n in range(0, 9):
                 assert count_codes_direct(q, m, n) == count_codes_burnside(q, m, n), (q, m, n)
 
 
@@ -141,8 +152,10 @@ def test_family_is_asked_once_per_code():
 
 
 def test_budget_guard():
-    with pytest.raises(TooLarge):
-        count_codes_direct(5, 2, 4)
+    # C(14 + 7 - 3 - 1, 7 - 3) = 2380 anchored multisets, each under the
+    # 11 232 maps of GammaL(3, 3), exceed the 10^7 canonical-form operations
+    with pytest.raises(TooLarge, match="2380 exceeds the budget 890"):
+        count_codes_direct(3, 3, 7)
     # the guard counts the C(4 + 6 - 2 - 1, 6 - 2) = 35 anchored column
     # multisets that are listed, not the 651 planes of F_2^6
     with budget(max_states=35):
@@ -229,18 +242,131 @@ def test_user_family_predicate():
 
 def test_burnside_terms_equal_the_literal_sum():
     # the per-map, per-subspace sum the gathered terms stand for
-    for q in (2, 3, 4):
-        for m in (1, 2):
-            maps = semilinear_point_maps(q, m)
-            subspaces = _subspace_point_sets(q, m)
-            for n in range(41):
-                total = sum(
-                    moebius
-                    * denumerant(
-                        [len(c) for c in _cycles(table, points) if points.issuperset(c)], n
-                    )
-                    for table in maps
-                    for points, moebius in subspaces
-                )
-                assert total % len(maps) == 0
-                assert count_codes_burnside(q, m, n) == total // len(maps), (q, m, n)
+    cases = [(q, m, 40) for q in (2, 3, 4) for m in (1, 2)] + [(2, 3, 20), (3, 3, 8)]
+    for q, m, top in cases:
+        maps, subspaces = semilinear_point_maps(q, m), _subspace_point_sets(q, m)
+        weights = [
+            (moebius, [len(c) for c in _cycles(table, points) if points.issuperset(c)])
+            for table in maps
+            for points, moebius in subspaces
+        ]
+        for n in range(top + 1):
+            total = sum(moebius * denumerant(w, n) for moebius, w in weights)
+            assert total % len(maps) == 0
+            assert count_codes_burnside(q, m, n) == total // len(maps), (q, m, n)
+
+
+# ---------------------------------------------------------------------------
+# the engine for every dimension against independent references
+# ---------------------------------------------------------------------------
+
+FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9)
+ENGINE_CASES = [(q, m) for q in FIELD_SIZES for m in (0, 1, 2)] + [(2, 3), (3, 3), (2, 4)]
+
+
+def _gl_by_determinant(q, m):
+    """GL(m, q) for m <= 2 as the module once built it: by hand for m <= 1,
+    by filtering every 2 x 2 matrix on its determinant for m = 2."""
+    F = field(q)
+    if m == 0:
+        return {()}
+    if m == 1:
+        return {((a,),) for a in range(1, q)}
+    return {
+        ((a, b), (c, d))
+        for a, b, c, d in product(range(q), repeat=4)
+        if F.sub(F.mul(a, d), F.mul(b, c))
+    }
+
+
+def _hand_written_lattice(q, m):
+    """(point set, Moebius value to the top) of every subspace of F_q^m, m <= 2."""
+    full = frozenset(range(1, projective_points(q, m).k + 1))
+    if m == 0:
+        return {(full, 1)}
+    if m == 1:
+        return {(full, 1), (frozenset({1}), -1)}
+    lines = {(frozenset({1, idx}), -1) for idx in range(2, len(full) + 1)}
+    return {(full, 1), (frozenset({1}), q)} | lines
+
+
+def _gaussian_binomial(m, j, q):
+    """[m choose j]_q by the q-Pascal rule."""
+    if j in (0, m):
+        return 1
+    return _gaussian_binomial(m - 1, j - 1, q) + q**j * _gaussian_binomial(m - 1, j, q)
+
+
+def test_engine_equals_the_hand_written_constructions_below_dimension_three():
+    for q in FIELD_SIZES:
+        for m in (0, 1, 2):
+            assert set(gl_elements(q, m)) == _gl_by_determinant(q, m), (q, m)
+            assert set(_subspace_point_sets(q, m)) == _hand_written_lattice(q, m), (q, m)
+
+
+def test_gl_elements_lists_each_invertible_matrix_once():
+    for q, m in ENGINE_CASES:
+        F = field(q)
+        matrices = gl_elements(q, m)
+        assert len(matrices) == prod(q**m - q**i for i in range(m)), (q, m)
+        assert len(set(matrices)) == len(matrices), (q, m)
+        assert all(len(rref(F, A)) == m for A in matrices), (q, m)
+
+
+def test_subspaces_counted_by_gaussian_binomials_with_their_moebius_values():
+    for q, m in ENGINE_CASES:
+        F, pts = field(q), projective_points(q, m)
+        subspaces = _subspace_point_sets(q, m)
+        assert len({points for points, _ in subspaces}) == len(subspaces) == _subspace_count(q, m)
+        dimensions = Counter()
+        for points, moebius in subspaces:
+            # a subspace: the sum of any two of its points lies in it
+            for u, v in combinations(sorted(points), 2):
+                assert pts.index_of(tuple(map(F.add, pts.rep(u), pts.rep(v)))) in points
+            d = next(d for d in range(m + 1) if len(points) == alphabet_size(q, d))
+            j = m - d
+            assert moebius == (-1) ** j * q ** (j * (j - 1) // 2), (q, m, d)
+            dimensions[d] += 1
+        assert dimensions == {d: _gaussian_binomial(m, d, q) for d in range(m + 1)}, (q, m)
+    for q, m in ((4, 3), (2, 5)):
+        assert _subspace_count(q, m) == sum(_gaussian_binomial(m, d, q) for d in range(m + 1))
+
+
+def test_direct_matches_burnside_beyond_dimension_two():
+    for q, m, top in ((2, 3, 8), (3, 3, 5), (2, 4, 5)):
+        for n in range(top + 1):
+            assert count_codes_direct(q, m, n) == count_codes_burnside(q, m, n), (q, m, n)
+
+
+def test_counts_beyond_dimension_two():
+    binary = [1, 4, 10, 22, 43, 77, 131, 213, 333, 507, 751, 1088]
+    assert [count_codes_burnside(2, 3, n) for n in range(3, 15)] == binary
+    assert [count_codes_burnside(3, 3, n) for n in range(3, 7)] == [1, 4, 12, 31]
+    assert [count_codes_burnside(2, 4, n) for n in range(4, 8)] == [1, 5, 16, 43]
+    form = codes_quasipolynomial(2, 3, 0)
+    assert form.onset == 0
+    for n in (*range(3, 15), 10**4):
+        assert form(n) == count_codes_burnside(2, 3, n), n
+
+
+def test_guards_refuse_before_listing_anything(monkeypatch):
+    def listing(*args):
+        raise AssertionError("listed before the guard")
+
+    for name in ("product", "projective_points", "semilinear_point_maps"):
+        monkeypatch.setattr(codes, name, listing)
+    group = r"\|GL\(5, 2\)\|: 9999360 exceeds the budget 1000000"
+    work = r"subspaces of F_4\^3 .*: 44 exceeds the budget 27"
+    start = time.perf_counter()
+    for call, match in (
+        (lambda: gl_elements(2, 5), group),
+        (lambda: count_codes_burnside(2, 5, 6), group),
+        (lambda: count_codes_direct(2, 5, 6), group),
+        (lambda: codes_quasipolynomial(2, 5, 0), group),
+        (lambda: count_codes_burnside(4, 3, 6), work),
+        (lambda: codes_quasipolynomial(4, 3, 0), work),
+        (lambda: count_codes_direct(4, 3, 5), "253 exceeds the budget 27"),
+    ):
+        with pytest.raises(TooLarge, match=match):
+            call()
+    assert time.perf_counter() - start < 1

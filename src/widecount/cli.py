@@ -469,8 +469,10 @@ def _run_verify(args, report: RunReport) -> None:
         for pres in (cube2, cube3, roots_of_unity(4), s3_words) for n in range(6)
     ) and all(precomp_count(planes_precomponent(), n) == 1 for n in range(3, 9)))
     report.add_verdict("codes-direct-vs-burnside", all(
-        count_codes_direct(2, m, n) == count_codes_burnside(2, m, n)
-        for m, ns in ((1, range(2, 6)), (2, range(2, 6)), (3, range(3, 7))) for n in ns
+        count_codes_direct(q, m, n) == count_codes_burnside(q, m, n)
+        for q, m, ns in ((2, 1, range(2, 6)), (2, 2, range(2, 6)), (2, 3, range(3, 7)),
+                         (3, 2, range(2, 7)), (4, 2, range(2, 6)), (3, 3, range(3, 5)))
+        for n in ns
     ))
     rank_sets = [([0, 1], "symmetric"), ([0, 1, 2], "symmetric"), ([-1, 0, 1], "symmetric"),
                  ([0, Fraction(1, 2), 1], "symmetric"), ([0, 1], "general")]

@@ -9,17 +9,18 @@ both the direct canonical-form route and the orbit-counting route use.
 A base change moves any m independent columns to e1..em, so the direct
 route lists only the multisets holding e1..em, each of which spans.
 
-One construction serves every dimension m: GL(m, q) is listed row by row
-and the subspaces of F_q^m are grown one projective point at a time.  Both
-routes are guarded before anything is listed, through ``require``:
-|GL(m, q)| against MAX_GROUP_ORDER, and |GammaL(m, q)| times the subspaces
-(orbit counting) or times the anchored multisets (direct route) against
-MAX_CANONICAL_OPS.
+One construction serves every dimension m: PGammaL(m, q) is closed from
+the point maps of generators, each permutation of P once, and the
+subspaces of F_q^m are grown one projective point at a time.  Both routes
+are guarded before anything is listed, through ``require``: |GL(m, q)|
+against MAX_GROUP_ORDER, and |GammaL(m, q)| = (q - 1) |PGammaL(m, q)|, an
+upper bound, times the subspaces (orbit counting) or times the anchored
+multisets (direct route) against MAX_CANONICAL_OPS.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -216,11 +217,8 @@ def puncture(code: LinearCode, coordinate: int) -> Optional[LinearCode]:
     if not 1 <= coordinate <= code.n:
         raise ValueError("coordinate out of range")
     rows = [r[: coordinate - 1] + r[coordinate:] for r in code.generator]
-    F = field(code.q)
-    reduced = rref(F, rows)
-    if len(reduced) != code.m:
-        return None
-    return LinearCode(code.q, code.n - 1, reduced)
+    reduced = rref(field(code.q), rows)
+    return LinearCode(code.q, code.n - 1, reduced) if len(reduced) == code.m else None
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +266,9 @@ def alphabet_size(q: int, m: int) -> int:
 
 
 def _semilinear_order(q: int, m: int) -> int:
-    """f * |GL(m, q)|, the number of maps semilinear_point_maps lists, with
-    |GL(m, q)| = prod (q^m - q^i) checked against the group cap."""
+    """|GammaL(m, q)| = f * |GL(m, q)|, q - 1 times the number of maps
+    semilinear_point_maps lists once m >= 2, with |GL(m, q)| =
+    prod (q^m - q^i) checked against the group cap."""
     f = field(q).f
     order = prod(q**m - q**i for i in range(m))
     require(order, MAX_GROUP_ORDER, f"|GL({m}, {q})|")
@@ -284,41 +283,37 @@ def _span(F: FiniteField, m: int, vectors: Iterable[Vector]) -> Set[Vector]:
     return span
 
 
-@lru_cache(maxsize=None)
-def gl_elements(q: int, m: int) -> Tuple[Tuple[Vector, ...], ...]:
-    """All invertible m x m matrices (tuples of rows) over F_q, listed row by
-    row: each row is a vector outside the span of the rows before it, so the
-    matrices come in lexicographic order."""
-    _semilinear_order(q, m)
-    F = field(q)
-    vectors = list(product(range(q), repeat=m))
-    matrices: List[Tuple[Vector, ...]] = [()]
-    for _ in range(m):
-        grown = []
-        for rows in matrices:
-            span = _span(F, m, rows)
-            for vec in vectors:
-                if vec not in span:
-                    tick()
-                    grown.append(rows + (vec,))
-        matrices = grown
-    return tuple(matrices)
+def _semilinear_generators(q: int, m: int) -> List[Tuple[int, ...]]:
+    """Point maps, as value tables, of a generating set of GammaL(m, q): the
+    transvections I + E_ij (i != j), the diagonals diag(c, 1, ..., 1) and,
+    when f > 1, the Frobenius.  Conjugating the transvections by the
+    diagonals gives every I + c E_ij, and those generate SL(m, q)."""
+    F, pts = field(q), projective_points(q, m)
+    moves = [lambda v, i=i, j=j: v[:i] + (F.add(v[i], v[j]),) + v[i + 1:]
+             for i in range(m) for j in range(m) if i != j]
+    moves += [lambda v, c=c: (F.mul(c, v[0]),) + v[1:] for c in range(2, q) if m]
+    moves += [lambda v: tuple(F.frobenius[x] for x in v)] if F.f > 1 else []
+    return [(0,) + tuple(pts.index_of(move(v)) for v in pts.reps) for move in moves]
 
 
 @lru_cache(maxsize=None)
 def semilinear_point_maps(q: int, m: int) -> Tuple[Tuple[int, ...], ...]:
-    """For every (matrix, automorphism) pair, its permutation of P as a value
-    table over indices 1..k (index 0 unused).  Pairs repeat permutations
-    (the scalar center); the multiplicity is harmless for orbit counting."""
-    F = field(q)
-    pts = projective_points(q, m)
-    maps = []
-    for phi in F.automorphisms():
-        twisted = [tuple(phi[x] for x in vec) for vec in pts.reps]
-        for A in gl_elements(q, m):
-            tick()
-            images = (tuple(reduce(F.add, map(F.mul, row, vec), 0) for row in A) for vec in twisted)
-            maps.append((0,) + tuple(map(pts.index_of, images)))
+    """The permutations of P induced by GammaL(m, q), each once, as value
+    tables over indices 1..k (index 0 unused): PGammaL(m, q), found as the
+    closure of the generators' point maps under composition."""
+    order = _semilinear_order(q, m) // (q - 1) if m >= 2 else 1
+    generators = _semilinear_generators(q, m)
+    maps = [tuple(range(projective_points(q, m).k + 1))]
+    seen = set(maps)
+    for table in maps:  # grows while it is walked
+        tick()
+        for g in generators:
+            image = tuple([table[i] for i in g])
+            if image not in seen:
+                seen.add(image)
+                maps.append(image)
+    if len(maps) != order:
+        raise AssertionError(f"the generators give {len(maps)} point maps of GammaL({m}, {q}), not {order}")
     return tuple(maps)
 
 
@@ -338,12 +333,8 @@ def canonical_code(code: LinearCode) -> LinearCode:
     """A canonical representative of the code's equivalence class: the RREF
     basis of the columns realizing the canonical point multiset, in order."""
     pts = projective_points(code.q, code.m)
-    multiset = canonical_point_multiset(code)
-    columns = [pts.rep(i) for i in multiset]
-    rows = tuple(
-        tuple(col[i] for col in columns) for i in range(code.m)
-    )
-    return LinearCode.from_rows(code.q, rows, expect_dim=code.m)
+    columns = [pts.rep(i) for i in canonical_point_multiset(code)]
+    return LinearCode.from_rows(code.q, tuple(zip(*columns)), expect_dim=code.m)
 
 
 def all_codes(q: int, m: int, n: int) -> Iterable[LinearCode]:
@@ -375,10 +366,10 @@ def count_codes_direct(q: int, m: int, n: int, family=None) -> int:
     every size-n multiset holding them spans.  Those anchored multisets,
     C(k + n - m - 1, n - m) of them for k = alphabet_size(q, m), are each
     built into one code and canonicalised once; no generator matrix is
-    enumerated.  Each canonical form is a least image over the
-    |GammaL(m, q)| semilinear maps, so the multisets are capped at
-    MAX_CANONICAL_OPS // |GammaL(m, q)|, checked with the group order
-    before the group is listed.
+    enumerated.  Each canonical form is a least image over the point maps
+    of PGammaL(m, q); the multisets are capped at
+    MAX_CANONICAL_OPS // |GammaL(m, q)|, an upper bound on that work,
+    checked with the group order before the group is listed.
 
     ``family`` optionally restricts to a user family via a membership
     predicate on LinearCode, asked once per anchored multiset.  It must be
@@ -498,9 +489,9 @@ def _burnside_terms(q: int, m: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
 def count_codes_burnside(q: int, m: int, n: int) -> int:
     """Equivalence classes via the orbit-counting lemma on spanning multisets.
 
-    Averages, over the semilinear pairs, the number of fixed size-n
-    multisets over P whose support spans, with the spanning condition by
-    Moebius inclusion-exclusion over the subspace lattice.
+    Averages, over the distinct semilinear point maps, the number of fixed
+    size-n multisets over P whose support spans, with the spanning
+    condition by Moebius inclusion-exclusion over the subspace lattice.
     """
     total = sum(coeff * denumerant(w, n) for w, coeff in _burnside_terms(q, m))
     group_size = len(semilinear_point_maps(q, m))

@@ -7,7 +7,8 @@ primitive.  The fixed-rank counts rank no matrix one by one: they settle
 rows in order and count prefixes per reduced state (the rank so far and the
 unsettled rows' parts reduced modulo the settled span, fraction-free and
 divided by their gcd), so each state's new row values are listed once;
-their caps bound the states of one row and the value choices of one state.
+their caps bound the states of one row, the value choices of one state and
+the prefixes one row expands over all its states.
 """
 from __future__ import annotations
 
@@ -293,7 +294,7 @@ def fixed_rank_orbit_counts(
     reduced state rather than listing the matrices, so no fixed matrix is
     ranked on its own.  The caps bound what the programme keeps: the reduced
     states of one row, the integers their keys can hold, and the value
-    choices it expands one state into.
+    choices it expands one state, and all the states of a row, into.
     """
     symmetric = _is_symmetric(shape, n)
     entry_list = sorted({Fraction(e) for e in entries})
@@ -367,6 +368,11 @@ def _fixed_rank_histogram(
             [(a - r, alive.index(tuple(vec))) for (o, a), vec in indicator.items() if o == k]
             for k, f in enumerate(first) if f == r
         ]
+        # the row's time, capped by the route alone: --max-states caps the
+        # states kept, not the prefixes every state expands into
+        expanded = len(states) * len(entries) ** len(spread)
+        if expanded > RANK_STATE_BUDGET:
+            raise TooLarge(f"row value choices over all states: {expanded} exceeds the budget {RANK_STATE_BUDGET}")
         # a key of the next row holds at most n coordinates for each later
         # row and each block still alive (none after the last row)
         width = (n - r - 1 + len(alive) - drop) * n

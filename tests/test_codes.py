@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter
+from functools import reduce
 from itertools import combinations, product
 from math import comb, prod
 
@@ -22,10 +23,8 @@ from widecount.codes import (
     count_codes_burnside,
     count_codes_direct,
     field,
-    gl_elements,
     projective_points,
     puncture,
-    rref,
     semilinear_point_maps,
 )
 from widecount.lattice import denumerant
@@ -300,17 +299,48 @@ def _gaussian_binomial(m, j, q):
 def test_engine_equals_the_hand_written_constructions_below_dimension_three():
     for q in FIELD_SIZES:
         for m in (0, 1, 2):
-            assert set(gl_elements(q, m)) == _gl_by_determinant(q, m), (q, m)
             assert set(_subspace_point_sets(q, m)) == _hand_written_lattice(q, m), (q, m)
 
 
-def test_gl_elements_lists_each_invertible_matrix_once():
-    for q, m in ENGINE_CASES:
+def test_point_maps_are_the_semilinear_maps_below_dimension_three():
+    # every pair (A, phi) of GammaL(m, q), applied to each point as A phi(v)
+    for q in FIELD_SIZES:
         F = field(q)
-        matrices = gl_elements(q, m)
-        assert len(matrices) == prod(q**m - q**i for i in range(m)), (q, m)
-        assert len(set(matrices)) == len(matrices), (q, m)
-        assert all(len(rref(F, A)) == m for A in matrices), (q, m)
+        for m in (0, 1, 2):
+            pts = projective_points(q, m)
+            pairs = {
+                (0,) + tuple(
+                    pts.index_of(tuple(
+                        reduce(F.add, (F.mul(a, phi[x]) for a, x in zip(row, vec)), 0) for row in A
+                    ))
+                    for vec in pts.reps
+                )
+                for A in _gl_by_determinant(q, m)
+                for phi in F.automorphisms()
+            }
+            assert set(semilinear_point_maps(q, m)) == pairs, (q, m)
+
+
+def test_point_maps_are_distinct_with_the_projective_order():
+    # |PGammaL(m, q)| = f |GL(m, q)| / (q - 1): GammaL acts on the points
+    # with the scalars as its kernel once m >= 2
+    for q, m in [case for case in ENGINE_CASES if case[1] >= 2] + [(4, 3)]:
+        maps = semilinear_point_maps(q, m)
+        assert len(set(maps)) == len(maps), (q, m)
+        assert len(maps) == field(q).f * prod(q**m - q**i for i in range(m)) // (q - 1), (q, m)
+    for q in FIELD_SIZES:
+        assert semilinear_point_maps(q, 0) == ((0, 1),)
+        assert semilinear_point_maps(q, 1) == ((0, 1, 2),)
+
+
+def test_a_short_generating_set_trips_the_order_check(monkeypatch):
+    full = codes._semilinear_generators
+    # without the Frobenius (4, 2) reaches PGL(2, 4), without the diagonals
+    # (3, 2) reaches PSL(2, 3)
+    for q, m, cut, reached, order in ((4, 2, -1, 60, 120), (3, 2, 2, 12, 24)):
+        monkeypatch.setattr(codes, "_semilinear_generators", lambda q, m: full(q, m)[:cut])
+        with pytest.raises(AssertionError, match=f"give {reached} point maps of GammaL\\(2, {q}\\), not {order}"):
+            semilinear_point_maps.__wrapped__(q, m)
 
 
 def test_subspaces_counted_by_gaussian_binomials_with_their_moebius_values():
@@ -333,7 +363,7 @@ def test_subspaces_counted_by_gaussian_binomials_with_their_moebius_values():
 
 
 def test_direct_matches_burnside_beyond_dimension_two():
-    for q, m, top in ((2, 3, 8), (3, 3, 5), (2, 4, 5)):
+    for q, m, top in ((2, 3, 8), (3, 3, 6), (2, 4, 5)):
         for n in range(top + 1):
             assert count_codes_direct(q, m, n) == count_codes_burnside(q, m, n), (q, m, n)
 
@@ -359,7 +389,6 @@ def test_guards_refuse_before_listing_anything(monkeypatch):
     work = r"subspaces of F_4\^3 .*: 44 exceeds the budget 27"
     start = time.perf_counter()
     for call, match in (
-        (lambda: gl_elements(2, 5), group),
         (lambda: count_codes_burnside(2, 5, 6), group),
         (lambda: count_codes_direct(2, 5, 6), group),
         (lambda: codes_quasipolynomial(2, 5, 0), group),

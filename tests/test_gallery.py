@@ -33,6 +33,7 @@ from widecount.gallery import (
 )
 from widecount.quasipoly import NoFit, fit
 import random
+import time
 
 
 def test_planes():
@@ -336,6 +337,18 @@ def test_integer_cap_bounds_what_a_row_stores(monkeypatch):
     monkeypatch.setattr(gallery, "RANK_INTEGER_BUDGET", 10**4)
     with pytest.raises(TooLarge, match=r"reduced rank states of \d+ integers: \d+ exceeds the budget"):
         fixed_rank_orbit_counts([0, 1], 5, "general")
+
+
+def test_row_cap_refuses_before_a_row_expands():
+    # 100 values on two cell orbits a row: the first row's 10^4 prefixes
+    # leave 6 010 states, each of which the last row would expand 10^4
+    # ways.  The widest row the tests settle expands 711 909 prefixes.
+    start = time.perf_counter()
+    with budget(max_states=10**9), pytest.raises(
+        TooLarge, match="row value choices over all states: 60100000 exceeds the budget 1000000"
+    ):
+        fixed_rank_orbit_counts(range(100), 2, "general")
+    assert time.perf_counter() - start < 1
 
 
 def _brute_histogram(images, symmetric, entries):

@@ -453,10 +453,10 @@ def _run_verify(args, report: RunReport) -> None:
         for cube, nmax in ((cube2, 100), (cube3, 90)) for n in range(1, nmax + 1)
     ))
     # each stratum the count reads counts the classes its peel removes
-    peels = strata_against_peels(cube2, range(25, 40))
+    peels = strata_against_peels(cube2, range(25, 40)) + strata_against_peels(cube3, range(49, 57))
     report.add_verdict(
         "stratum-vs-peel",
-        len(peels) >= 15 and all(count == removed for _, _, count, removed in peels),
+        len(peels) >= 23 and all(count == removed for _, _, count, removed in peels),
     )
     # one seed class per orbit against every class's count-vector set
     s3_words = elementary_embedding(

@@ -13,9 +13,9 @@ One construction serves every dimension m: PGammaL(m, q) is closed from
 the point maps of generators, each permutation of P once, and the
 subspaces of F_q^m are grown one projective point at a time.  Both routes
 are guarded before anything is listed, through ``require``: |GL(m, q)|
-against MAX_GROUP_ORDER, and |GammaL(m, q)| = (q - 1) |PGammaL(m, q)|, an
-upper bound, times the subspaces (orbit counting) or times the anchored
-multisets (direct route) against MAX_CANONICAL_OPS.
+against MAX_GROUP_ORDER, and the number of point maps, |PGammaL(m, q)|,
+times the subspaces (orbit counting) or times the anchored multisets
+(direct route) against MAX_CANONICAL_OPS.
 """
 from __future__ import annotations
 
@@ -266,13 +266,12 @@ def alphabet_size(q: int, m: int) -> int:
 
 
 def _semilinear_order(q: int, m: int) -> int:
-    """|GammaL(m, q)| = f * |GL(m, q)|, q - 1 times the number of maps
-    semilinear_point_maps lists once m >= 2, with |GL(m, q)| =
+    """The number of maps semilinear_point_maps lists: |PGammaL(m, q)| =
+    f * |GL(m, q)| / (q - 1) for m >= 2 and 1 for m <= 1, with |GL(m, q)| =
     prod (q^m - q^i) checked against the group cap."""
-    f = field(q).f
     order = prod(q**m - q**i for i in range(m))
     require(order, MAX_GROUP_ORDER, f"|GL({m}, {q})|")
-    return f * order
+    return field(q).f * order // (q - 1) if m >= 2 else 1
 
 
 def _span(F: FiniteField, m: int, vectors: Iterable[Vector]) -> Set[Vector]:
@@ -301,7 +300,7 @@ def semilinear_point_maps(q: int, m: int) -> Tuple[Tuple[int, ...], ...]:
     """The permutations of P induced by GammaL(m, q), each once, as value
     tables over indices 1..k (index 0 unused): PGammaL(m, q), found as the
     closure of the generators' point maps under composition."""
-    order = _semilinear_order(q, m) // (q - 1) if m >= 2 else 1
+    order = _semilinear_order(q, m)
     generators = _semilinear_generators(q, m)
     maps = [tuple(range(projective_points(q, m).k + 1))]
     seen = set(maps)
@@ -368,8 +367,8 @@ def count_codes_direct(q: int, m: int, n: int, family=None) -> int:
     built into one code and canonicalised once; no generator matrix is
     enumerated.  Each canonical form is a least image over the point maps
     of PGammaL(m, q); the multisets are capped at
-    MAX_CANONICAL_OPS // |GammaL(m, q)|, an upper bound on that work,
-    checked with the group order before the group is listed.
+    MAX_CANONICAL_OPS // |PGammaL(m, q)|, checked with the group order
+    before the group is listed.
 
     ``family`` optionally restricts to a user family via a membership
     predicate on LinearCode, asked once per anchored multiset.  It must be

@@ -307,22 +307,34 @@ class StratumAnalysis:
         return any(self.in_cone(g, base) for g in self.pres.count_equivalents(beta))
 
     def peeled(self) -> DownwardClosedSet:
-        """The count set left once the stratum's classes are peeled: those
-        equivalent into the v-tilde cone leave it."""
+        """The count set left once the stratum's classes are peeled, built from
+        the v-tilde cone: the in-M shadows of its points inside a uniform box
+        (shadows permute entries) leave M.  The cone runs one step past the box,
+        as far as a builtin shadow moves an entry.  A vector of M one step above
+        a removed one, neither removed nor cone-equivalent outside the box, is a
+        hole: what is left would not be downward closed."""
         if self._peeled is None:
-            M, v_tilde = self.M, self.frame.v(2 * self.t)
-
-            def member(beta: Vector) -> bool:
-                return M.membership(beta) and not self.cone_equivalent(beta, v_tilde)
-
-            # the shadow maps permute entries (up to bounded fuzz), so a
-            # minimal non-member can carry the cone's large entry in any
-            # coordinate: the cap box must be uniform
-            box = max(
-                max(v_tilde),
-                max((x for o in M.obstructions for x in o), default=0),
-            ) + 2
-            peeled = DownwardClosedSet(M.k, _learn_minimal_nonmembers(member, (box,) * M.k))
+            M, v_tilde, I = self.M, self.frame.v(2 * self.t), self.frame.I
+            box = max(max(v_tilde), max((x for o in M.obstructions for x in o), default=0)) + 2
+            cone = [range(x, box + 2) if j in I else (x,) for j, x in enumerate(v_tilde, 1)]
+            removed: Set[Vector] = set()
+            for c in product(*cone):
+                tick()
+                for gamma in self.pres.count_equivalents(c):
+                    if abs(max(gamma) - max(c)) > 1:
+                        raise Unstable(f"shadow {gamma} of {c} moves an entry by more than one")
+                    if max(gamma) <= box and M.membership(gamma):
+                        removed.add(gamma)
+            for x in sorted(removed):
+                for j in range(M.k):
+                    y = x[:j] + (x[j] + 1,) + x[j + 1 :]
+                    if y in removed or not M.membership(y):
+                        continue
+                    if max(y) <= box or not (
+                        self.in_cone(y, v_tilde) or self.cone_equivalent(y, v_tilde)
+                    ):
+                        raise Unstable(f"peel leaves a hole at {y}; raise t")
+            peeled = DownwardClosedSet(M.k, M.obstructions + tuple(removed))
             if set(peeled.obstructions) == set(M.obstructions):
                 raise Unstable("peel did not shrink the count set")
             self._peeled = peeled
@@ -897,20 +909,6 @@ def strata_against_peels(
             removed = _tail_count(pres, analysis.M, n) - _tail_count(pres, analysis.peeled(), n)
             rows.append((n, analysis.t, analysis.stratum_count(n), removed))
     return rows
-
-
-def _learn_minimal_nonmembers(
-    member: Callable[[Vector], bool], caps: Vector
-) -> List[Vector]:
-    """Minimal elements of the complement of a downward-closed set, probed
-    within the cap box (the complement's minimal elements must lie inside)."""
-    outside = lru_cache(maxsize=None)(lambda v: not member(v))
-    learned = DownwardClosedSet(len(caps), _minimal_elements(outside, (0,) * len(caps), caps))
-    # sanity sweep: the learned antichain must reproduce membership on a grid
-    for probe in product(*(range(0, c + 1, max(1, c // 3)) for c in caps)):
-        if learned.membership(probe) == outside(probe):
-            raise Unstable(f"non-monotone membership near {probe}")
-    return list(learned.obstructions)
 
 
 def _minimal_elements(

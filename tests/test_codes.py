@@ -152,8 +152,8 @@ def test_family_is_asked_once_per_code():
 
 def test_budget_guard():
     # C(14 + 7 - 3 - 1, 7 - 3) = 2380 anchored multisets, each under the
-    # 11 232 maps of GammaL(3, 3), exceed the 10^7 canonical-form operations
-    with pytest.raises(TooLarge, match="2380 exceeds the budget 890"):
+    # 5 616 maps of PGammaL(3, 3), exceed the 10^7 canonical-form operations
+    with pytest.raises(TooLarge, match="2380 exceeds the budget 1780"):
         count_codes_direct(3, 3, 7)
     # the guard counts the C(4 + 6 - 2 - 1, 6 - 2) = 35 anchored column
     # multisets that are listed, not the 651 planes of F_2^6
@@ -386,16 +386,24 @@ def test_guards_refuse_before_listing_anything(monkeypatch):
     for name in ("product", "projective_points", "semilinear_point_maps"):
         monkeypatch.setattr(codes, name, listing)
     group = r"\|GL\(5, 2\)\|: 9999360 exceeds the budget 1000000"
-    work = r"subspaces of F_4\^3 .*: 44 exceeds the budget 27"
+    # (4, 3) is admitted: its 44 subspaces under 120 960 point maps fit the
+    # 10^7 canonical-form operations.  A budget of 40 states refuses it at the
+    # group guard, which the budget tightens too and which runs first
+    tight = r"\|GL\(3, 4\)\|: 181440 exceeds the budget 40"
     start = time.perf_counter()
-    for call, match in (
-        (lambda: count_codes_burnside(2, 5, 6), group),
-        (lambda: count_codes_direct(2, 5, 6), group),
-        (lambda: codes_quasipolynomial(2, 5, 0), group),
-        (lambda: count_codes_burnside(4, 3, 6), work),
-        (lambda: codes_quasipolynomial(4, 3, 0), work),
-        (lambda: count_codes_direct(4, 3, 5), "253 exceeds the budget 27"),
+    for call, match, cap in (
+        (lambda: count_codes_burnside(2, 5, 6), group, None),
+        (lambda: count_codes_direct(2, 5, 6), group, None),
+        (lambda: codes_quasipolynomial(2, 5, 0), group, None),
+        (lambda: count_codes_burnside(4, 3, 6), tight, 40),
+        (lambda: codes_quasipolynomial(4, 3, 0), tight, 40),
+        (lambda: count_codes_direct(4, 3, 5), "253 exceeds the budget 82", None),
     ):
-        with pytest.raises(TooLarge, match=match):
+        with budget(max_states=cap), pytest.raises(TooLarge, match=match):
+            call()
+    # the work guard of the orbit-counting route, reached with a lower cap
+    monkeypatch.setattr(codes, "MAX_CANONICAL_OPS", 40 * 120960)
+    for call in (lambda: count_codes_burnside(4, 3, 6), lambda: codes_quasipolynomial(4, 3, 0)):
+        with pytest.raises(TooLarge, match=r"subspaces of F_4\^3 .*: 44 exceeds the budget 40"):
             call()
     assert time.perf_counter() - start < 1

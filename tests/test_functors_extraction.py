@@ -667,3 +667,78 @@ def test_each_counted_stratum_counts_what_its_peel_removes(pres, levels):
     for n, t, count, removed in rows:
         assert count == removed, (n, t)
     assert len(rows) >= len(levels)
+
+
+C3_OBSTRUCTED = elementary_embedding(
+    ElementaryModelFunctor(
+        3, PermGroup.cyclic(3), DownwardClosedSet(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+    )
+)
+
+
+def test_peel_raises_on_a_hole():
+    # the second d = 2 count set at the first stratum's t: (12, 11) is in M
+    # and its own shadow, but it lies above (11, 11), which is equivalent to
+    # the cone point (12, 10); a set learned from minimal non-members dropped it
+    pres = roots_of_unity(2)
+    first = StratumAnalysis(pres, pres.countset, 6)
+    with pytest.raises(Unstable, match=r"hole at \(12, 11\)"):
+        StratumAnalysis(pres, first.peeled(), 6).peeled()
+
+
+@pytest.mark.parametrize(
+    "pres,n",
+    [
+        pytest.param(roots_of_unity(2), 90, id="roots2"),  # t = 6 and t = 32
+        pytest.param(roots_of_unity(3), 120, id="roots3"),
+        pytest.param(S3_WORDS, 60, id="S3-words"),
+        pytest.param(C3_OBSTRUCTED, 39, id="C3-words-obstructed"),
+    ],
+)
+def test_built_peel_equals_the_brute_force_over_its_box(pres, n):
+    # every point of the box stays exactly when it is in M and not
+    # equivalent into the v-tilde cone
+    strata = _plan(pres, None, True).strata(n)[0]
+    assert strata
+    for analysis in strata:
+        M, v_tilde = analysis.M, analysis.frame.v(2 * analysis.t)
+        box = max(max(v_tilde), max((x for o in M.obstructions for x in o), default=0)) + 2
+        peeled = analysis.peeled()
+        for x in product(range(box + 1), repeat=M.k):
+            stays = M.membership(x) and not analysis.cone_equivalent(x, v_tilde)
+            assert peeled.membership(x) == stays, (analysis.t, x)
+
+
+def test_peel_trips_on_a_shadow_that_moves_an_entry_by_two():
+    pres = roots_of_unity(2)
+    shadow = pres.count_equivalents
+    far = dataclasses.replace(
+        pres, count_equivalents=lambda beta: shadow(beta) | {(beta[1] + 2, beta[0] - 2)}
+    )
+    with pytest.raises(Unstable, match="moves an entry by more than one"):
+        StratumAnalysis(far, far.countset, 6).peeled()
+
+
+def test_deadline_stops_a_peel_and_the_next_call_builds_it_whole(monkeypatch):
+    from widecount.functors import extraction
+
+    pres = roots_of_unity(3)
+    whole = StratumAnalysis(pres, pres.countset, 8).peeled()
+    analysis = StratumAnalysis(pres, pres.countset, 8)
+    with budget(seconds=0), pytest.raises(TooLarge, match="time limit"):
+        analysis.peeled()
+    assert analysis._peeled is None
+    # and halfway through the cone's 64 points
+    ticks = []
+
+    def tick():
+        ticks.append(None)
+        if len(ticks) == 32:
+            raise TooLarge("time limit reached")
+
+    monkeypatch.setattr(extraction, "tick", tick)
+    with pytest.raises(TooLarge):
+        analysis.peeled()
+    monkeypatch.undo()
+    assert analysis._peeled is None
+    assert analysis.peeled() == whole

@@ -12,10 +12,10 @@ route lists only the multisets holding e1..em, each of which spans.
 One construction serves every dimension m: PGammaL(m, q) is closed from
 the point maps of generators, each permutation of P once, and the
 subspaces of F_q^m are grown one projective point at a time.  Both routes
-are guarded before anything is listed, through ``require``: |GL(m, q)|
-against MAX_GROUP_ORDER, and the number of point maps, |PGammaL(m, q)|,
-times the subspaces (orbit counting) or times the anchored multisets
-(direct route) against MAX_CANONICAL_OPS.
+are guarded before anything is listed, through ``require``: the number of
+point maps, |PGammaL(m, q)|, against MAX_GROUP_ORDER, and that number times
+the subspaces (orbit counting) or times the anchored multisets (direct
+route) against MAX_CANONICAL_OPS.
 """
 from __future__ import annotations
 
@@ -266,12 +266,12 @@ def alphabet_size(q: int, m: int) -> int:
 
 
 def _semilinear_order(q: int, m: int) -> int:
-    """The number of maps semilinear_point_maps lists: |PGammaL(m, q)| =
-    f * |GL(m, q)| / (q - 1) for m >= 2 and 1 for m <= 1, with |GL(m, q)| =
-    prod (q^m - q^i) checked against the group cap."""
-    order = prod(q**m - q**i for i in range(m))
-    require(order, MAX_GROUP_ORDER, f"|GL({m}, {q})|")
-    return field(q).f * order // (q - 1) if m >= 2 else 1
+    """The number of maps semilinear_point_maps lists, checked against the
+    group cap: |PGammaL(m, q)| = f * |GL(m, q)| / (q - 1) for m >= 2 and 1
+    for m <= 1, with |GL(m, q)| = prod (q^m - q^i)."""
+    order = field(q).f * prod(q**m - q**i for i in range(m)) // (q - 1) if m >= 2 else 1
+    require(order, MAX_GROUP_ORDER, f"|PGammaL({m}, {q})|")
+    return order
 
 
 def _span(F: FiniteField, m: int, vectors: Iterable[Vector]) -> Set[Vector]:

@@ -6,9 +6,12 @@ fraction-free elimination over the integers, with each basis row kept
 primitive.  The fixed-rank counts rank no matrix one by one: they settle
 rows in order and count prefixes per reduced state (the rank so far and the
 unsettled rows' parts reduced modulo the settled span, fraction-free and
-divided by their gcd), so each state's new row values are listed once;
-their caps bound the states of one row, the value choices of one state and
-the prefixes one row expands over all its states.
+divided by their gcd), so each state's new row values are listed once.
+Row 0 lists the values on the orbits of the cells (0, j), j a fixed point
+other than 0, once per multiset, weighted by its arrangements: the
+symmetric group of those points commutes with the permutation and keeps
+rank.  The caps bound the states of one row, the value choices of one state
+and the prefixes one row expands over all its states.
 """
 from __future__ import annotations
 
@@ -332,6 +335,14 @@ def _fixed_rank_histogram(
     choices share prefixes.  The last row's choices are only counted: at
     the state's rank where the row is zero, one above elsewhere.
 
+    Let F be the fixed points j != 0 (0-based; index 0 opens the first
+    cycle).  Sym(F) commutes with the permutation, fixes index 0 and keeps
+    rank, and it permutes the orbits of the cells (0, j), j in F, while
+    fixing row 0's other orbits.  So a row-0 choice has the completions of
+    every choice in its Sym(F)-orbit: row 0 lists the values on those
+    orbits as one nondecreasing tuple per multiset and weights each prefix
+    by the tuple's number of arrangements.  Every other choice has weight 1.
+
     Reduction is fraction-free: a nonzero reduced row w with first nonzero
     coordinate p maps every stored x to w[p] x - x[p] w, which keeps one
     common scale, and drops coordinate p.  Either way the whole state is
@@ -360,19 +371,26 @@ def _fixed_rank_histogram(
     states = {(0, tuple(start)): 1}
     others = [[[c for c in range(m) if c != p] for p in range(m)] for m in range(n + 1)]
     hist = [0] * (n + 1)
+    # the orbits of the cells (0, j), j in F: each opens at that cell
+    permuted = [k for k, ((i, j), *_) in enumerate(orbits) if i == 1 < j == images[j - 1]]
     for r in range(n):
         alive = [vec for vec in blocks if last[vec] >= r]
         drop = sum(last[vec] == r for vec in alive)
-        # per orbit of row r: (its row's offset among rows r.., its block)
-        spread = [
-            [(a - r, alive.index(tuple(vec))) for (o, a), vec in indicator.items() if o == k]
-            for k, f in enumerate(first) if f == r
-        ]
+        # row 0's Sym(F)-orbits come last, to take their values together
+        own = sorted((k for k, f in enumerate(first) if f == r), key=permuted.__contains__)
+        picks, weights = _row_choices(len(own), len(permuted) if r == 0 else 0, entries)
+        total = sum(weights)
         # the row's time, capped by the route alone: --max-states caps the
         # states kept, not the prefixes every state expands into
-        expanded = len(states) * len(entries) ** len(spread)
+        expanded = len(states) * len(weights)
         if expanded > RANK_STATE_BUDGET:
             raise TooLarge(f"row value choices over all states: {expanded} exceeds the budget {RANK_STATE_BUDGET}")
+        # per orbit of row r: (its row's offset among rows r.., its block),
+        # then per prefix it lists, the prefix it extends and its value
+        spread = [
+            ([(a - r, alive.index(tuple(vec))) for (o, a), vec in indicator.items() if o == k], pick)
+            for k, pick in zip(own, picks)
+        ]
         # a key of the next row holds at most n coordinates for each later
         # row and each block still alive (none after the last row)
         width = (n - r - 1 + len(alive) - drop) * n
@@ -385,22 +403,19 @@ def _fixed_rank_histogram(
             known_end = (n - r) * m
             later = flat[known_end + drop * m :]
             partial = [flat[:known_end]]
-            for places in spread:
-                require(len(partial) * len(entries), RANK_CHOICE_BUDGET, "row value choices")
+            for places, choices in spread:
                 step = [0] * known_end
                 for row, t in places:
                     at = known_end + t * m
                     step[row * m : (row + 1) * m] = flat[at : at + m]
-                partial = [
-                    [a + v * d for a, d in zip(known, step)] for known in partial for v in entries
-                ]
+                partial = [[a + v * d for a, d in zip(partial[j], step)] for j, v in choices]
             if r == n - 1:
                 # no state follows: the row is zero or raises the rank
-                zero = sum(1 for w in partial if not any(w))
+                zero = sum(u for w, u in zip(partial, weights) if not any(w))
                 hist[rank] += count * zero
-                hist[rank + 1] += count * (len(partial) - zero)
+                hist[rank + 1] += count * (total - zero)
                 continue
-            for known in partial:
+            for known, weight in zip(partial, weights):
                 rest = [*known[m:], *later]
                 key_rank = rank
                 for p in range(m):
@@ -422,11 +437,28 @@ def _fixed_rank_histogram(
                 if g != 1 and g:
                     rest = [x // g for x in rest]
                 key = (key_rank, tuple(rest))
-                nxt[key] = nxt.get(key, 0) + count
+                nxt[key] = nxt.get(key, 0) + count * weight
             require(len(nxt), RANK_STATE_BUDGET, "reduced rank states")
             require(len(nxt), integer_cap, integers)
         states = nxt
     return hist if n else [1]  # the 0 x 0 matrix, of rank 0
+
+
+def _row_choices(orbits: int, together: int, entries: List[int]) -> Tuple[List[List[Tuple[int, int]]], List[int]]:
+    """How each state lists its prefixes over a row's orbits: per orbit, for
+    each prefix it lists, the prefix it extends and the orbit's value; then
+    each full prefix's weight.  The last `together` orbits take their values
+    in nondecreasing order of index, one prefix per multiset, weighted by
+    its number of arrangements; every other choice has weight 1.  One
+    state's value choices are capped before they are listed."""
+    picks, held = [], [()]
+    for k in range(orbits):
+        starts = [h[-1] if h else 0 for h in held]
+        require(sum(len(entries) - i for i in starts), RANK_CHOICE_BUDGET, "row value choices")
+        step = [(j, i) for j, lo in enumerate(starts) for i in range(lo, len(entries))]
+        held = [held[j] + (i,) if k >= orbits - together else () for j, i in step]
+        picks.append([(j, entries[i]) for j, i in step])
+    return picks, [factorial(len(h)) // prod(factorial(h.count(i)) for i in set(h)) for h in held]
 
 
 def fixed_rank_orbit_count(

@@ -242,9 +242,9 @@ def test_time_limit_truncates(capsys):
 
 
 def test_time_limit_stops_inside_a_count(capsys):
-    # at most 23 703 reduced states in one row, within the default cap: a
+    # at most 36 822 reduced states in one row, within the default cap: a
     # couple of seconds of counting without the deadline
-    argv = ["ranks", "--entries", "0,1,2", "--k", "4", "--n", "5", "--shape", "symmetric"]
+    argv = ["ranks", "--entries", "0,1", "--k", "4", "--n", "7", "--shape", "symmetric"]
     start = time.monotonic()
     code, data = _run_json(argv + ["--max-states", "100000000", "--time-limit", "0.5"], capsys)
     assert time.monotonic() - start < 3

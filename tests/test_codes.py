@@ -385,11 +385,11 @@ def test_guards_refuse_before_listing_anything(monkeypatch):
 
     for name in ("product", "projective_points", "semilinear_point_maps"):
         monkeypatch.setattr(codes, name, listing)
-    group = r"\|GL\(5, 2\)\|: 9999360 exceeds the budget 1000000"
+    group = r"\|PGammaL\(5, 2\)\|: 9999360 exceeds the budget 1000000"
     # (4, 3) is admitted: its 44 subspaces under 120 960 point maps fit the
     # 10^7 canonical-form operations.  A budget of 40 states refuses it at the
     # group guard, which the budget tightens too and which runs first
-    tight = r"\|GL\(3, 4\)\|: 181440 exceeds the budget 40"
+    tight = r"\|PGammaL\(3, 4\)\|: 120960 exceeds the budget 40"
     start = time.perf_counter()
     for call, match, cap in (
         (lambda: count_codes_burnside(2, 5, 6), group, None),

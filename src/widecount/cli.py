@@ -503,11 +503,21 @@ _RUNNERS = {
 }
 
 
+def _glue_entries(argv: Sequence[str]) -> List[str]:
+    """argparse reads a value that starts with "-" as an option, so
+    "--entries -1,2" is passed on as "--entries=-1,2"."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--entries" and not out[i + 1].startswith("--"):
+            out[i : i + 2] = [f"--entries={out[i + 1]}"]
+    return out
+
+
 def run(argv: Sequence[str]) -> int:
     """Parse and execute; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_entries(argv))
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

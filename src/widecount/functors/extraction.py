@@ -14,17 +14,17 @@ finite, or its next stratum is not yet occupied at n.
 
 Everything the oracle contributes is probed through targeted equivalence
 queries on canonical seed pairs; the count-vector shadow of builtin oracles
-drives the peel and the tail.
+drives the tail and one walk of each stratum's cone, which builds both its
+peel and its objects' calibrated up-sets.
 """
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..actions import Arrow, Groupoid, GroupoidAction, Permutation, TooLarge, require, tick
 from ..lattice import (
@@ -203,9 +203,10 @@ Arrows = List[Tuple[Quadruple, Tuple[int, ...]]]
 class StratumAnalysis:
     """Extraction machinery for one stratum (a count set plus calibration).
 
-    Probes the oracle through canonical seed pairs only; all discovered
-    structure (objects, arrows, level-set antichains) is exact data for the
-    stratified count.
+    Probes the oracle through canonical seed pairs only: objects and arrows
+    are discovered, the calibrated up-sets built from the cone walk that
+    also builds the peel, and all of it is exact data for the stratified
+    count.
     """
 
     def __init__(self, pres: ModelFunctorPresentation, M: DownwardClosedSet, t: int):
@@ -216,6 +217,7 @@ class StratumAnalysis:
         self._object_cache: Dict[int, List[Tuple[Quadruple, Arrows]]] = {}
         self._terms: Optional[LevelTerms] = None
         self._fingerprint: Optional[tuple] = None
+        self._walk: Optional[Tuple[int, Set[Vector]]] = None
         self._peeled: Optional[DownwardClosedSet] = None
 
     # -- the operational equivalence-class position relation -------------------
@@ -306,25 +308,36 @@ class StratumAnalysis:
     def cone_equivalent(self, beta: Vector, base: Vector) -> bool:
         return any(self.in_cone(g, base) for g in self.pres.count_equivalents(beta))
 
-    def peeled(self) -> DownwardClosedSet:
-        """The count set left once the stratum's classes are peeled, built from
-        the v-tilde cone: the in-M shadows of its points inside a uniform box
-        (shadows permute entries) leave M.  The cone runs one step past the box,
-        as far as a builtin shadow moves an entry.  A vector of M one step above
-        a removed one, neither removed nor cone-equivalent outside the box, is a
-        hole: what is left would not be downward closed."""
-        if self._peeled is None:
+    def _cone_walk(self) -> Tuple[int, Set[Vector]]:
+        """The uniform box B and the shadows of the v-tilde cone's points (v-tilde
+        = v(2t)), each entry on I from v-tilde_j to B + 1: one step past the
+        box, as far as a builtin shadow moves an entry, so every vector with
+        entries at most B that is cone-equivalent to v-tilde is among them.
+        Walked once for the peel and the calibrated up-sets."""
+        if self._walk is None:
             M, v_tilde, I = self.M, self.frame.v(2 * self.t), self.frame.I
             box = max(max(v_tilde), max((x for o in M.obstructions for x in o), default=0)) + 2
             cone = [range(x, box + 2) if j in I else (x,) for j, x in enumerate(v_tilde, 1)]
-            removed: Set[Vector] = set()
+            shadows: Set[Vector] = set()
             for c in product(*cone):
                 tick()
                 for gamma in self.pres.count_equivalents(c):
                     if abs(max(gamma) - max(c)) > 1:
                         raise Unstable(f"shadow {gamma} of {c} moves an entry by more than one")
-                    if max(gamma) <= box and M.membership(gamma):
-                        removed.add(gamma)
+                    shadows.add(gamma)
+            self._walk = box, shadows
+        return self._walk
+
+    def peeled(self) -> DownwardClosedSet:
+        """The count set left once the stratum's classes are peeled, built from
+        the cone walk: the in-M shadows inside the box leave M.  A vector of M
+        one step above a removed one, neither removed nor cone-equivalent
+        outside the box, is a hole: what is left would not be downward
+        closed."""
+        if self._peeled is None:
+            M, v_tilde = self.M, self.frame.v(2 * self.t)
+            box, shadows = self._cone_walk()
+            removed = {gamma for gamma in shadows if max(gamma) <= box and M.membership(gamma)}
             for x in sorted(removed):
                 for j in range(M.k):
                     y = x[:j] + (x[j] + 1,) + x[j + 1 :]
@@ -408,8 +421,10 @@ class StratumAnalysis:
         if seed is None:
             return False
         beta = seed.count_vector(self.pres.k)
-        if not self.cone_equivalent(beta, self.frame.v(2 * self.t)):
-            return False
+        return self.cone_equivalent(beta, self.frame.v(2 * self.t)) and self._shows(q, seed)
+
+    def _shows(self, q: Quadruple, seed: MFPair) -> bool:
+        """Does the oracle see quadruple q on the seed?"""
         observed = self.observed_quadruple(seed, q.J, expected_e=q.e)
         return observed is not None and observed[0] == q
 
@@ -502,29 +517,36 @@ class StratumAnalysis:
                     arrows.append((q_target, tuple(g[l] for l in q.J)))
         return arrows
 
-    # -- monotone learning of the calibrated region -----------------------------
+    # -- the calibrated region, built from the cone walk ---------------------------
 
-    def learn_up_antichain(self, q: Quadruple) -> List[Vector]:
+    def up_antichain(self, q: Quadruple) -> List[Vector]:
         """Minimal u's (indexed by sorted J) for which (q, u) is calibrated.
 
-        The good region is an up-set in u (guarded empirically); its
-        minimal elements are found by corner probes and coordinate descent.
+        The seed of (q, u) has count vector u - floor on J and q's abar
+        counts off J, so the region is read off the cone walk's shadows; the
+        oracle is asked only at its minimal points.  Unstable when it sees
+        another quadruple there, or when a minimal point lies past the box,
+        where the walk no longer holds every cone-equivalent vector, or when
+        the walk holds none (q is an object, so its region is not empty).
         """
-        J = q.J
-        floor_vec = tuple(q.sigma1_floor()[l] for l in J)
-        cap = tuple(
-            f + 2 * self.t + q.e + self.pres.s0 + 3 for f in floor_vec
-        )
-        good = lru_cache(maxsize=None)(lambda u_vec: self.is_good(q, dict(zip(J, u_vec))))
-        ac = _minimal_elements(good, floor_vec, cap)
-        # up-closedness check: every point above a minimal along one axis stays good
-        for m in ac:
-            for j in range(len(m)):
-                if not all(good(m[:j] + (x,) + m[j + 1 :]) for x in range(m[j] + 1, cap[j] + 1)):
-                    raise Unstable(
-                        f"calibrated region is not monotone near {m} for {q}; raise t"
-                    )
-        return list(ac)
+        box, shadows = self._cone_walk()
+        J, floor = q.J, q.sigma1_floor()
+        abar = Counter(letter for _, letter in q.abar)
+        off = [l for l in range(1, self.pres.k + 1) if l not in J]
+        region = {
+            tuple(gamma[l - 1] + floor[l] for l in J): gamma
+            for gamma in shadows
+            if all(gamma[l - 1] == abar[l] for l in off)
+        }
+        minimal = antichain_reduce(region)
+        if not minimal:
+            raise Unstable(f"no calibrated point of {q} lies in the cone walk; raise t")
+        for u in minimal:
+            if max(region[u]) > box:
+                raise Unstable(f"calibrated minimum {u} of {q} lies past the cone walk; raise t")
+            if not self._shows(q, self.build_target(q, dict(zip(J, u)), q, {l: l for l in J})):
+                raise Unstable(f"the oracle does not see {q} at its calibrated minimum {u}; raise t")
+        return list(minimal)
 
     # -- exact level counts ------------------------------------------------------
 
@@ -574,12 +596,13 @@ class StratumAnalysis:
         """The stratum's count as level terms, built once for every core size:
         each object q adds, for each arrow from q to a relabeling of q, its
         fixed-level count divided by the number of arrows out of q.  The
-        calibrated up-sets are learned here, the only place that reads them."""
+        calibrated up-sets are built here from the cone walk, the only place
+        that reads them."""
         if self._terms is None:
             terms: LevelTerms = {}
             for e in range(self.pres.s0 + self.frame.d_inf + 1):
                 for q, arrows in self.object_data(e):
-                    up_min = self.learn_up_antichain(q)
+                    up_min = self.up_antichain(q)
                     for q_target, g_images in arrows:
                         if q_target.sym_orbit_invariant() == q.sym_orbit_invariant():
                             coeff = Fraction(1, len(arrows))
@@ -909,39 +932,3 @@ def strata_against_peels(
             removed = _tail_count(pres, analysis.M, n) - _tail_count(pres, analysis.peeled(), n)
             rows.append((n, analysis.t, analysis.stratum_count(n), removed))
     return rows
-
-
-def _minimal_elements(
-    up: Callable[[Vector], bool], floor: Vector, cap: Vector
-) -> Tuple[Vector, ...]:
-    """Minimal elements of an up-set within the box [floor, cap], found by
-    corner probes and coordinate descent.  ``up`` should be memoised: the
-    search asks it about the same points again."""
-    minimals: Set[Vector] = set()
-    visited: Set[Vector] = set()
-
-    def minimize(v: Vector) -> Vector:
-        cur = list(v)
-        changed = True
-        while changed:
-            changed = False
-            for j in range(len(cur)):
-                while cur[j] > floor[j] and up(tuple(cur[:j] + [cur[j] - 1] + cur[j + 1 :])):
-                    cur[j] -= 1
-                    changed = True
-        return tuple(cur)
-
-    def search(corner: Vector) -> None:
-        if corner in visited:
-            return
-        visited.add(corner)
-        if not up(corner):
-            return
-        m = minimize(corner)
-        minimals.add(m)
-        for j in range(len(corner)):
-            if m[j] > floor[j]:
-                search(corner[:j] + (m[j] - 1,) + corner[j + 1 :])
-
-    search(cap)
-    return antichain_reduce(minimals)

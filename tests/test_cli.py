@@ -163,14 +163,13 @@ def test_ranks_verify_collapses_equal_entries(capsys):
 
 
 def test_ranks_verify_checks_every_entry_set(capsys):
-    code, data = _run_json(
-        ["ranks", "--entries=-1,0,1/2", "--k", "3", "--n", "3..4", "--verify"],
-        capsys,
-    )
-    assert code == 0
-    checks = [c["check"] for c in data["checks"]]
-    assert checks == ["rank-total@3", "rank-brute@3", "rank-total@4"]
-    assert data["verdict"] == "pass"
+    # an entry list that starts with a negative entry is read in both spellings
+    for entries in (["--entries=-1,0,1/2"], ["--entries", "-1,0,1/2"]):
+        code, data = _run_json(["ranks", *entries, "--k", "3", "--n", "3..4", "--verify"], capsys)
+        assert code == 0
+        checks = [c["check"] for c in data["checks"]]
+        assert checks == ["rank-total@3", "rank-brute@3", "rank-total@4"]
+        assert data["verdict"] == "pass"
 
 
 def test_model_both_methods(capsys):

@@ -1,7 +1,7 @@
 import dataclasses
 import random
+import re
 import tracemalloc
-from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, gcd
 
@@ -24,7 +24,6 @@ from widecount.functors.extraction import (
     Quadruple,
     StratumAnalysis,
     Unstable,
-    _minimal_elements,
     _plan,
     _tail_count,
     analyze_pair,
@@ -388,94 +387,71 @@ def test_stratified_routes_need_the_shadow(route, n):
         route(pres, n)
 
 
-def test_up_set_guard_rejects_a_calibrated_region_that_is_not_monotone(monkeypatch):
-    # punch a hole just above every minimal element of each object's
-    # calibrated region: it still holds deep in the cone, at u_test, but it
-    # is no longer an up-set, and the count that reads it must say so
+def _objects(analysis):
+    return [
+        q
+        for e in range(analysis.pres.s0 + analysis.frame.d_inf + 1)
+        for q, _ in analysis.object_data(e)
+    ]
+
+
+def test_up_set_guard_rejects_a_minimum_the_oracle_does_not_see(monkeypatch):
+    # the oracle turns down the seed of one built minimal point: the count
+    # must name that object and point, and search no further
     pres = roots_of_unity(2)
     _PLAN_CACHE.clear()
     analysis = _plan(pres, None, True).calibrated(pres.countset)
-    holes = {}
-    for e in range(pres.s0 + analysis.frame.d_inf + 1):
-        for q, _ in analysis.object_data(e):
-            holes[q] = {(m[0] + 1,) + m[1:] for m in analysis.learn_up_antichain(q)}
-    assert holes
-    is_good = StratumAnalysis.is_good
+    q = _objects(analysis)[-1]
+    u = analysis.up_antichain(q)[0]
+    seed = analysis.build_target(q, dict(zip(q.J, u)), q, {l: l for l in q.J})
+    observed = StratumAnalysis.observed_quadruple
 
-    def holed(self, q, u):
-        return tuple(u[l] for l in q.J) not in holes.get(q, ()) and is_good(self, q, u)
+    def blind(self, pair, J, expected_e=None):
+        return None if pair == seed else observed(self, pair, J, expected_e)
 
-    monkeypatch.setattr(StratumAnalysis, "is_good", holed)
+    monkeypatch.setattr(StratumAnalysis, "observed_quadruple", blind)
     _PLAN_CACHE.clear()
     try:
-        for q in holes:
-            assert holed(analysis, q, analysis.u_test(q))
         n = pres.s0 + analysis.min_occupied_total()
         # below the stratum's first occupied length nothing reads the region
         assert mf_count_via_groupoid(pres, n - 1) == cube_orbit_count(2, n - 1)
-        with pytest.raises(Unstable, match="not monotone"):
+        with pytest.raises(Unstable, match=re.escape(f"{q} at its calibrated minimum {u}")):
             mf_count_via_groupoid(pres, n)
     finally:
         _PLAN_CACHE.clear()
 
 
-@pytest.mark.parametrize("d,n", [(2, 25), (3, 49)])
-def test_up_set_guard_probes_every_step_along_each_axis(monkeypatch, d, n):
-    # the true region cut by offset(J[0]) >= offset(J[1]) is not an up-set:
-    # it fails far above a minimal element along the second axis, out of
-    # reach of a probe one step up, and the guard must still catch it
-    is_good = StratumAnalysis.is_good
-
-    def tilted(self, q, u):
-        if len(q.J) >= 2:
-            floor = q.sigma1_floor()
-            offset = [u[l] - floor.get(l, 0) for l in q.J[:2]]
-            if offset[0] < offset[1]:
-                return False
-        return is_good(self, q, u)
-
-    monkeypatch.setattr(StratumAnalysis, "is_good", tilted)
-    _PLAN_CACHE.clear()
-    try:
-        with pytest.raises(Unstable, match="not monotone"):
-            mf_count_via_groupoid(roots_of_unity(d), n)
-    finally:
-        _PLAN_CACHE.clear()
+def test_up_set_guard_rejects_a_minimum_past_the_cone_walk():
+    # below the box the walk holds every cone-equivalent vector; a minimal
+    # point past it may not be minimal, so it is refused
+    pres = roots_of_unity(2)
+    analysis = StratumAnalysis(pres, pres.countset, 6)
+    q = _objects(analysis)[0]
+    box, shadows = analysis._cone_walk()
+    assert analysis.up_antichain(q)
+    analysis._walk = (min(max(gamma) for gamma in shadows) - 1, shadows)
+    with pytest.raises(Unstable, match="lies past the cone walk"):
+        analysis.up_antichain(q)
+    # q is an object, so a walk that holds none of its region missed it
+    analysis._walk = (box, set())
+    with pytest.raises(Unstable, match="no calibrated point"):
+        analysis.up_antichain(q)
 
 
-def test_up_sets_are_learned_only_at_the_counted_threshold(monkeypatch):
+def test_up_sets_are_built_only_at_the_counted_threshold(monkeypatch):
     # the t + 1 analysis exists only for the stability check, which compares
-    # objects and arrows: it learns no up-set
-    learned = []
-    learn = StratumAnalysis.learn_up_antichain
+    # objects and arrows: it builds no up-set
+    built = []
+    build = StratumAnalysis.up_antichain
 
-    def counting_learn(self, q):
-        learned.append(self.t)
-        return learn(self, q)
+    def counting_build(self, q):
+        built.append(self.t)
+        return build(self, q)
 
-    monkeypatch.setattr(StratumAnalysis, "learn_up_antichain", counting_learn)
+    monkeypatch.setattr(StratumAnalysis, "up_antichain", counting_build)
     _PLAN_CACHE.clear()
     assert mf_count_via_groupoid(roots_of_unity(3), 70) == cube_orbit_count(3, 70)
-    assert learned and set(learned) == {8}
-
-
-def test_minimal_element_search_against_brute_force():
-    rng = random.Random(7)
-    for _ in range(300):
-        k = rng.randint(1, 4)
-        obstructions = [
-            tuple(rng.randint(0, 4) for _ in range(k)) for _ in range(rng.randint(0, 4))
-        ]
-        M = DownwardClosedSet(k, obstructions)
-        outside = lru_cache(maxsize=None)(lambda v: not M.membership(v))
-        cap = (5,) * k
-        assert _minimal_elements(outside, (0,) * k, cap) == M.obstructions
-        floor = tuple(rng.randint(0, 2) for _ in range(k))
-        if not any(floor):
-            floor = (1,) + floor[1:]
-        box = product(*(range(f, c + 1) for f, c in zip(floor, cap)))
-        brute = antichain_reduce(v for v in box if not M.membership(v))
-        assert _minimal_elements(outside, floor, cap) == brute, (M, floor)
+    assert built and set(built) == {8}
 
 
 def test_deadline_leaves_no_half_built_plan(monkeypatch):
@@ -742,3 +718,43 @@ def test_deadline_stops_a_peel_and_the_next_call_builds_it_whole(monkeypatch):
     monkeypatch.undo()
     assert analysis._peeled is None
     assert analysis.peeled() == whole
+
+
+def test_built_up_sets_equal_the_brute_force_scan():
+    # the old definition as the reference: (q, u) is calibrated when is_good
+    # holds, scanned over the box [floor, floor + 2t + e + s0 + 3]
+    for pres in (roots_of_unity(2), roots_of_unity(3), S3_WORDS, C3_OBSTRUCTED):
+        _PLAN_CACHE.clear()
+        analysis = _plan(pres, None, True).calibrated(pres.countset)
+        objects = _objects(analysis)
+        assert objects
+        for q in objects:
+            floor = [q.sigma1_floor()[l] for l in q.J]
+            side = 2 * analysis.t + q.e + pres.s0 + 3
+            scan = product(*(range(f, f + side + 1) for f in floor))
+            brute = antichain_reduce(u for u in scan if analysis.is_good(q, dict(zip(q.J, u))))
+            assert tuple(analysis.up_antichain(q)) == brute, (pres.name, q)
+    _PLAN_CACHE.clear()
+
+
+@pytest.mark.parametrize(
+    "pres,n",
+    [
+        pytest.param(roots_of_unity(3), 60, id="roots3"),
+        pytest.param(S3_WORDS, 40, id="S3-words"),
+    ],
+)
+def test_stratum_terms_read_the_peels_cone_walk(pres, n):
+    # one cone walk per stratum: once the strata are calibrated and peeled,
+    # the level terms ask the shadow nothing
+    calls = []
+    shadow = pres.count_equivalents
+    counted = dataclasses.replace(
+        pres, count_equivalents=lambda beta: calls.append(beta) or shadow(beta)
+    )
+    strata = _plan(counted, None, True).strata(n)[0]
+    assert strata and calls
+    calls.clear()
+    for analysis in strata:
+        analysis.stratum_terms()
+    assert calls == []

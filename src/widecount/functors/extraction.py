@@ -19,7 +19,7 @@ peel and its objects' calibrated up-sets.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -779,9 +779,10 @@ def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) ->
     finite level of it), with one shadow call per class.  The shadow of a
     vector is its whole class's count-vector set, so a vector no earlier
     shadow reached starts a class.  The level is walked run by run
-    (``level_runs``); what the shadows reached is kept as marks, the
-    second-to-last coordinates under each prefix, and a prefix's marks are
-    dropped once its run is done."""
+    (``level_runs``); what the shadows reached ahead of the walk is kept as
+    marks, one byte per point of a run: a prefix's row, sized by its
+    ``remaining`` (a shadow keeps word length), holds 1 at each
+    second-to-last coordinate reached, and is dropped once its run is done."""
     level = n - pres.s0
     if level < 0:
         return 0
@@ -792,18 +793,23 @@ def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) ->
             tick()
             hook(members[0])
         return len(members)
-    marks: Dict[Vector, Set[int]] = defaultdict(set)
+    rows: Dict[Vector, bytearray] = {}
     classes = 0
     for prefix, remaining, gaps in M.level_runs(level):
-        marked = marks[prefix]
+        row = rows.get(prefix)
+        if row is None:  # no shadow reached this run ahead of the walk
+            row = rows[prefix] = bytearray(remaining + 1)
         for gap in gaps:
             for x in gap:
-                if x not in marked:
+                if not row[x]:
                     tick()
                     classes += 1
                     for gamma in hook(prefix + (x, remaining - x)):
-                        marks[gamma[:-2]].add(gamma[-2])
-        del marks[prefix]
+                        marked = rows.get(gamma[:-2])
+                        if marked is None:
+                            marked = rows[gamma[:-2]] = bytearray(gamma[-2] + gamma[-1] + 1)
+                        marked[gamma[-2]] = 1
+        del rows[prefix]
     return classes
 
 

@@ -602,20 +602,34 @@ def test_tail_count_equals_the_list_and_set_loop_on_builtins(pres):
         _assert_tail_matches_reference(pres, pres.countset, n)
 
 
-def test_tail_count_memory_stays_below_the_level_size():
-    # the count set the stratified route hands the tail at d = 4, n = 81: a
-    # list of its 91 877 points and a set of reached tuples take 17.2 MB,
-    # marks for the prefixes between a class and its shadow far less
-    M = DownwardClosedSet(4, [(20, 20, 20, 20), (20, 20, 21, 19), (20, 21, 20, 19), (21, 20, 20, 19)])
-    pres = roots_of_unity(4)
+def _tail_count_traced(pres, M, n):
     tracemalloc.start()
     try:
-        counted = _tail_count(pres, M, 81)
+        counted = _tail_count(pres, M, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return counted, peak
+
+
+def test_tail_count_memory_stays_below_the_level_size():
+    # the count set the stratified route hands the tail at d = 4, n = 81: a
+    # list of its 91 877 points and a set of reached tuples peak at 17.2 MB,
+    # a set of marks per pending prefix at 4.15 MB, a byte row per pending
+    # prefix at about 0.49 MB
+    M = DownwardClosedSet(4, [(20, 20, 20, 20), (20, 20, 21, 19), (20, 21, 20, 19), (21, 20, 20, 19)])
+    counted, peak = _tail_count_traced(roots_of_unity(4), M, 81)
     assert counted == 23820
-    assert peak < 8_000_000, peak
+    assert peak < 1_000_000, peak
+
+
+def test_tail_count_memory_with_three_coordinate_prefixes():
+    # k = 5, so the pending prefixes have three coordinates: a set of marks
+    # per prefix peaks at 2.88 MB, a byte row per prefix at about 0.66 MB
+    pres, M = roots_of_unity(5), DownwardClosedSet.full(5)
+    counted, peak = _tail_count_traced(pres, M, 31)
+    assert counted == _tail_count_reference(pres, M, 31) == 10472
+    assert peak < 1_400_000, peak
 
 
 def test_deadline_reaches_the_tail_loop():

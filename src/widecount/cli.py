@@ -191,7 +191,8 @@ def build_parser() -> _Parser:
     pf = code_sub.add_parser("fit")
     pf.add_argument("--q", type=int, required=True)
     pf.add_argument("--m", type=int, required=True)
-    pf.add_argument("--nmax", type=int, required=True)
+    pf.add_argument("--nmax", type=int, required=True,
+                    help="sweep n = 0..NMAX; the closed form is exact and does not depend on it")
     _add_common(pf)
 
     p = sub.add_parser("ranks", help="orbits of fixed-rank matrices with entries in a finite set")

@@ -32,9 +32,9 @@ class ElementaryModelFunctor:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "countset", countset)
-        self._check_stability()
+        self._require_g_stable()
 
-    def _check_stability(self) -> None:
+    def _require_g_stable(self) -> None:
         # G permutes coordinates, so M is G-stable iff its obstruction
         # antichain is; additionally sweep the obstruction box for a direct
         # membership witness when it is not

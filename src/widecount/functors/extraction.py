@@ -48,7 +48,11 @@ class NotCalibrated(Exception):
 
 
 class Unstable(Exception):
-    """Extraction results at t and t+1 disagree; the caller should raise t."""
+    """A stratum cannot be certified at this threshold t: its structure at t
+    and t + 1 disagree, its peel leaves a hole or does not shrink the count
+    set, a shadow moves an entry by more than one, an up-set minimum is
+    missing, past the cone walk or not seen by the oracle, its Burnside sum
+    is not an integer, or the strata do not end."""
 
 
 @dataclass(frozen=True)
@@ -101,15 +105,11 @@ def compute_frame(M: DownwardClosedSet) -> CalibrationFrame:
 
 
 def default_threshold(M: DownwardClosedSet, s0: int) -> int:
+    """2(k + s0 + m) for the largest obstruction entry m.  It exceeds m, as
+    the cone construction needs: below that, vectors of the count set above
+    v are not pinned to the cone v + Z_{>=0}^I."""
     max_entry = max((x for o in M.obstructions for x in o), default=0)
     return 2 * (M.k + s0 + max_entry)
-
-
-def minimum_threshold(M: DownwardClosedSet) -> int:
-    """Below this the cone construction is unsound: the threshold must exceed
-    every obstruction entry so that vectors of the count set above v are
-    pinned to the cone v + Z_{>=0}^I."""
-    return max((x for o in M.obstructions for x in o), default=0) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +730,7 @@ class ExtractedGroupoid:
         return GroupoidAction(self.groupoid, carrier, anchor, maps)
 
 
-def extract_groupoid(
-    pres: ModelFunctorPresentation,
-    e: int,
-    t: Optional[int] = None,
-    check_stability: bool = True,
-) -> ExtractedGroupoid:
+def extract_groupoid(pres: ModelFunctorPresentation, e: int) -> ExtractedGroupoid:
     """The groupoid of quadruples with core size e at a stable calibration.
 
     Objects are the labeled quadruples realized by calibrated pairs with
@@ -744,7 +739,7 @@ def extract_groupoid(
     stratified count's for the presentation's count set, with the t/t+1
     check made whatever the word length.
     """
-    analysis = _plan(pres, t, check_stability).calibrated(pres.countset)
+    analysis = _plan(pres).calibrated(pres.countset)
     objects: List[Quadruple] = []
     arrows: List[Arrow] = []
     seeds: Dict[Quadruple, MFPair] = {}
@@ -815,7 +810,7 @@ def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) ->
 
 class StratifiedPlan:
     """Everything of the stratified count that does not depend on n, for one
-    presentation and one choice of (t, check_stability).
+    presentation.
 
     The strata are recorded as the counts reach them, one analysis per count
     set M and threshold t; each keeps its own structure, fingerprint, level
@@ -824,20 +819,13 @@ class StratifiedPlan:
     count would pick.
     """
 
-    def __init__(
-        self,
-        pres: ModelFunctorPresentation,
-        t: Optional[int],
-        check_stability: bool,
-    ):
+    def __init__(self, pres: ModelFunctorPresentation):
         if pres.count_equivalents is None:
             raise TooLarge(
                 "the stratified route needs the presentation's count-vector shadow; "
                 "use mf_orbit_count_direct instead"
             )
         self.pres = pres
-        self.t = t
-        self.check_stability = check_stability
         self._analyses: Dict[Tuple[DownwardClosedSet, int], StratumAnalysis] = {}
 
     def analysis(self, M: DownwardClosedSet, t: int) -> StratumAnalysis:
@@ -851,17 +839,14 @@ class StratifiedPlan:
         doubled while the stratum is occupied at n (at every n when n is
         None) and its structure at t disagrees with that at t + 1."""
         s0 = self.pres.s0
-        t0 = self.t if self.t is not None else max(default_threshold(M, s0), 2)
-        t_cur = max(t0, minimum_threshold(M))
+        t_cur = max(default_threshold(M, s0), 2)
         while True:
             analysis = self.analysis(M, t_cur)
-            if not self.check_stability or (
-                n is not None and n - s0 < analysis.min_occupied_total()
-            ):
+            if n is not None and n - s0 < analysis.min_occupied_total():
                 return analysis
             if analysis.fingerprint() == self.analysis(M, t_cur + 1).fingerprint():
                 return analysis
-            if self.t is not None or 2 * t_cur > MAX_T:
+            if 2 * t_cur > MAX_T:
                 raise Unstable(f"stratum unstable between t={t_cur} and t={t_cur + 1}")
             t_cur *= 2
 
@@ -884,29 +869,21 @@ class StratifiedPlan:
         raise Unstable("stratification did not terminate")
 
 
-# One plan per (presentation, options), so a sweep over n builds each
-# stratum once.  An entry keeps its presentation alive and is only used for
-# that very object, so neither a reused id nor an equal-valued presentation
-# with another oracle can pick up a foreign plan.
-_PLAN_CACHE: Dict[Tuple[int, Optional[int], bool], StratifiedPlan] = {}
+# One plan per presentation, so a sweep over n builds each stratum once.
+# An entry keeps its presentation alive and is only used for that very
+# object, so neither a reused id nor an equal-valued presentation with
+# another oracle can pick up a foreign plan.
+_PLAN_CACHE: Dict[int, StratifiedPlan] = {}
 
 
-def _plan(
-    pres: ModelFunctorPresentation, t: Optional[int], check_stability: bool
-) -> StratifiedPlan:
-    key = (id(pres), t, check_stability)
-    plan = _PLAN_CACHE.get(key)
+def _plan(pres: ModelFunctorPresentation) -> StratifiedPlan:
+    plan = _PLAN_CACHE.get(id(pres))
     if plan is None or plan.pres is not pres:
-        plan = _PLAN_CACHE[key] = StratifiedPlan(pres, t, check_stability)
+        plan = _PLAN_CACHE[id(pres)] = StratifiedPlan(pres)
     return plan
 
 
-def mf_count_via_groupoid(
-    pres: ModelFunctorPresentation,
-    n: int,
-    t: Optional[int] = None,
-    check_stability: bool = True,
-) -> int:
+def mf_count_via_groupoid(pres: ModelFunctorPresentation, n: int) -> int:
     """Sym([n])-orbit count on F([n])/~ via the stratified groupoid formula.
 
     Peels calibrated strata from the count set (each counted by a groupoid
@@ -917,7 +894,7 @@ def mf_count_via_groupoid(
     presentation's count-vector shadow.  The n-independent work is kept in a
     plan per presentation and reused by later calls.
     """
-    strata, M = _plan(pres, t, check_stability).strata(n)
+    strata, M = _plan(pres).strata(n)
     return sum(analysis.stratum_count(n) for analysis in strata) + _tail_count(pres, M, n)
 
 
@@ -931,7 +908,7 @@ def strata_against_peels(
     stratum count must equal the number of classes that its peel takes out
     of the count set at level n - s0, which the tail counts directly.
     """
-    plan = _plan(pres, None, True)
+    plan = _plan(pres)
     rows = []
     for n in levels:
         for analysis in plan.strata(n)[0]:

@@ -138,26 +138,16 @@ def test_analyze_pair_not_calibrated():
         analyze_pair(pres, 5, MFPair(5, (1,), (1, 1, 1, 1)), t=3)
 
 
-def test_explicit_t_is_stable_or_raises():
-    # an explicit t either passes the t/t+1 stability gate (and then must
-    # reproduce the default structure) or raises Unstable
-    pres = roots_of_unity(3)
-    default = extract_groupoid(pres, e=0)
-    try:
-        pinned = extract_groupoid(pres, e=0, t=1)
-    except Unstable:
-        return
-    assert len(pinned.groupoid.objects) == len(default.groupoid.objects)
-    assert len(pinned.groupoid.arrows) == len(default.groupoid.arrows)
-
-
-@pytest.mark.parametrize("d,t_override,nmax", [(2, 2, 24), (3, 2, 15), (4, 2, 18)])
-def test_stratified_count_matches_formula_small_t(d, t_override, nmax):
+@pytest.mark.parametrize("d,nmin,nmax", [(2, 0, 30), (3, 45, 52), (4, 80, 82)])
+def test_stratified_count_matches_formula_where_the_first_stratum_fills(d, nmin, nmax):
+    # the first stratum is occupied from n = 25, 49 and 81 on; the levels
+    # straddle that length, so both the tail alone and stratum plus tail run
     pres = roots_of_unity(d)
-    for n in range(nmax + 1):
-        got = mf_count_via_groupoid(pres, n, t=t_override, check_stability=False)
+    for n in range(nmin, nmax + 1):
+        got = mf_count_via_groupoid(pres, n)
         want = cube_formula(d, n) if n >= 1 else 0
         assert got == want, (d, n, got, want)
+    assert _plan(pres).strata(nmax)[0]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -167,21 +157,26 @@ def test_stratified_count_matches_direct_default(d):
         assert mf_count_via_groupoid(pres, n) == mf_orbit_count_direct(pres, n)
 
 
+def _first_occupied(pres):
+    return pres.s0 + _plan(pres).calibrated(pres.countset).min_occupied_total()
+
+
 def test_stratified_count_elementary_and_trivial():
+    # each sweep runs n0 - 1 .. n0 + 3 around the first occupied length n0
     emf = ElementaryModelFunctor(2, PermGroup.symmetric(2), DownwardClosedSet.full(2))
-    pe = elementary_embedding(emf)
-    for n in range(10):
-        assert mf_count_via_groupoid(pe, n) == elementary_count(emf, n)
-        assert mf_count_via_groupoid(pe, n, t=3, check_stability=False) == elementary_count(emf, n)
-
     emf2 = ElementaryModelFunctor(2, PermGroup.trivial(2), DownwardClosedSet(2, [(3, 0)]))
-    pe2 = elementary_embedding(emf2)
-    for n in range(10):
-        assert mf_count_via_groupoid(pe2, n, t=3, check_stability=False) == elementary_count(emf2, n)
+    for m, n0 in ((emf, 16), (emf2, 22)):
+        pe = elementary_embedding(m)
+        assert _first_occupied(pe) == n0
+        for n in range(n0 - 1, n0 + 4):
+            assert mf_count_via_groupoid(pe, n) == elementary_count(m, n), (m, n)
 
+    # under equality every class is one pair, so the orbits are the count
+    # vectors; the direct count refuses |F([25])| = 4.2e8
     pt = trivial_presentation(2, s0=1)
-    for n in range(1, 8):
-        assert mf_count_via_groupoid(pt, n, t=3, check_stability=False) == mf_orbit_count_direct(pt, n)
+    assert _first_occupied(pt) == 25
+    for n in range(24, 29):
+        assert mf_count_via_groupoid(pt, n) == comb(n - pt.s0 + pt.k - 1, pt.k - 1), n
 
 
 def test_degenerate_empty_countset():
@@ -319,18 +314,33 @@ def test_plan_is_built_once_per_sweep(monkeypatch):
     _PLAN_CACHE.clear()
     mf_count_via_groupoid(pres, 70)
     assert len(builds) == 2 * alone  # rebuilt
-    # other options, or an equal but distinct presentation, get their own plan
-    before = len(builds)
-    mf_count_via_groupoid(pres, 70, check_stability=False)
-    assert len(builds) > before
-    before = len(builds)
-    mf_count_via_groupoid(pres, 70, t=16, check_stability=False)
-    assert len(builds) > before
+    # an equal but distinct presentation gets its own plan
     twin = roots_of_unity(3)
     assert twin == pres and twin is not pres
     before = len(builds)
     mf_count_via_groupoid(twin, 70)
     assert len(builds) == before + alone
+
+
+def test_an_unstable_threshold_doubles(monkeypatch):
+    # the structure at t = 6 and t = 7 made to disagree: the first stratum
+    # of d = 2 is counted at t = 12, so it is occupied only from n = 49
+    fingerprint = StratumAnalysis.fingerprint
+    monkeypatch.setattr(
+        StratumAnalysis, "fingerprint", lambda self: (fingerprint(self), self.t == 7)
+    )
+    pres = roots_of_unity(2)
+    plan = _plan(pres)
+    try:
+        for n in range(20, 80):
+            assert [a.t for a in plan.strata(n)[0]] == ([12] if n >= 49 else []), n
+            assert mf_count_via_groupoid(pres, n) == cube_orbit_count(2, n), n
+        # when no pair of thresholds agrees, doubling stops at MAX_T
+        monkeypatch.setattr(StratumAnalysis, "fingerprint", lambda self: self.t)
+        with pytest.raises(Unstable, match="between t=48 and t=49"):
+            mf_count_via_groupoid(roots_of_unity(2), 200)
+    finally:
+        _PLAN_CACHE.clear()
 
 
 def test_stanley_pieces_are_built_once_per_sweep(monkeypatch):
@@ -400,7 +410,7 @@ def test_up_set_guard_rejects_a_minimum_the_oracle_does_not_see(monkeypatch):
     # must name that object and point, and search no further
     pres = roots_of_unity(2)
     _PLAN_CACHE.clear()
-    analysis = _plan(pres, None, True).calibrated(pres.countset)
+    analysis = _plan(pres).calibrated(pres.countset)
     q = _objects(analysis)[-1]
     u = analysis.up_antichain(q)[0]
     seed = analysis.build_target(q, dict(zip(q.J, u)), q, {l: l for l in q.J})
@@ -504,7 +514,7 @@ def test_deadline_leaves_no_half_built_plan(monkeypatch):
 )
 def test_tail_count_is_the_shadow_component_count(pres, n):
     # n is the first length at which the first stratum is occupied
-    plan = _plan(pres, None, True)
+    plan = _plan(pres)
     analysis = plan.calibrated(pres.countset, n)
     assert n - pres.s0 == analysis.min_occupied_total()
     for M in (pres.countset, analysis.peeled()):
@@ -688,7 +698,7 @@ def test_peel_raises_on_a_hole():
 def test_built_peel_equals_the_brute_force_over_its_box(pres, n):
     # every point of the box stays exactly when it is in M and not
     # equivalent into the v-tilde cone
-    strata = _plan(pres, None, True).strata(n)[0]
+    strata = _plan(pres).strata(n)[0]
     assert strata
     for analysis in strata:
         M, v_tilde = analysis.M, analysis.frame.v(2 * analysis.t)
@@ -739,7 +749,7 @@ def test_built_up_sets_equal_the_brute_force_scan():
     # holds, scanned over the box [floor, floor + 2t + e + s0 + 3]
     for pres in (roots_of_unity(2), roots_of_unity(3), S3_WORDS, C3_OBSTRUCTED):
         _PLAN_CACHE.clear()
-        analysis = _plan(pres, None, True).calibrated(pres.countset)
+        analysis = _plan(pres).calibrated(pres.countset)
         objects = _objects(analysis)
         assert objects
         for q in objects:
@@ -766,7 +776,7 @@ def test_stratum_terms_read_the_peels_cone_walk(pres, n):
     counted = dataclasses.replace(
         pres, count_equivalents=lambda beta: calls.append(beta) or shadow(beta)
     )
-    strata = _plan(counted, None, True).strata(n)[0]
+    strata = _plan(counted).strata(n)[0]
     assert strata and calls
     calls.clear()
     for analysis in strata:

@@ -340,7 +340,7 @@ def _tail_sized_sets():
     for d, n in ((3, 49), (4, 81)):
         # n is the first length at which the first stratum is occupied
         pres = roots_of_unity(d)
-        plan = _plan(pres, None, True)
+        plan = _plan(pres)
         yield f"roots{d}-peeled", plan.calibrated(pres.countset, n).peeled()
     rng = random.Random(11)
     for k in range(2, 6):

@@ -138,6 +138,33 @@ def test_analyze_pair_not_calibrated():
         analyze_pair(pres, 5, MFPair(5, (1,), (1, 1, 1, 1)), t=3)
 
 
+def _count_at_threshold(pres, n, t):
+    # the stratified count with every stratum built at threshold t (raised
+    # above the count set's obstruction entries, below which the cone is
+    # unsound) and no stability check: the strata are occupied from small n
+    # on, so the groupoid sums are checked at levels the default never reads
+    total, M = 0, pres.countset
+    while not M.is_finite():
+        floor = max((x for o in M.obstructions for x in o), default=0) + 1
+        analysis = StratumAnalysis(pres, M, max(t, floor))
+        if n - pres.s0 < analysis.min_occupied_total():
+            break
+        total += analysis.stratum_count(n)
+        M = analysis.peeled()
+    return total + _tail_count(pres, M, n)
+
+
+@pytest.mark.parametrize("d,t_override,nmax", [(2, 2, 24), (3, 2, 15), (4, 2, 18)])
+def test_stratified_count_matches_formula_small_t(d, t_override, nmax):
+    pres = roots_of_unity(d)
+    first = StratumAnalysis(pres, pres.countset, t_override).min_occupied_total()
+    assert nmax - pres.s0 >= first  # the sweep reaches the first stratum
+    for n in range(nmax + 1):
+        got = _count_at_threshold(pres, n, t_override)
+        want = cube_formula(d, n) if n >= 1 else 0
+        assert got == want, (d, n, got, want)
+
+
 @pytest.mark.parametrize("d,nmin,nmax", [(2, 0, 30), (3, 45, 52), (4, 80, 82)])
 def test_stratified_count_matches_formula_where_the_first_stratum_fills(d, nmin, nmax):
     # the first stratum is occupied from n = 25, 49 and 81 on; the levels

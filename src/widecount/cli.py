@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import gallery
-from .actions import PermGroup, TooLarge, budget, tick
+from .actions import PermGroup, Permutation, TooLarge, budget, tick
 from .codes import codes_quasipolynomial, count_codes_burnside, count_codes_direct
 from .functors.elementary import (
     ElementaryModelFunctor,
@@ -39,7 +39,7 @@ from .functors.precomponent import (
     planes_precomponent,
     precomp_count,
 )
-from .lattice import DownwardClosedSet
+from .lattice import DownwardClosedSet, fixed_count_level, level_quasipolynomial
 from .quasipoly import FittedQuasipolynomial, NoFit, fit, read_sequence_csv
 
 
@@ -427,14 +427,19 @@ def _run_verify(args, report: RunReport) -> None:
         "galois-brute", all(elementary_count(galois, n) == elementary_brute(galois, n) for n in range(9))
     )
     # the built forms are exact from their onset: on the span they were built
-    # from, and far beyond it
+    # from, and far beyond it; with obstructions one weight tuple has several shifts
     s4 = ElementaryModelFunctor(4, PermGroup.symmetric(4), DownwardClosedSet.full(4))
     c4 = ElementaryModelFunctor(4, PermGroup.cyclic(4), DownwardClosedSet.full(4))
+    rotations = [(2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)]
+    c4_obstructed = ElementaryModelFunctor(4, PermGroup.cyclic(4), DownwardClosedSet(4, rotations))
+    M, g = DownwardClosedSet(4, [(2, 1, 3, 3), (3, 1, 3, 1)]), Permutation.from_cycles("(2 4)", 4)
+    forms = [(elementary_quasipolynomial(emf), lambda n, emf=emf: elementary_count(emf, n))
+             for emf in (galois, s4, c4, c4_obstructed)]
+    forms.append((level_quasipolynomial(M, g), lambda n: fixed_count_level(M, g, n)))
     exact = True
-    for emf in (galois, s4, c4):
-        form = elementary_quasipolynomial(emf)
+    for form, count in forms:
         lo, hi = form.validated_range
-        exact = exact and all(form(n) == elementary_count(emf, n) for n in [*range(lo, hi + 1), 10**4])
+        exact = exact and all(form(n) == count(n) for n in [*range(lo, hi + 1), 10**4])
     for q, m in ((2, 2), (3, 2), (2, 3)):
         form = codes_quasipolynomial(q, m, 0)
         span = range(2 * form.validated_range[1] + 1)

@@ -10,7 +10,12 @@ Every level count built here, and every orbit count made of them, is kept
 as level terms: a dict {(sorted free weights w, base level b): c} standing
 for the sum of c * d_w(n - b), d_w the denumerant.  They are built once;
 ``evaluate_terms`` gives the count at one n, ``terms_quasipolynomial`` its
-exact closed form.
+exact closed form.  The builder reads the terms of one w as the series
+sum c * x^b / prod(1 - x^w) and gets every value it interpolates from one
+pass of the denumerant DP's running sums: the sum over weight tuples of
+|w| * (onset + period * (degree + 1)) integer additions, not one
+``denumerant`` call per term per value.  The divisor joins the one
+denominator the interpolation divides by.
 """
 from __future__ import annotations
 
@@ -257,19 +262,32 @@ class WeightedLevelProblem:
 _DENUMERANT_CACHE: Dict[Tuple[int, ...], List[int]] = {}
 
 
+def _running_sums(weights: Sequence[int], seeds: Dict[int, int], size: int) -> List[int]:
+    """The first ``size`` coefficients of sum seeds[i] * x^i / prod(1 - x^w)
+    over the weights: one strided running sum per weight, |weights| * size
+    additions.  Seeded {0: 1} this is the denumerant DP."""
+    for w in weights:
+        if not isinstance(w, int) or w < 1:
+            raise ValueError(f"weight {w!r} is not a positive integer")
+    series = [0] * size
+    for i, c in seeds.items():
+        series[i] = c
+    for w in weights:
+        for j in range(w, size):
+            series[j] += series[j - w]
+    return series
+
+
 def denumerant(weights: Sequence[int], n: int) -> int:
-    """Number of y >= 0 with sum weights[c]*y[c] = n, exact integer DP."""
+    """Number of y >= 0 with sum weights[c]*y[c] = n, the weights positive
+    integers; a cache lookup once the table for the sorted weights reaches n."""
     if n < 0:
         return 0
-    key = tuple(sorted(int(w) for w in weights))
+    key = tuple(sorted(weights))
     table = _DENUMERANT_CACHE.get(key)
     if table is None or len(table) <= n:
         size = max(n + 1, 2 * len(table) if table else 64)  # O(log n) rebuilds per sweep
-        table = [0] * size
-        table[0] = 1
-        for w in key:
-            for j in range(w, size):
-                table[j] += table[j - w]
+        table = _running_sums(key, {0: 1}, size)
         _DENUMERANT_CACHE[key] = table
     return table[n]
 
@@ -299,14 +317,28 @@ def terms_quasipolynomial(terms: LevelTerms, divisor: int = 1) -> FittedQuasipol
     divides lcm(w); for empty w it is 1 at m = 0 and 0 after.  So over the
     nonzero terms: period lcm(all w), degree bound max |w| - 1, and onset
     the largest b, or b + 1 where w is empty.
+
+    The terms of one weight tuple w are the series sum c * x^b / prod(1 - x^w):
+    their coefficients c, scaled by the lcm of their denominators, are put at
+    their b and the denumerant DP's running sums are run over them once.  So
+    every value the builder interpolates is an integer, and the divisor times
+    that lcm joins its one denominator.  This costs the sum over weight tuples
+    of |w| * (onset + period * (degree + 1)) additions.
     """
-    live = [(w, b) for (w, b), c in terms.items() if c]
-    period = lcm(*(x for w, _ in live for x in w))
-    degree = max([0] + [len(w) - 1 for w, _ in live])
-    onset = max([0] + [b if w else b + 1 for w, b in live])
-    return build_quasipolynomial(
-        lambda n: Fraction(evaluate_terms(terms, n), divisor), period, degree, onset
-    )
+    live = [(w, b, c) for (w, b), c in terms.items() if c]
+    period = lcm(*(x for w, _, _ in live for x in w))
+    degree = max([0] + [len(w) - 1 for w, _, _ in live])
+    onset = max([0] + [b if w else b + 1 for w, b, _ in live])
+    low = min([0] + [b for _, b, _ in live])  # the series start at x^low
+    scale = lcm(*(c.denominator for _, _, c in live))
+    size = onset + period * (degree + 1) - low
+    seeds: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    for w, b, c in live:
+        seeds.setdefault(w, {})[b - low] = c.numerator * (scale // c.denominator)
+    values = [0] * size
+    for w, at in seeds.items():
+        values = [v + x for v, x in zip(values, _running_sums(w, at, size))]
+    return build_quasipolynomial(values[-low:].__getitem__, period, degree, onset, divisor * scale)
 
 
 def count_level(problem: WeightedLevelProblem, n: int) -> int:

@@ -6,7 +6,10 @@ coefficients; constituent i is used at arguments congruent to i mod N.
 All arithmetic is exact and runs on integers -- interpolation by Newton
 differences over one denominator, evaluation by Horner's rule on integer
 numerators -- with a ``fractions.Fraction`` made once per coefficient or
-value; no floating point.
+evaluated value; no floating point.  A builder whose values are integers
+over a known divisor passes the divisor, which joins that one denominator:
+``lattice.terms_quasipolynomial`` gets its integer values from one pass of
+running sums per weight tuple and makes no ``Fraction`` per value.
 """
 from __future__ import annotations
 
@@ -45,14 +48,17 @@ def _over_one_denominator(xs: Sequence[int | Fraction]) -> Tuple[Tuple[int, ...]
     return tuple(x.numerator * (denom // x.denominator) for x in xs), denom
 
 
-def _interpolate(first: int, step: int, values: Sequence[int | Fraction]) -> Tuple[Fraction, ...]:
-    """The polynomial of degree < len(values) through (first + i*step, values[i]),
-    exact, as its coefficients in ascending degree (not trimmed).
+def _interpolate(first: int, step: int, values: Sequence[int | Fraction],
+                 denominator: int = 1) -> Tuple[Fraction, ...]:
+    """The polynomial of degree < len(values) through
+    (first + i*step, values[i] / denominator), exact, as its coefficients in
+    ascending degree (not trimmed).
 
     Newton's forward-difference form: with d = len(values) - 1 and
     a_i = first + i*step, p(x) = sum_j diff_j * prod_{i<j} (x - a_i) / (j! * step^j).
     The values are scaled by the lcm of their denominators, so the differences
-    and the expansion over the one denominator d! * step^d run in integers.
+    and the expansion over the one denominator d! * step^d, times that lcm and
+    ``denominator``, run in integers.
     """
     d = len(values) - 1
     row, scale = _over_one_denominator(values)
@@ -72,7 +78,7 @@ def _interpolate(first: int, step: int, values: Sequence[int | Fraction]) -> Tup
         for k in range(len(poly) - 1):
             poly[k] -= a * poly[k + 1]
         poly[0] += diffs[j] * weight
-    denom = scale * factorial(d) * step ** d
+    denom = scale * denominator * factorial(d) * step ** d
     return tuple(Fraction(c, denom) for c in poly)
 
 
@@ -190,14 +196,15 @@ class FittedQuasipolynomial:
 
 
 def build_quasipolynomial(
-    value: Callable[[int], int], period: int, degree: int, onset: int
+    value: Callable[[int], int], period: int, degree: int, onset: int, denominator: int = 1
 ) -> FittedQuasipolynomial:
-    """Interpolate each residue class mod ``period`` exactly on its first
-    degree+1 arguments at or after ``onset``.
+    """Interpolate n -> value(n) / denominator, each residue class mod
+    ``period`` exactly on its first degree+1 arguments at or after ``onset``.
 
-    When value(n) is known to equal, for every n >= onset, a quasipolynomial
-    whose period divides ``period`` and whose degree is at most ``degree``,
-    those points determine it, and the result is exact for every n >= onset.
+    When value(n) / denominator is known to equal, for every n >= onset, a
+    quasipolynomial whose period divides ``period`` and whose degree is at
+    most ``degree``, those points determine it, and the result is exact for
+    every n >= onset.
     Nothing is searched or checked here.  ``validated_range`` is the span of
     the points interpolated on: onset .. onset + period*(degree+1) - 1.
     """
@@ -205,7 +212,7 @@ def build_quasipolynomial(
     for r in range(period):
         first = onset + (r - onset) % period
         points = range(first, first + period * (degree + 1), period)
-        constituents.append(_interpolate(first, period, [value(n) for n in points]))
+        constituents.append(_interpolate(first, period, [value(n) for n in points], denominator))
     return FittedQuasipolynomial(
         Quasipolynomial(period, constituents), onset, (onset, onset + period * (degree + 1) - 1)
     )

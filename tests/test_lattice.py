@@ -109,6 +109,19 @@ def test_denumerant_examples():
     assert denumerant((), 3) == 0
 
 
+def test_bad_weights_are_rejected():
+    # a zero weight makes the count infinite; negative and non-integer weights
+    # have no count; each is named, by denumerant and by the builder alike
+    for call, weight in (
+        (lambda: denumerant((0, 1), 3), "0"),
+        (lambda: denumerant((-1,), 3), "-1"),
+        (lambda: denumerant((1.5,), 3), "1.5"),
+        (lambda: terms_quasipolynomial({((0,), 0): 1}), "0"),
+    ):
+        with pytest.raises(ValueError, match=f"weight {weight} is not a positive integer"):
+            call()
+
+
 def test_denumerant_tables_grow_geometrically(monkeypatch):
     # an ascending sweep must not rebuild the table at every n
     monkeypatch.setattr(lattice, "_DENUMERANT_CACHE", {})
@@ -208,10 +221,12 @@ def test_level_quasipolynomial_matches_counts_with_obstructions():
                 assert res.qp.evaluate(n) == fixed_count_level(M, g, n)
 
 
-def _check_terms_form(terms, divisor=1):
+def _check_terms_form(terms, divisor=1, periods=None):
+    """The built form against the evaluated sum on ``periods`` periods from
+    its onset, by default 4 * (degree + 2)."""
     res = terms_quasipolynomial(terms, divisor)
-    end = res.onset + 4 * res.qp.period * (res.qp.degree + 2)
-    for n in range(res.onset, end + 1):
+    periods = periods or 4 * (res.qp.degree + 2)
+    for n in range(res.onset, res.onset + periods * res.qp.period + 1):
         assert res(n) == Fraction(evaluate_terms(terms, n), divisor), (terms, n)
     return res
 
@@ -220,16 +235,29 @@ def test_terms_quasipolynomial_equals_the_evaluated_sum():
     rng = random.Random(8)
     for _ in range(80):
         terms = {}
+        # about half the sets carry Fraction coefficients, as stratum terms do
+        denominators = (1, 2, 3, 4) if rng.random() < 0.5 else (1,)
         for _ in range(rng.randint(0, 6)):
             w = tuple(sorted(rng.randint(1, 4) for _ in range(rng.randint(0, 3))))
             key = (w, rng.randint(0, 7))
-            terms[key] = terms.get(key, 0) + rng.randint(-3, 3)  # zero and negative too
+            c = Fraction(rng.randint(-3, 3), rng.choice(denominators))  # zero and negative too
+            terms[key] = terms.get(key, 0) + (c if c.denominator > 1 else int(c))
         if terms and rng.random() < 0.5:
             # a term cancelled by another at the same place
             (w, b), c = rng.choice(sorted(terms.items()))
             terms[(w, b + 2)] = terms.get((w, b + 2), 0) + c
             terms[(w, b + 2)] -= c
         _check_terms_form(terms, rng.randint(1, 4))
+
+
+def test_terms_quasipolynomial_with_period_420():
+    # weights up to 7, several shifts on one weight tuple, Fraction coefficients
+    terms = {
+        ((3, 4, 5, 7), 0): 1, ((3, 4, 5, 7), 4): Fraction(-1, 3), ((1, 2, 6), 3): Fraction(5, 2),
+        ((4, 7), 9): -2, ((5, 6), 2): 3, ((), 11): 4,
+    }
+    res = _check_terms_form(terms, 2, periods=2)
+    assert (res.qp.period, res.qp.degree, res.onset) == (420, 3, 12)
 
 
 def test_terms_quasipolynomial_period_degree_onset():
@@ -239,6 +267,8 @@ def test_terms_quasipolynomial_period_degree_onset():
     # an empty weight vector counts only at its base level, so its onset is one later
     res = _check_terms_form({((), 5): 3, ((1,), 2): 1})
     assert res.onset == 6 and res.qp.degree == 0
+    # a negative base level counts from before n = 0
+    assert _check_terms_form({((1,), -3): 1, ((2,), 1): 2, ((1, 3), -2): -1}).onset == 1
     # terms with coefficient 0 play no part
     assert _check_terms_form({((1,), 1): 1, ((5,), 40): 0}).onset == 1
     assert _check_terms_form({((2,), 3): Fraction(1, 2), ((2,), 5): Fraction(-1, 2)}).onset == 5

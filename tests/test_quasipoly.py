@@ -209,6 +209,11 @@ def test_build_matches_lagrange_interpolation():
             return v.numerator if v.denominator == 1 and trial % 2 else v
 
         built = build_quasipolynomial(value, period, degree, onset)
+        # the same values given as integers over a common denominator
+        scale = lcm(*(F(value(n)).denominator for n in range(onset, onset + period * (degree + 1))))
+        whole = build_quasipolynomial(lambda n: int(value(n) * scale * 7), period, degree, onset,
+                                      scale * 7)
+        assert whole == built
         reference = []
         for r in range(period):
             first = onset + (r - onset) % period
@@ -220,7 +225,8 @@ def test_build_matches_lagrange_interpolation():
 
 
 def test_build_from_fraction_valued_terms():
-    # the divisor path of terms_quasipolynomial hands the builder Fractions;
+    # terms_quasipolynomial hands the builder integers and folds the divisor
+    # into its one denominator, so the values it interpolates are not whole;
     # period lcm(2, 3, 4) = 12, degree bound 1, onset 2
     terms = {((2, 3), 1): 1, ((1, 2), 0): 3, ((4,), 2): -1}
     for divisor in (1, 2, 6, 7):

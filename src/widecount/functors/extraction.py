@@ -22,8 +22,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import factorial, prod
+from math import comb, perm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..actions import Arrow, Groupoid, GroupoidAction, Permutation, TooLarge, require, tick
@@ -105,11 +106,11 @@ def compute_frame(M: DownwardClosedSet) -> CalibrationFrame:
 
 
 def default_threshold(M: DownwardClosedSet, s0: int) -> int:
-    """2(k + s0 + m) for the largest obstruction entry m.  It exceeds m, as
-    the cone construction needs: below that, vectors of the count set above
-    v are not pinned to the cone v + Z_{>=0}^I."""
+    """2(k + s0 + m) for the largest obstruction entry m, and at least 2.  It
+    exceeds m, as the cone construction needs: below that, vectors of the
+    count set above v are not pinned to the cone v + Z_{>=0}^I."""
     max_entry = max((x for o in M.obstructions for x in o), default=0)
-    return 2 * (M.k + s0 + max_entry)
+    return max(2 * (M.k + s0 + max_entry), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +160,6 @@ class Quadruple:
         letters = tuple(sorted(letter for _, letter in self.abar))
         return (self.J, dom, self.sigma1, letters)
 
-    def stabilizer_order(self) -> int:
-        return prod(factorial(m) for m in Counter(letter for _, letter in self.abar).values())
-
 
 @dataclass(frozen=True)
 class Quintuple:
@@ -172,27 +170,12 @@ class Quintuple:
     u: Vector
 
 
-def canonical_rep(
-    J: Tuple[int, ...],
-    dom: Tuple[int, ...],
-    sigma1_letters: Tuple[int, ...],
-    abar_letters: Tuple[int, ...],
-    s0: int,
-) -> Quadruple:
-    """The canonical labeled quadruple of a Sym(e)-orbit: sigma0 targets the
-    first slots in s0-index order, abar letters ascending on the rest."""
-    sigma0: List[Optional[int]] = [None] * s0
-    for slot, i in enumerate(dom, start=1):
-        sigma0[i] = slot
-    sigma1: List[Optional[int]] = [None] * s0
-    rest = [i for i in range(s0) if i not in dom]
-    for i, letter in zip(rest, sigma1_letters):
-        sigma1[i] = letter
-    abar = tuple(
-        (len(dom) + pos, letter)
-        for pos, letter in enumerate(sorted(abar_letters), start=1)
-    )
-    return Quadruple(J, tuple(sigma0), tuple(sigma1), abar)
+def _placed(size: int, indices: Sequence[int], values) -> Tuple[Optional[int], ...]:
+    """The length-size tuple with values at indices and None elsewhere."""
+    out: List[Optional[int]] = [None] * size
+    for i, x in zip(indices, values):
+        out[i] = x
+    return tuple(out)
 
 
 # the arrows out of an object: (labeled target quadruple, bijection g as the
@@ -263,15 +246,16 @@ class StratumAnalysis:
         return tau, core
 
     def observed_quadruple(
-        self, pair: MFPair, J: Tuple[int, ...], expected_e: Optional[int] = None
+        self, pair: MFPair, J: Tuple[int, ...], expected_e: int
     ) -> Optional[Tuple[Quadruple, Dict[int, int], List[int]]]:
         """Recompute (quadruple, tau, core) from a pair with the given
         frequent set (the transport of the calibration along the pair's
-        class); None when the pair does not have that shape (core positions
-        outside the leading slots, or unassigned positions)."""
+        class); None when the pair does not have that shape (a core of
+        another size than expected_e, core positions outside the leading
+        slots, or unassigned positions)."""
         tau, core = self.compute_core(pair, J)
         e = len(core)
-        if expected_e is not None and e != expected_e:
+        if e != expected_e:
             return None
         if core != list(range(1, e + 1)):
             return None
@@ -355,57 +339,63 @@ class StratumAnalysis:
 
     # -- objects, arrows, level sets -------------------------------------------
 
-    def orbit_reps(self, e: int) -> List[Quadruple]:
+    def _shapes(self, e: int):
+        """(J, letters off J, dom, sigma1) of the quadruples with core size e:
+        dom is the s0-indices sigma0 places in the core, sigma1 sends every
+        other s0-index to a letter of J.  A shape is one Sym(e)-orbit up to
+        the abar letters, which fill the core slots outside the sigma0 image."""
         s0, k = self.pres.s0, self.pres.k
-        frame = self.frame
-        reps: List[Quadruple] = []
-        off_letters = [l for l in range(1, k + 1)]
-        for J in combinations(range(1, k + 1), len(frame.I)):
-            non_J = [l for l in off_letters if l not in set(J)]
-            for dom_size in range(min(s0, e) + 1):
-                for dom in combinations(range(s0), dom_size):
-                    abar_len = e - dom_size
-                    if abar_len > 0 and not non_J:
-                        continue
-                    rest = s0 - dom_size
-                    for sigma1_letters in product(J, repeat=rest):
-                        for abar_letters in combinations_with_replacement(non_J, abar_len):
-                            reps.append(
-                                canonical_rep(J, dom, sigma1_letters, abar_letters, s0)
-                            )
+        for J in combinations(range(1, k + 1), len(self.frame.I)):
+            off = [l for l in range(1, k + 1) if l not in J]
+            for d in range(min(s0, e) + 1):
+                if d < e and not off:
+                    continue
+                for dom in combinations(range(s0), d):
+                    rest = [i for i in range(s0) if i not in dom]
+                    for letters in product(J, repeat=s0 - d):
+                        yield J, off, dom, _placed(s0, rest, letters)
+
+    def orbit_reps(self, e: int) -> List[Quadruple]:
+        """One quadruple per Sym(e)-orbit: sigma0 sends dom to the first slots
+        in s0-index order, the abar letters ascend on the rest."""
+        s0 = self.pres.s0
+        reps = [
+            Quadruple(J, _placed(s0, dom, range(1, len(dom) + 1)), sigma1,
+                      tuple(enumerate(letters, start=len(dom) + 1)))
+            for J, off, dom, sigma1 in self._shapes(e)
+            for letters in combinations_with_replacement(off, e - len(dom))
+        ]
         require(len(reps), MAX_QUADRUPLES, "candidate quadruples")
         return reps
 
-    def labeled_quadruples(self, e: int) -> List[Quadruple]:
-        """Every relabeling of the core slots [e] of every orbit rep, once.
-
-        A relabeling only places the rep's sigma0 indices (distinct) and its
-        abar letters (a multiset) on the slots, so the distinct ones are the
-        arrangements of that multiset: e!/stabilizer_order() per rep.
-        """
-        reps = self.orbit_reps(e)
-        require(
-            sum(factorial(e) // rep.stabilizer_order() for rep in reps),
-            MAX_QUADRUPLES,
-            "labeled quadruples",
+    def labeled_count(self, e: int) -> int:
+        """The number of labeled quadruples with core size e: C(k, |I|) sets J,
+        and per dom of size d, |I|^(s0 - d) sigma1's, P(e, d) placements of
+        dom and (k - |I|)^(e - d) abar words."""
+        s0, k, i = self.pres.s0, self.pres.k, len(self.frame.I)
+        return comb(k, i) * sum(
+            comb(s0, d) * i ** (s0 - d) * perm(e, d) * (k - i) ** (e - d)
+            for d in range(min(s0, e) + 1)
         )
-        out: List[Quadruple] = []
-        for rep in reps:
-            # label (0, i): the slot sigma0 sends s0-index i to; (1, l): abar letter l
-            labels: Dict[Tuple[int, int], int] = {
-                (0, i): 1 for i, x in enumerate(rep.sigma0) if x is not None
-            }
-            for _, letter in rep.abar:
-                labels[(1, letter)] = labels.get((1, letter), 0) + 1
-            for arrangement in _arrangements(labels, e):
-                sigma0: List[Optional[int]] = [None] * self.pres.s0
-                abar = []
-                for slot, (kind, value) in enumerate(arrangement, start=1):
-                    if kind == 0:
-                        sigma0[value] = slot
-                    else:
-                        abar.append((slot, value))
-                out.append(Quadruple(rep.J, tuple(sigma0), rep.sigma1, tuple(abar)))
+
+    @cached_property
+    def most_labeled(self) -> int:
+        """The most labeled quadruples of one core size, at every t alike."""
+        return max(map(self.labeled_count, range(self.pres.s0 + self.frame.d_inf + 1)))
+
+    def labeled_quadruples(self, e: int) -> List[Quadruple]:
+        """Every labeled quadruple with core size e, sorted: sigma0 sends dom to
+        any distinct slots, abar puts any word off J on the rest.  The budget
+        is checked against ``labeled_count`` before any is built."""
+        require(self.labeled_count(e), MAX_QUADRUPLES, "labeled quadruples")
+        s0, slots = self.pres.s0, range(1, e + 1)
+        out = []
+        for J, off, dom, sigma1 in self._shapes(e):
+            for image in permutations(slots, len(dom)):
+                rest = [slot for slot in slots if slot not in image]
+                sigma0 = _placed(s0, dom, image)
+                for letters in product(off, repeat=len(rest)):
+                    out.append(Quadruple(J, sigma0, sigma1, tuple(zip(rest, letters))))
         return sorted(out, key=Quadruple.sort_key)
 
     def u_test(self, q: Quadruple) -> Dict[int, int]:
@@ -632,20 +622,6 @@ class StratumAnalysis:
         return self._fingerprint
 
 
-def _arrangements(counts: Dict, length: int):
-    """The distinct orderings of the multiset with these multiplicities
-    (which sum to length), each once; counts is restored afterwards."""
-    if length == 0:
-        yield ()
-        return
-    for label in sorted(counts):
-        if counts[label]:
-            counts[label] -= 1
-            for rest in _arrangements(counts, length - 1):
-                yield (label,) + rest
-            counts[label] += 1
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -816,7 +792,8 @@ class StratifiedPlan:
     set M and threshold t; each keeps its own structure, fingerprint, level
     terms and peeled count set.  A stratum is still stability-checked only
     at an n where it is occupied, so every n gets the threshold a fresh
-    count would pick.
+    count would pick.  A count set whose quadruples of some core size exceed
+    MAX_QUADRUPLES is never calibrated: the tail counts it at every n.
     """
 
     def __init__(self, pres: ModelFunctorPresentation):
@@ -839,7 +816,7 @@ class StratifiedPlan:
         doubled while the stratum is occupied at n (at every n when n is
         None) and its structure at t disagrees with that at t + 1."""
         s0 = self.pres.s0
-        t_cur = max(default_threshold(M, s0), 2)
+        t_cur = default_threshold(M, s0)
         while True:
             analysis = self.analysis(M, t_cur)
             if n is not None and n - s0 < analysis.min_occupied_total():
@@ -855,14 +832,19 @@ class StratifiedPlan:
         the tail.  The walk stops at a finite count set or at a stratum not
         occupied at n: the shadow preserves word length, so no peel from that
         or any deeper stratum (their cone levels only grow) can remove a
-        vector at level n - s0, and the classes left are countable now."""
+        vector at level n - s0, and the classes left are countable now.  It
+        also stops, before calibrating, at a count set with more labeled
+        quadruples of some core size than MAX_QUADRUPLES, an amount its frame
+        fixes at every t: the tail counts every class of what is left."""
         strata: List[StratumAnalysis] = []
-        M = self.pres.countset
+        M, s0 = self.pres.countset, self.pres.s0
         for _ in range(10000):
             if M.is_finite():
                 return strata, M
+            if self.analysis(M, default_threshold(M, s0)).most_labeled > MAX_QUADRUPLES:
+                return strata, M
             analysis = self.calibrated(M, n)
-            if n - self.pres.s0 < analysis.min_occupied_total():
+            if n - s0 < analysis.min_occupied_total():
                 return strata, M
             strata.append(analysis)
             M = analysis.peeled()

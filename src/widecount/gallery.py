@@ -586,6 +586,8 @@ def tree_orbit_count(n: int) -> Tuple[int, int]:
     16 807 at n = 7).  Each one adds its pattern's labeled count, and the
     total is checked against Cayley's formula.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     if n > TREE_BRUTE_LIMIT:
         raise TooLarge(f"tree enumeration limited to n <= {TREE_BRUTE_LIMIT}")
     if n <= 2:

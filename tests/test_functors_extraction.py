@@ -17,9 +17,10 @@ from widecount.actions import (
     groupoid_orbit_count,
     groupoid_orbits_enumerate,
 )
-from widecount.functors.elementary import ElementaryModelFunctor, elementary_count
+from widecount.functors.elementary import ElementaryModelFunctor, all_subgroups, elementary_count
 from widecount.functors.extraction import (
     _PLAN_CACHE,
+    MAX_QUADRUPLES,
     NotCalibrated,
     Quadruple,
     StratumAnalysis,
@@ -28,6 +29,7 @@ from widecount.functors.extraction import (
     _tail_count,
     analyze_pair,
     compute_frame,
+    default_threshold,
     extract_groupoid,
     mf_count_via_groupoid,
     strata_against_peels,
@@ -231,6 +233,69 @@ def test_roots_d2_default_past_the_second_stratum():
         assert mf_count_via_groupoid(pres, n) == cube_orbit_count(2, n), n
 
 
+def _over_the_cap(plan, M):
+    """Does M have more labeled quadruples of some core size than the cap?"""
+    return plan.analysis(M, default_threshold(M, plan.pres.s0)).most_labeled > MAX_QUADRUPLES
+
+
+def test_a_stratum_over_the_quadruple_cap_is_left_to_the_tail():
+    # from n = 91 on, an occupied stratum has 98 304 labeled quadruples of
+    # one core size: the tail counts that count set instead of refusing it
+    emf = ElementaryModelFunctor(3, PermGroup.trivial(3), DownwardClosedSet(3, [(1, 0, 0)]))
+    pres = elementary_embedding(emf)
+    for n in (91, 120):
+        assert _over_the_cap(_plan(pres), _plan(pres).strata(n)[1]), n
+        assert mf_count_via_groupoid(pres, n) == elementary_count(emf, n), n
+
+
+def test_a_budget_below_a_stratum_under_the_cap_still_refuses():
+    # at n = 76 the second d = 2 stratum has 24 labeled quadruples of core
+    # size 11, far below the cap: a smaller budget refuses, as a budget does
+    with budget(max_states=23):
+        with pytest.raises(TooLarge, match="labeled quadruples: 24 exceeds the budget 23"):
+            mf_count_via_groupoid(roots_of_unity(2), 76)
+
+
+def _random_elementary(rng):
+    """Two or three letters, any letter group, and up to two of its orbits
+    of nonzero obstructions with entries at most 4."""
+    k = rng.choice((2, 3))
+    group = rng.choice(all_subgroups(k))
+    obstructions = set()
+    for _ in range(rng.randint(0, 2)):
+        o = (0,) * k
+        while not any(o):
+            o = tuple(rng.randint(0, 4) for _ in range(k))
+        obstructions |= {tuple(o[g(j) - 1] for j in range(1, k + 1)) for g in group}
+    return ElementaryModelFunctor(k, group, DownwardClosedSet(k, obstructions))
+
+
+def test_random_elementary_presentations():
+    # n = 0..5 and, for an infinite count set, the levels around the first
+    # occupied length and at twice and three times it, where deeper strata
+    # are occupied and some are over the quadruple cap
+    rng = random.Random(2026)
+    read = fallbacks = 0
+    try:
+        for _ in range(40):
+            emf = _random_elementary(rng)
+            pres = elementary_embedding(emf)
+            plan = _plan(pres)
+            levels = set(range(6))
+            if not pres.countset.is_finite():
+                first = _first_occupied(pres)
+                levels |= {*range(first - 1, first + 6), 2 * first, 3 * first}
+                read += bool(plan.strata(first + 5)[0])
+            for n in sorted(levels):
+                assert mf_count_via_groupoid(pres, n) == elementary_count(emf, n), (emf, n)
+                left = plan.strata(n)[1]
+                fallbacks += not left.is_finite() and _over_the_cap(plan, left)
+    finally:
+        _PLAN_CACHE.clear()
+    assert read > 20
+    assert fallbacks > 0
+
+
 def test_default_thresholds_above_fill_level():
     # the first stratum fills at n = 49 for d = 3, and the S_3 words' one at 36
     pres = roots_of_unity(3)
@@ -286,34 +351,39 @@ def test_compute_frame_against_its_definition():
         checked += 1
 
 
-def test_relabelings_equal_sym_e_expansion():
+def _first_strata():
     # I = {1}: two infrequent letters, so abar letters mix; s0 = 2 puts
-    # distinct sigma0 indices among them
+    # distinct sigma0 indices among them.  The enumeration reads only the
+    # frame, so any threshold will do.
     M = DownwardClosedSet(3, [(2, 2, 0), (2, 0, 2), (0, 2, 2)])
-    pres = trivial_presentation(3, s0=2, countset=M)
-    analysis = StratumAnalysis(pres, M, t=5)
-    assert pres.s0 + analysis.frame.d_inf == 4
+    yield StratumAnalysis(trivial_presentation(3, s0=2, countset=M), M, t=5)
+    for pres in (roots_of_unity(3), S3_WORDS, C3_OBSTRUCTED):
+        yield StratumAnalysis(pres, pres.countset, t=5)
+
+
+def test_relabelings_equal_sym_e_expansion():
     mixed = 0
-    for e in range(6):
-        reps = analysis.orbit_reps(e)
-        mixed += sum(1 for rep in reps if len({l for _, l in rep.abar}) > 1)
-        expanded = {
-            rep.relabel(Permutation(images))
-            for rep in reps
-            for images in permutations(range(1, e + 1))
-        }
-        got = analysis.labeled_quadruples(e)
-        assert len(got) == len(expanded), e
-        assert got == sorted(expanded, key=Quadruple.sort_key), e
+    for analysis in _first_strata():
+        for e in range(analysis.pres.s0 + analysis.frame.d_inf + 2):
+            reps = analysis.orbit_reps(e)
+            mixed += sum(1 for rep in reps if len({l for _, l in rep.abar}) > 1)
+            expanded = {
+                rep.relabel(Permutation(images))
+                for rep in reps
+                for images in permutations(range(1, e + 1))
+            }
+            got = analysis.labeled_quadruples(e)
+            assert analysis.labeled_count(e) == len(got) == len(expanded), e
+            assert got == sorted(expanded, key=Quadruple.sort_key), e
     assert mixed > 0
 
 
 def test_labeled_quadruples_budget_checked_before_generating():
-    M = DownwardClosedSet(3, [(2, 2, 0), (2, 0, 2), (0, 2, 2)])
-    analysis = StratumAnalysis(trivial_presentation(3, s0=2, countset=M), M, t=5)
+    analysis = next(_first_strata())
+    assert analysis.pres.s0 + analysis.frame.d_inf == 4
     with budget(max_states=50):
         assert len(analysis.orbit_reps(4)) <= 50  # 48 reps with 384 relabelings
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="labeled quadruples: 384 exceeds the budget 50"):
             analysis.labeled_quadruples(4)
 
 

@@ -246,6 +246,11 @@ def test_trees():
     assert labeled_tree_count(5) == 125
     with pytest.raises(TooLarge):
         tree_orbit_count(12)
+    # no tree on no vertices, from every tree count alike
+    for n in (0, -1, -5):
+        for count in (tree_orbit_count, labeled_tree_count, lambda n: gallery.example_counts("trees", n)):
+            with pytest.raises(ValueError, match="n must be positive"):
+                count(n)
 
 
 def test_tree_counts_match_growth_oracle():

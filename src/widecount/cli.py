@@ -458,16 +458,22 @@ def _run_verify(args, report: RunReport) -> None:
         mf_count_via_groupoid(cube, n) == gallery.cube_orbit_count(cube.k, n)
         for cube, nmax in ((cube2, 100), (cube3, 90)) for n in range(1, nmax + 1)
     ))
-    # each stratum the count reads counts the classes its peel removes
-    peels = strata_against_peels(cube2, range(25, 40)) + strata_against_peels(cube3, range(49, 57))
-    report.add_verdict(
-        "stratum-vs-peel",
-        len(peels) >= 23 and all(count == removed for _, _, count, removed in peels),
-    )
-    # one seed class per orbit against every class's count-vector set
     s3_words = elementary_embedding(
         ElementaryModelFunctor(3, PermGroup.symmetric(3), DownwardClosedSet.full(3))
     )
+    # each stratum the count reads counts the classes its peel removes, from
+    # the first stratum's first occupied level on
+    peels = [
+        row
+        for pres, levels in ((cube2, range(9, 31)), (cube3, range(13, 31)),
+                             (roots_of_unity(4), range(17, 21)), (s3_words, range(12, 26)))
+        for row in strata_against_peels(pres, levels)
+    ]
+    report.add_verdict(
+        "stratum-vs-peel",
+        len(peels) >= 84 and all(count == removed for _, _, count, removed in peels),
+    )
+    # one seed class per orbit against every class's count-vector set
     report.add_verdict("direct-vs-classes", all(
         mf_orbit_count_direct(pres, n) == len(set(count_vector_blocks(
             mf_classes(pres, n), lambda pair: pair.count_vector(pres.k)

@@ -53,7 +53,8 @@ class Unstable(Exception):
     and t + 1 disagree, its peel leaves a hole or does not shrink the count
     set, a shadow moves an entry by more than one, an up-set minimum is
     missing, past the cone walk or not seen by the oracle, its Burnside sum
-    is not an integer, or the strata do not end."""
+    is not an integer, or the strata do not end.  A disagreement or a failed
+    peel at an occupied stratum first doubles t; it is raised past MAX_T."""
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,14 @@ def compute_frame(M: DownwardClosedSet) -> CalibrationFrame:
     return CalibrationFrame(tuple(sorted(best)), tuple(v0), sum(v0))
 
 
-def default_threshold(M: DownwardClosedSet, s0: int) -> int:
-    """2(k + s0 + m) for the largest obstruction entry m, and at least 2.  It
-    exceeds m, as the cone construction needs: below that, vectors of the
-    count set above v are not pinned to the cone v + Z_{>=0}^I."""
+def default_threshold(M: DownwardClosedSet) -> int:
+    """m + 1 for the largest obstruction entry m, and at least 2: the least t
+    the cone construction admits, since below m + 1 vectors of the count set
+    above v are not pinned to the cone v + Z_{>=0}^I.  The stratum is then
+    first occupied at the lowest length its cone allows, so its classes are
+    counted from level terms there rather than by the tail."""
     max_entry = max((x for o in M.obstructions for x in o), default=0)
-    return max(2 * (M.k + s0 + max_entry), 2)
+    return max(max_entry + 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +411,10 @@ class StratumAnalysis:
     def is_good(self, q: Quadruple, u: Dict[int, int]) -> bool:
         """Is (q, u) the quintuple of a pair in the peeled (calibrated) part?"""
         seed = self.build_target(q, u, q, {l: l for l in q.J})
-        if seed is None:
-            return False
+        return seed is not None and self._is_calibrated_seed(q, seed)
+
+    def _is_calibrated_seed(self, q: Quadruple, seed: MFPair) -> bool:
+        """Is the seed cone-equivalent and does the oracle see q on it?"""
         beta = seed.count_vector(self.pres.k)
         return self.cone_equivalent(beta, self.frame.v(2 * self.t)) and self._shows(q, seed)
 
@@ -422,11 +427,10 @@ class StratumAnalysis:
         """The seed of q deep in the peeled cone when q is an object there (the
         seed lies in the count set and is calibrated with quintuple q); None
         otherwise."""
-        u0 = self.u_test(q)
-        seed = self.build_target(q, u0, q, {l: l for l in q.J})
+        seed = self.build_target(q, self.u_test(q), q, {l: l for l in q.J})
         if seed is None or not self.M.membership(seed.count_vector(self.pres.k)):
             return None
-        return seed if self.is_good(q, u0) else None
+        return seed if self._is_calibrated_seed(q, seed) else None
 
     def object_data(self, e: int) -> List[Tuple[Quadruple, Arrows]]:
         """(q, arrows out of q) per realized orbit-rep quadruple q."""
@@ -449,39 +453,32 @@ class StratumAnalysis:
         and g the identity this is the seed of (q, u), the canonical pair
         with quintuple (q, u).  None if the fiber sizes cannot host the
         concealed positions."""
-        e = q.e
-        block: Dict[int, List[int]] = {}
-        pos = e + 1
-        for l in q.J:
-            block[l] = list(range(pos, pos + u.get(l, 0)))
-            pos += u.get(l, 0)
-        n = pos - 1
+        n = q.e + sum(u.get(l, 0) for l in q.J)
         if n > MAX_GROUND:
             raise TooLarge(f"seed ground set {n} exceeds {MAX_GROUND}")
-        g_inv = {v: key for key, v in g.items()}
-        sigma: List[int] = [0] * self.pres.s0
-        used: Dict[int, int] = {l: 0 for l in q.J}
-        for i in range(self.pres.s0):
-            if q_target.sigma0[i] is not None:
-                sigma[i] = q_target.sigma0[i]
-            else:
-                source_letter = g_inv[q_target.sigma1[i]]
-                fiber = block[source_letter]
-                idx = len(fiber) - 1 - used[source_letter]
-                if idx < 0:
-                    return None
-                sigma[i] = fiber[idx]
-                used[source_letter] += 1
-        letters: Dict[int, int] = {slot: letter for slot, letter in q_target.abar}
-        sigma_set = set(sigma)
+        # the block of letter l ends at position end[l]; its concealed
+        # positions are taken from the end, the rest keep letter g(l)
+        end, pos = {}, q.e
         for l in q.J:
-            for p in block[l]:
-                if p not in sigma_set:
-                    letters[p] = g[l]
-        if len(letters) != n - self.pres.s0:
+            pos += u.get(l, 0)
+            end[l] = pos
+        g_inv = {v: key for key, v in g.items()}
+        sigma: List[int] = []
+        used = dict.fromkeys(q.J, 0)
+        for slot, letter in zip(q_target.sigma0, q_target.sigma1):
+            if slot is None:
+                source = g_inv[letter]
+                if used[source] == u.get(source, 0):
+                    return None
+                slot = end[source] - used[source]
+                used[source] += 1
+            sigma.append(slot)
+        alpha = [letter for _, letter in sorted(q_target.abar)]
+        for l in q.J:
+            alpha += [g[l]] * (u.get(l, 0) - used[l])
+        if len(alpha) != n - self.pres.s0:
             return None
-        alpha = tuple(letters[p] for p in sorted(letters))
-        return MFPair(n, tuple(sigma), alpha)
+        return MFPair(n, tuple(sigma), tuple(alpha))
 
     def discover_arrows(self, q: Quadruple, seed: MFPair) -> Arrows:
         """All arrows out of q: (labeled target quadruple, bijection g).
@@ -489,22 +486,34 @@ class StratumAnalysis:
         g is stored as a tuple mapping sorted(J) position-wise onto letters
         of J'.  One equivalence query per candidate target quintuple
         suffices: pairs sharing a quintuple are equivalent, and every arrow
-        is realized on the seed's own class.
+        is realized on the seed's own class.  A target's count vector,
+        q_target's abar counts plus u0[l] less q_target's concealed floor at
+        letter g(l), is known before it is built; one outside the seed's
+        shadow cannot be equivalent to the seed, so it is skipped unbuilt and
+        unasked.
         """
-        e = q.e
+        e, k = q.e, self.pres.k
         u0 = self.u_test(q)
+        # the count vectors a target in M equivalent to the seed can have
+        shadow = {
+            v for v in self.pres.count_equivalents(seed.count_vector(k)) if self.M.membership(v)
+        }
         arrows = []
         for q_target in self.labeled_quadruples(e):
             tick()
+            floor = q_target.sigma1_floor()
+            counts = [0] * k
+            for _, letter in q_target.abar:
+                counts[letter - 1] += 1
             for g_images in permutations(q_target.J):
-                g = dict(zip(q.J, g_images))
-                target = self.build_target(q, u0, q_target, g)
-                if target is None:
+                # every letter of J' is set anew, and abar's letters lie off J'
+                for l, m in zip(q.J, g_images):
+                    counts[m - 1] = u0[l] - floor[m]
+                if tuple(counts) not in shadow:
                     continue
-                if not self.M.membership(target.count_vector(self.pres.k)):
-                    continue
-                if self.pres.eq(seed.n, seed, target):
-                    arrows.append((q_target, tuple(g[l] for l in q.J)))
+                target = self.build_target(q, u0, q_target, dict(zip(q.J, g_images)))
+                if target is not None and self.pres.eq(seed.n, seed, target):
+                    arrows.append((q_target, g_images))
         return arrows
 
     # -- the calibrated region, built from the cone walk ---------------------------
@@ -713,7 +722,7 @@ def extract_groupoid(pres: ModelFunctorPresentation, e: int) -> ExtractedGroupoi
     core [e]; arrows are the frequent-set bijections realized by equivalent
     pairs; composition is composition of bijections.  The threshold is the
     stratified count's for the presentation's count set, with the t/t+1
-    check made whatever the word length.
+    check and the peel made whatever the word length.
     """
     analysis = _plan(pres).calibrated(pres.countset)
     objects: List[Quadruple] = []
@@ -747,8 +756,10 @@ def extract_groupoid(pres: ModelFunctorPresentation, e: int) -> ExtractedGroupoi
 
 def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) -> int:
     """Sym-orbits of the classes on [n] whose count vectors lie in M (one
-    finite level of it), with one shadow call per class.  The shadow of a
-    vector is its whole class's count-vector set, so a vector no earlier
+    finite level of it), with one shadow call per class.  Once per run the
+    level points walked so far are checked against the budget; the tail has
+    no cap of its own.  The shadow of a vector is its whole class's
+    count-vector set, so a vector no earlier
     shadow reached starts a class.  The level is walked run by run
     (``level_runs``); what the shadows reached ahead of the walk is kept as
     marks, one byte per point of a run: a prefix's row, sized by its
@@ -765,8 +776,10 @@ def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) ->
             hook(members[0])
         return len(members)
     rows: Dict[Vector, bytearray] = {}
-    classes = 0
+    classes = walked = 0
     for prefix, remaining, gaps in M.level_runs(level):
+        walked += sum(map(len, gaps))
+        require(walked, None, "tail level points")
         row = rows.get(prefix)
         if row is None:  # no shadow reached this run ahead of the walk
             row = rows[prefix] = bytearray(remaining + 1)
@@ -790,10 +803,14 @@ class StratifiedPlan:
 
     The strata are recorded as the counts reach them, one analysis per count
     set M and threshold t; each keeps its own structure, fingerprint, level
-    terms and peeled count set.  A stratum is still stability-checked only
-    at an n where it is occupied, so every n gets the threshold a fresh
-    count would pick.  A count set whose quadruples of some core size exceed
-    MAX_QUADRUPLES is never calibrated: the tail counts it at every n.
+    terms and peeled count set.  Each stratum starts at the least threshold
+    its cone admits (``default_threshold``), so it is first occupied at the
+    lowest length it can be: for d = 2 the strata at t = 2, 6, 13, 27 are
+    occupied from n = 9, 15, 28, 55.  A stratum is still stability-checked,
+    and peeled, only at an n where it is occupied, so every n gets the
+    threshold a fresh count would pick.  A count set whose quadruples of
+    some core size exceed MAX_QUADRUPLES is never calibrated: the tail
+    counts it at every n.
     """
 
     def __init__(self, pres: ModelFunctorPresentation):
@@ -814,34 +831,45 @@ class StratifiedPlan:
     def calibrated(self, M: DownwardClosedSet, n: Optional[int] = None) -> StratumAnalysis:
         """The stratum's analysis at the threshold for n: from the default,
         doubled while the stratum is occupied at n (at every n when n is
-        None) and its structure at t disagrees with that at t + 1."""
+        None) and either its structure at t disagrees with that at t + 1 or
+        its peel raises Unstable, as on a hole."""
         s0 = self.pres.s0
-        t_cur = default_threshold(M, s0)
+        t_cur = default_threshold(M)
         while True:
             analysis = self.analysis(M, t_cur)
             if n is not None and n - s0 < analysis.min_occupied_total():
                 return analysis
-            if analysis.fingerprint() == self.analysis(M, t_cur + 1).fingerprint():
-                return analysis
+            if analysis.fingerprint() != self.analysis(M, t_cur + 1).fingerprint():
+                reason = f"stratum unstable between t={t_cur} and t={t_cur + 1}"
+            else:
+                try:
+                    analysis.peeled()
+                    return analysis
+                except Unstable as unstable:
+                    reason = f"{unstable} (t={t_cur})"
             if 2 * t_cur > MAX_T:
-                raise Unstable(f"stratum unstable between t={t_cur} and t={t_cur + 1}")
+                raise Unstable(reason)
             t_cur *= 2
 
     def strata(self, n: int) -> Tuple[List[StratumAnalysis], DownwardClosedSet]:
         """The strata counted at n, in peel order, and the count set left for
         the tail.  The walk stops at a finite count set or at a stratum not
         occupied at n: the shadow preserves word length, so no peel from that
-        or any deeper stratum (their cone levels only grow) can remove a
-        vector at level n - s0, and the classes left are countable now.  It
-        also stops, before calibrating, at a count set with more labeled
-        quadruples of some core size than MAX_QUADRUPLES, an amount its frame
-        fixes at every t: the tail counts every class of what is left."""
+        or any deeper stratum can remove a vector at level n - s0, and the
+        classes left are countable now.  That needs every deeper stratum to be
+        first occupied no lower than this one.  A peel leaves obstructions
+        near 2t, so the next least threshold is about 2t and the first
+        occupied lengths rise on every presentation checked; nothing here
+        proves it for every presentation.  It also stops, before
+        calibrating, at a count set with more labeled quadruples of some core
+        size than MAX_QUADRUPLES, an amount its frame fixes at every t: the
+        tail counts every class of what is left."""
         strata: List[StratumAnalysis] = []
         M, s0 = self.pres.countset, self.pres.s0
         for _ in range(10000):
             if M.is_finite():
                 return strata, M
-            if self.analysis(M, default_threshold(M, s0)).most_labeled > MAX_QUADRUPLES:
+            if self.analysis(M, default_threshold(M)).most_labeled > MAX_QUADRUPLES:
                 return strata, M
             analysis = self.calibrated(M, n)
             if n - s0 < analysis.min_occupied_total():

@@ -109,10 +109,13 @@ def apply_permutation(pair: MFPair, images: Sequence[int]) -> MFPair:
 
 
 def transposed(pair: MFPair, i: int, j: int) -> MFPair:
-    """F((i j)) applied to the pair."""
-    images = list(range(1, pair.n + 1))
-    images[i - 1], images[j - 1] = j, i
-    return apply_permutation(pair, images)
+    """F((i j)) applied to the pair: positions i and j trade their letters
+    and their places in the sigma image."""
+    table = list(pair.letter_table)
+    table[i], table[j] = table[j], table[i]
+    swap = {i: j, j: i}
+    sigma = tuple(swap.get(p, p) for p in pair.sigma)
+    return MFPair(pair.n, sigma, tuple(x for x in table if x is not None))
 
 
 EqOracle = Callable[[int, MFPair, MFPair], bool]

@@ -39,11 +39,12 @@ def _leq(a: Vector, b: Vector) -> bool:
 
 
 def antichain_reduce(vectors: Iterable[Vector]) -> Tuple[Vector, ...]:
-    """Keep only the componentwise-minimal vectors, sorted for determinism."""
-    vecs = sorted(set(tuple(v) for v in vectors))
-    keep = []
-    for v in vecs:
-        if not any(_leq(w, v) for w in vecs if w != v):
+    """Keep only the componentwise-minimal vectors, sorted for determinism.
+    In lexicographic order every vector below v comes before v, and so does
+    a minimal one below it, so v is compared only with the minima kept."""
+    keep: List[Vector] = []
+    for v in sorted(set(map(tuple, vectors))):
+        if not any(_leq(w, v) for w in keep):
             keep.append(v)
     return tuple(keep)
 

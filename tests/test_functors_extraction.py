@@ -179,6 +179,16 @@ def test_stratified_count_matches_formula_where_the_first_stratum_fills(d, nmin,
     assert _plan(pres).strata(nmax)[0]
 
 
+@pytest.mark.parametrize("d,third", [(2, 28), (3, 54)])
+def test_stratified_count_matches_formula_up_to_the_third_stratum(d, third):
+    # every n from 1 to the first length at which the third stratum is
+    # occupied, so each stratum is read from its first occupied level on
+    pres = roots_of_unity(d)
+    assert [pres.s0 + a.min_occupied_total() for a in _plan(pres).strata(third)[0]][2:] == [third]
+    for n in range(1, third + 1):
+        assert mf_count_via_groupoid(pres, n) == cube_orbit_count(d, n), (d, n)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_stratified_count_matches_direct_default(d):
     pres = roots_of_unity(d)
@@ -194,17 +204,17 @@ def test_stratified_count_elementary_and_trivial():
     # each sweep runs n0 - 1 .. n0 + 3 around the first occupied length n0
     emf = ElementaryModelFunctor(2, PermGroup.symmetric(2), DownwardClosedSet.full(2))
     emf2 = ElementaryModelFunctor(2, PermGroup.trivial(2), DownwardClosedSet(2, [(3, 0)]))
-    for m, n0 in ((emf, 16), (emf2, 22)):
+    for m, n0 in ((emf, 8), (emf2, 10)):
         pe = elementary_embedding(m)
         assert _first_occupied(pe) == n0
         for n in range(n0 - 1, n0 + 4):
             assert mf_count_via_groupoid(pe, n) == elementary_count(m, n), (m, n)
 
     # under equality every class is one pair, so the orbits are the count
-    # vectors; the direct count refuses |F([25])| = 4.2e8
+    # vectors
     pt = trivial_presentation(2, s0=1)
-    assert _first_occupied(pt) == 25
-    for n in range(24, 29):
+    assert _first_occupied(pt) == 9
+    for n in range(8, 13):
         assert mf_count_via_groupoid(pt, n) == comb(n - pt.s0 + pt.k - 1, pt.k - 1), n
 
 
@@ -227,7 +237,7 @@ def test_core_size_bound():
 
 
 def test_roots_d2_default_past_the_second_stratum():
-    # from n = 76 on, the second stratum (core size up to 11) is occupied
+    # the strata at t = 2, 6, 13 and 27 are occupied from n = 9, 15, 28 and 55
     pres = roots_of_unity(2)
     for n in range(74, 151):
         assert mf_count_via_groupoid(pres, n) == cube_orbit_count(2, n), n
@@ -235,25 +245,34 @@ def test_roots_d2_default_past_the_second_stratum():
 
 def _over_the_cap(plan, M):
     """Does M have more labeled quadruples of some core size than the cap?"""
-    return plan.analysis(M, default_threshold(M, plan.pres.s0)).most_labeled > MAX_QUADRUPLES
+    return plan.analysis(M, default_threshold(M)).most_labeled > MAX_QUADRUPLES
 
 
 def test_a_stratum_over_the_quadruple_cap_is_left_to_the_tail():
-    # from n = 91 on, an occupied stratum has 98 304 labeled quadruples of
-    # one core size: the tail counts that count set instead of refusing it
-    emf = ElementaryModelFunctor(3, PermGroup.trivial(3), DownwardClosedSet(3, [(1, 0, 0)]))
+    # S_3 words avoiding the orbit of (2, 4, 4): the strata at t = 5 and 11
+    # are occupied from n = 21 and 44, and from n = 44 on the count set left
+    # has 6 291 456 labeled quadruples of one core size: the tail counts it
+    # instead of refusing it
+    emf = ElementaryModelFunctor(
+        3, PermGroup.symmetric(3), DownwardClosedSet(3, [(2, 4, 4), (4, 2, 4), (4, 4, 2)])
+    )
     pres = elementary_embedding(emf)
-    for n in (91, 120):
-        assert _over_the_cap(_plan(pres), _plan(pres).strata(n)[1]), n
+    plan = _plan(pres)
+    assert not _over_the_cap(plan, plan.strata(43)[1])
+    for n in (44, 60):
+        strata, left = plan.strata(n)
+        assert [a.t for a in strata] == [5, 11] and _over_the_cap(plan, left), n
         assert mf_count_via_groupoid(pres, n) == elementary_count(emf, n), n
 
 
 def test_a_budget_below_a_stratum_under_the_cap_still_refuses():
-    # at n = 76 the second d = 2 stratum has 24 labeled quadruples of core
-    # size 11, far below the cap: a smaller budget refuses, as a budget does
-    with budget(max_states=23):
-        with pytest.raises(TooLarge, match="labeled quadruples: 24 exceeds the budget 23"):
-            mf_count_via_groupoid(roots_of_unity(2), 76)
+    # at n = 15 the second d = 2 stratum (t = 6) has 8 labeled quadruples of
+    # core size 3, far below the cap: a smaller budget refuses, as a budget
+    # does, while n = 14, where that stratum is not occupied, still counts
+    with budget(max_states=7):
+        assert mf_count_via_groupoid(roots_of_unity(2), 14) == cube_orbit_count(2, 14)
+        with pytest.raises(TooLarge, match="labeled quadruples: 8 exceeds the budget 7"):
+            mf_count_via_groupoid(roots_of_unity(2), 15)
 
 
 def _random_elementary(rng):
@@ -297,7 +316,8 @@ def test_random_elementary_presentations():
 
 
 def test_default_thresholds_above_fill_level():
-    # the first stratum fills at n = 49 for d = 3, and the S_3 words' one at 36
+    # levels at which the d = 3 strata at t = 2, 6 and 13 (first occupied at
+    # n = 13, 27 and 54) are all occupied, and the S_3 words' at t = 2 and 5
     pres = roots_of_unity(3)
     for n in range(49, 121):
         assert mf_count_via_groupoid(pres, n) == cube_orbit_count(3, n), n
@@ -378,6 +398,33 @@ def test_relabelings_equal_sym_e_expansion():
     assert mixed > 0
 
 
+def test_arrows_pruned_by_the_shadow_equal_the_unpruned_search():
+    # every labeled target built and asked, as before the seed's shadow
+    # pruned them: the same arrows, in the same order
+    strata = [*_first_strata(), *_plan(roots_of_unity(2)).strata(60)[0],
+              *_plan(roots_of_unity(3)).strata(60)[0], *_plan(C3_OBSTRUCTED).strata(30)[0],
+              *_plan(S3_WORDS).strata(30)[0]]
+    asked = 0
+    for analysis in strata:
+        pres, k = analysis.pres, analysis.pres.k
+        for e in range(pres.s0 + analysis.frame.d_inf + 1):
+            for q in analysis.orbit_reps(e):
+                seed = analysis.realized_seed(q)
+                if seed is None:
+                    continue
+                u0, unpruned = analysis.u_test(q), []
+                for q_target in analysis.labeled_quadruples(e):
+                    for g_images in permutations(q_target.J):
+                        target = analysis.build_target(q, u0, q_target, dict(zip(q.J, g_images)))
+                        if target is None or not analysis.M.membership(target.count_vector(k)):
+                            continue
+                        asked += 1
+                        if pres.eq(seed.n, seed, target):
+                            unpruned.append((q_target, g_images))
+                assert analysis.discover_arrows(q, seed) == unpruned, (pres.name, analysis.t, q)
+    assert asked > 300  # 337 targets built and asked
+
+
 def test_labeled_quadruples_budget_checked_before_generating():
     analysis = next(_first_strata())
     assert analysis.pres.s0 + analysis.frame.d_inf == 4
@@ -420,22 +467,51 @@ def test_plan_is_built_once_per_sweep(monkeypatch):
 
 
 def test_an_unstable_threshold_doubles(monkeypatch):
-    # the structure at t = 6 and t = 7 made to disagree: the first stratum
-    # of d = 2 is counted at t = 12, so it is occupied only from n = 49
+    # the structure at t = 2 and t = 3 made to disagree: the first stratum
+    # of d = 2 is counted at t = 4, so it is occupied only from n = 17
     fingerprint = StratumAnalysis.fingerprint
     monkeypatch.setattr(
-        StratumAnalysis, "fingerprint", lambda self: (fingerprint(self), self.t == 7)
+        StratumAnalysis, "fingerprint", lambda self: (fingerprint(self), self.t == 3)
     )
     pres = roots_of_unity(2)
     plan = _plan(pres)
     try:
-        for n in range(20, 80):
-            assert [a.t for a in plan.strata(n)[0]] == ([12] if n >= 49 else []), n
+        for n in range(1, 60):
+            assert [a.t for a in plan.strata(n)[0]][:1] == ([4] if n >= 17 else []), n
             assert mf_count_via_groupoid(pres, n) == cube_orbit_count(2, n), n
-        # when no pair of thresholds agrees, doubling stops at MAX_T
+        # when no pair of thresholds agrees, doubling stops at MAX_T, whose
+        # stratum is occupied from n = 257
         monkeypatch.setattr(StratumAnalysis, "fingerprint", lambda self: self.t)
-        with pytest.raises(Unstable, match="between t=48 and t=49"):
-            mf_count_via_groupoid(roots_of_unity(2), 200)
+        with pytest.raises(Unstable, match="between t=64 and t=65"):
+            mf_count_via_groupoid(roots_of_unity(2), 257)
+    finally:
+        _PLAN_CACHE.clear()
+
+
+def test_a_hole_doubles_the_threshold(monkeypatch):
+    # the first d = 2 stratum's peel made to leave a hole at t = 2: it is
+    # counted at t = 4, so it is occupied only from n = 17
+    pres = roots_of_unity(2)
+    peeled = StratumAnalysis.peeled
+
+    def holed(self):
+        if self.t == 2 and self.M == pres.countset:
+            raise Unstable("peel leaves a hole at (5, 4); raise t")
+        return peeled(self)
+
+    monkeypatch.setattr(StratumAnalysis, "peeled", holed)
+    plan = _plan(pres)
+    try:
+        for n in range(1, 60):
+            assert [a.t for a in plan.strata(n)[0]][:1] == ([4] if n >= 17 else []), n
+            assert mf_count_via_groupoid(pres, n) == cube_orbit_count(2, n), n
+        # a peel that leaves a hole at every threshold stops the doubling at MAX_T
+        def always_holed(self):
+            raise Unstable("peel leaves a hole at (5, 4); raise t")
+
+        monkeypatch.setattr(StratumAnalysis, "peeled", always_holed)
+        with pytest.raises(Unstable, match=re.escape("hole at (5, 4); raise t (t=64)")):
+            mf_count_via_groupoid(roots_of_unity(2), 257)
     finally:
         _PLAN_CACHE.clear()
 
@@ -450,21 +526,24 @@ def test_stanley_pieces_are_built_once_per_sweep(monkeypatch):
         return decompose(M)
 
     monkeypatch.setattr(lattice, "stanley_decompose", counting_decompose)
+    # a sweep reaching the strata at t = 2, 6, 13 and 27 one by one decomposes
+    # what its last n alone does
     pres = roots_of_unity(2)
     _PLAN_CACHE.clear()
-    assert mf_count_via_groupoid(pres, 25) == cube_orbit_count(2, 25)
+    assert mf_count_via_groupoid(pres, 74) == cube_orbit_count(2, 74)
+    assert [a.t for a in _plan(pres).strata(74)[0]] == [2, 6, 13, 27]
     alone = len(calls)
     assert alone > 0
     _PLAN_CACHE.clear()
     calls.clear()
-    for n in range(25, 75):
+    for n in range(1, 75):
         assert mf_count_via_groupoid(pres, n) == cube_orbit_count(2, n), n
     assert len(calls) == alone
 
 
 @pytest.mark.parametrize(
     "label,t,arrows",
-    [("roots2", 6, 2), ("roots3", 8, 3), ("roots4", 10, 4), ("s3_words", 6, 6)],
+    [("roots2", 2, 2), ("roots3", 2, 3), ("roots4", 2, 4), ("s3_words", 2, 6)],
 )
 def test_extract_groupoid_takes_the_plan_calibration(label, t, arrows):
     if label == "s3_words":
@@ -487,7 +566,7 @@ def test_extract_groupoid_takes_the_plan_calibration(label, t, arrows):
         pytest.param(lambda pres, n: strata_against_peels(pres, [n]), id="strata_against_peels"),
     ],
 )
-@pytest.mark.parametrize("n", [4, 25])  # the first stratum is occupied from n = 25
+@pytest.mark.parametrize("n", [4, 25])  # the first stratum is occupied from n = 9
 def test_stratified_routes_need_the_shadow(route, n):
     pres = dataclasses.replace(roots_of_unity(2), count_equivalents=None)
     with pytest.raises(TooLarge, match="count-vector shadow"):
@@ -556,9 +635,10 @@ def test_up_sets_are_built_only_at_the_counted_threshold(monkeypatch):
         return build(self, q)
 
     monkeypatch.setattr(StratumAnalysis, "up_antichain", counting_build)
+    pres = roots_of_unity(3)
     _PLAN_CACHE.clear()
-    assert mf_count_via_groupoid(roots_of_unity(3), 70) == cube_orbit_count(3, 70)
-    assert built and set(built) == {8}
+    assert mf_count_via_groupoid(pres, 70) == cube_orbit_count(3, 70)
+    assert built and set(built) == {a.t for a in _plan(pres).strata(70)[0]} == {2, 6, 13}
 
 
 def test_deadline_leaves_no_half_built_plan(monkeypatch):
@@ -588,14 +668,14 @@ def test_deadline_leaves_no_half_built_plan(monkeypatch):
 @pytest.mark.parametrize(
     "pres,n",
     [
-        pytest.param(roots_of_unity(2), 25, id="roots2"),
-        pytest.param(roots_of_unity(3), 49, id="roots3"),
-        pytest.param(roots_of_unity(4), 81, id="roots4"),
+        pytest.param(roots_of_unity(2), 9, id="roots2"),
+        pytest.param(roots_of_unity(3), 13, id="roots3"),
+        pytest.param(roots_of_unity(4), 17, id="roots4"),
         pytest.param(
             elementary_embedding(
                 ElementaryModelFunctor(3, PermGroup.symmetric(3), DownwardClosedSet.full(3))
             ),
-            36,
+            12,
             id="S3-words",
         ),
         pytest.param(
@@ -604,7 +684,7 @@ def test_deadline_leaves_no_half_built_plan(monkeypatch):
                     3, PermGroup.cyclic(3), DownwardClosedSet(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
                 )
             ),
-            21,
+            7,
             id="C3-words-obstructed",
         ),
     ],
@@ -720,10 +800,10 @@ def _tail_count_traced(pres, M, n):
 
 
 def test_tail_count_memory_stays_below_the_level_size():
-    # the count set the stratified route hands the tail at d = 4, n = 81: a
-    # list of its 91 877 points and a set of reached tuples peak at 17.2 MB,
-    # a set of marks per pending prefix at 4.15 MB, a byte row per pending
-    # prefix at about 0.49 MB
+    # the count set left by the first d = 4 stratum peeled at t = 10, at
+    # n = 81: a list of its 91 877 points and a set of reached tuples peak
+    # at 17.2 MB, a set of marks per pending prefix at 4.15 MB, a byte row
+    # per pending prefix at about 0.49 MB
     M = DownwardClosedSet(4, [(20, 20, 20, 20), (20, 20, 21, 19), (20, 21, 20, 19), (21, 20, 20, 19)])
     counted, peak = _tail_count_traced(roots_of_unity(4), M, 81)
     assert counted == 23820
@@ -737,6 +817,16 @@ def test_tail_count_memory_with_three_coordinate_prefixes():
     counted, peak = _tail_count_traced(pres, M, 31)
     assert counted == _tail_count_reference(pres, M, 31) == 10472
     assert peak < 1_400_000, peak
+
+
+def test_the_tail_counts_its_level_points_against_the_budget():
+    # at n = 150 the d = 4 count set left by the strata at t = 2, 6 and 13
+    # holds 119 044 level points; the tail has no cap of its own
+    pres = roots_of_unity(4)
+    with budget(max_states=10**5):
+        with pytest.raises(TooLarge, match="tail level points: 100017 exceeds the budget 100000"):
+            mf_count_via_groupoid(pres, 150)
+    assert mf_count_via_groupoid(pres, 150) == cube_orbit_count(4, 150)
 
 
 def test_deadline_reaches_the_tail_loop():
@@ -753,10 +843,11 @@ S3_WORDS = elementary_embedding(
 @pytest.mark.parametrize(
     "pres,levels",
     [
-        pytest.param(roots_of_unity(2), [*range(25, 40), *range(76, 90)], id="roots2"),
-        pytest.param(roots_of_unity(3), range(49, 60), id="roots3"),
-        pytest.param(roots_of_unity(4), [81, 82], id="roots4"),
-        pytest.param(S3_WORDS, range(36, 44), id="S3-words"),
+        # from the first stratum's first occupied level, past the second's
+        pytest.param(roots_of_unity(2), [*range(9, 31), *range(55, 60)], id="roots2"),
+        pytest.param(roots_of_unity(3), range(13, 31), id="roots3"),
+        pytest.param(roots_of_unity(4), [17, 18, 39, 40], id="roots4"),
+        pytest.param(S3_WORDS, range(12, 26), id="S3-words"),
     ],
 )
 def test_each_counted_stratum_counts_what_its_peel_removes(pres, levels):

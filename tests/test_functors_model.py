@@ -21,6 +21,7 @@ from widecount.functors.model import (
     mf_orbit_count_direct,
     roots_of_unity,
     seed_blocks,
+    transposed,
     trivial_presentation,
     verify_axioms,
 )
@@ -85,6 +86,19 @@ def test_apply_injection():
     moved = apply_permutation(pair, (4, 3, 2, 1))
     assert moved.sigma == (3,)
     assert moved.letters() == {1: 1, 2: 2, 4: 1}
+
+
+def test_transposed_is_the_permutation_action():
+    rng = random.Random(7)
+    for _ in range(500):
+        n = rng.randint(2, 9)
+        s0 = rng.randint(0, min(3, n))
+        pair = MFPair(n, tuple(rng.sample(range(1, n + 1), s0)),
+                      tuple(rng.randint(1, 3) for _ in range(n - s0)))
+        i, j = rng.sample(range(1, n + 1), 2)
+        images = list(range(1, n + 1))
+        images[i - 1], images[j - 1] = j, i
+        assert transposed(pair, i, j) == apply_permutation(pair, images), (pair, i, j)
 
 
 def test_roots_classes_at_two():

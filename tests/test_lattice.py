@@ -46,6 +46,20 @@ def test_antichain_reduction_and_json():
     assert antichain_reduce([(1, 2), (2, 1), (2, 2)]) == ((1, 2), (2, 1))
 
 
+def test_antichain_reduce_equals_the_pairwise_definition():
+    # a vector is kept when no other vector of the input lies below it
+    rng = random.Random(32)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        vecs = [tuple(rng.randint(0, 4) for _ in range(k)) for _ in range(rng.randint(0, 40))]
+        distinct = set(vecs)
+        minimal = sorted(
+            v for v in distinct
+            if not any(w != v and all(x <= y for x, y in zip(w, v)) for w in distinct)
+        )
+        assert antichain_reduce(vecs) == tuple(minimal), vecs
+
+
 def test_empty_full_finite_flags():
     assert DownwardClosedSet.empty(3).is_empty()
     assert DownwardClosedSet.full(3).is_full()

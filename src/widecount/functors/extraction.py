@@ -15,7 +15,10 @@ finite, or its next stratum is not yet occupied at n.
 Everything the oracle contributes is probed through targeted equivalence
 queries on canonical seed pairs; the count-vector shadow of builtin oracles
 drives the tail and one walk of each stratum's cone, which builds both its
-peel and its objects' calibrated up-sets.
+peel and its objects' calibrated up-sets.  A stratum is certified by a
+self-check: at the levels around its first occupied one, its count equals
+the classes its peel removes, counted with one shadow call per class as the
+tail counts.
 """
 from __future__ import annotations
 
@@ -49,12 +52,13 @@ class NotCalibrated(Exception):
 
 
 class Unstable(Exception):
-    """A stratum cannot be certified at this threshold t: its structure at t
-    and t + 1 disagree, its peel leaves a hole or does not shrink the count
-    set, a shadow moves an entry by more than one, an up-set minimum is
-    missing, past the cone walk or not seen by the oracle, its Burnside sum
-    is not an integer, or the strata do not end.  A disagreement or a failed
-    peel at an occupied stratum first doubles t; it is raised past MAX_T."""
+    """A stratum cannot be certified at this threshold t: its peel leaves a
+    hole, does not shrink the count set or would split a class, a shadow
+    moves an entry by more than one, an up-set minimum is missing, past the
+    cone walk or not seen by the oracle, its Burnside sum is not an integer,
+    its count differs from the classes its peel removes at a self-check
+    level, or the strata do not end.  A failed peel or self-check at an
+    occupied stratum first doubles t; it is raised past MAX_T."""
 
 
 @dataclass(frozen=True)
@@ -205,6 +209,7 @@ class StratumAnalysis:
         self._fingerprint: Optional[tuple] = None
         self._walk: Optional[Tuple[int, Set[Vector]]] = None
         self._peeled: Optional[DownwardClosedSet] = None
+        self._checked = False
 
     # -- the operational equivalence-class position relation -------------------
 
@@ -216,7 +221,7 @@ class StratumAnalysis:
         concealed or infrequent position joins a frequent fiber when the
         oracle accepts the corresponding transposition (the transposition
         lemma read backwards; exact for the shipped oracles at calibration,
-        guarded by stability and the direct-agreement checks).
+        guarded by the self-check and the direct-agreement checks).
         Returns (tau, core): tau maps non-core positions to letters of J.
         The relation's blocks are the letters' preimages under tau and the
         positions outside tau, so the core is every position outside tau or
@@ -619,9 +624,60 @@ class StratumAnalysis:
         """No class of this stratum exists below this word length."""
         return sum(self.frame.v(2 * self.t))
 
-    # -- structural fingerprint for the stability check ----------------------------
+    # -- the self-check: the stratum counts the classes its peel removes ----------
+
+    def removed_classes(self, level: int) -> int:
+        """The classes the peel takes out of M at ``level``, with one shadow
+        call per class, the way the tail counts: the points of M at that
+        level above an obstruction the peel added.  A shadow keeps word
+        length, so each added obstruction r lies at least at
+        ``min_occupied_total()`` and adds r plus the compositions of
+        level - |r| into k parts, at most 2 at the self-check's levels.
+        Unstable when a shadow leaves those points: the peel would split a
+        class."""
+        M = self.M
+        compositions = DownwardClosedSet.full(M.k).enumerate_level
+        points: Set[Vector] = set()
+        for r in set(self.peeled().obstructions) - set(M.obstructions):
+            for c in compositions(level - sum(r)):
+                x = tuple(a + b for a, b in zip(r, c))
+                if M.membership(x):
+                    points.add(x)
+        seen: Set[Vector] = set()
+        classes = 0
+        for x in sorted(points):
+            if x in seen:
+                continue
+            tick()
+            classes += 1
+            shadow = self.pres.count_equivalents(x)
+            if not shadow <= points:
+                raise Unstable(f"the shadow of {x} leaves the peel: it would split a class")
+            seen |= shadow
+        return classes
+
+    def check_peel(self) -> None:
+        """Unstable unless the stratum's count equals the classes its peel
+        removes at every level from L0 - 1 to L0 + 2, L0 the first occupied
+        one (its classes are groupoid orbits on the cone's points).  Run
+        once: a pass is kept, like the peel."""
+        if not self._checked:
+            low = self.min_occupied_total()
+            for level in range(low - 1, low + 3):
+                n = level + self.pres.s0
+                count, removed = self.stratum_count(n), self.removed_classes(level)
+                if count != removed:
+                    raise Unstable(
+                        f"the stratum over I={self.frame.I} counts {count} classes at n={n}, "
+                        f"its peel removes {removed}"
+                    )
+            self._checked = True
+
+    # -- structural fingerprint ------------------------------------------------------
 
     def fingerprint(self) -> tuple:
+        """The objects and arrows of every core size.  No count reads it; the
+        benchmark's traced run wraps it."""
         if self._fingerprint is None:
             self._fingerprint = tuple(
                 (q.sort_key(), tuple(sorted((qt.sort_key(), g) for qt, g in arrows)))
@@ -721,8 +777,8 @@ def extract_groupoid(pres: ModelFunctorPresentation, e: int) -> ExtractedGroupoi
     Objects are the labeled quadruples realized by calibrated pairs with
     core [e]; arrows are the frequent-set bijections realized by equivalent
     pairs; composition is composition of bijections.  The threshold is the
-    stratified count's for the presentation's count set, with the t/t+1
-    check and the peel made whatever the word length.
+    stratified count's for the presentation's count set, with the peel and
+    its self-check made whatever the word length.
     """
     analysis = _plan(pres).calibrated(pres.countset)
     objects: List[Quadruple] = []
@@ -802,12 +858,12 @@ class StratifiedPlan:
     presentation.
 
     The strata are recorded as the counts reach them, one analysis per count
-    set M and threshold t; each keeps its own structure, fingerprint, level
-    terms and peeled count set.  Each stratum starts at the least threshold
+    set M and threshold t; each keeps its own structure, level terms, peeled
+    count set and self-check.  Each stratum starts at the least threshold
     its cone admits (``default_threshold``), so it is first occupied at the
     lowest length it can be: for d = 2 the strata at t = 2, 6, 13, 27 are
-    occupied from n = 9, 15, 28, 55.  A stratum is still stability-checked,
-    and peeled, only at an n where it is occupied, so every n gets the
+    occupied from n = 9, 15, 28, 55.  A stratum is still peeled and
+    self-checked only at an n where it is occupied, so every n gets the
     threshold a fresh count would pick.  A count set whose quadruples of
     some core size exceed MAX_QUADRUPLES is never calibrated: the tail
     counts it at every n.
@@ -831,39 +887,40 @@ class StratifiedPlan:
     def calibrated(self, M: DownwardClosedSet, n: Optional[int] = None) -> StratumAnalysis:
         """The stratum's analysis at the threshold for n: from the default,
         doubled while the stratum is occupied at n (at every n when n is
-        None) and either its structure at t disagrees with that at t + 1 or
-        its peel raises Unstable, as on a hole."""
+        None) and either its peel raises Unstable, as on a hole, or the
+        self-check (``check_peel``) finds a level where the stratum does not
+        count the classes its peel removes.  The level terms are built first,
+        so an up-set guard raises at once rather than doubling t."""
         s0 = self.pres.s0
         t_cur = default_threshold(M)
         while True:
             analysis = self.analysis(M, t_cur)
             if n is not None and n - s0 < analysis.min_occupied_total():
                 return analysis
-            if analysis.fingerprint() != self.analysis(M, t_cur + 1).fingerprint():
-                reason = f"stratum unstable between t={t_cur} and t={t_cur + 1}"
-            else:
-                try:
-                    analysis.peeled()
-                    return analysis
-                except Unstable as unstable:
-                    reason = f"{unstable} (t={t_cur})"
+            analysis.stratum_terms()
+            try:
+                analysis.peeled()
+                analysis.check_peel()
+                return analysis
+            except Unstable as unstable:
+                reason = f"{unstable} (t={t_cur})"
             if 2 * t_cur > MAX_T:
                 raise Unstable(reason)
             t_cur *= 2
 
     def strata(self, n: int) -> Tuple[List[StratumAnalysis], DownwardClosedSet]:
-        """The strata counted at n, in peel order, and the count set left for
-        the tail.  The walk stops at a finite count set or at a stratum not
-        occupied at n: the shadow preserves word length, so no peel from that
-        or any deeper stratum can remove a vector at level n - s0, and the
-        classes left are countable now.  That needs every deeper stratum to be
-        first occupied no lower than this one.  A peel leaves obstructions
-        near 2t, so the next least threshold is about 2t and the first
-        occupied lengths rise on every presentation checked; nothing here
-        proves it for every presentation.  It also stops, before
-        calibrating, at a count set with more labeled quadruples of some core
-        size than MAX_QUADRUPLES, an amount its frame fixes at every t: the
-        tail counts every class of what is left."""
+        """The strata counted at n, in peel order, each calibrated and
+        self-checked, and the count set left for the tail.  The walk stops at
+        a finite count set or at a stratum not occupied at n: the shadow
+        preserves word length, so no peel from that or any deeper stratum can
+        remove a vector at level n - s0, and the classes left are countable
+        now.  That needs every deeper stratum to be first occupied no lower
+        than this one.  A peel leaves obstructions near 2t, so the next least
+        threshold is about 2t and the first occupied lengths rise on every
+        presentation checked; nothing here proves it for every presentation.
+        It also stops, before calibrating, at a count set with more labeled
+        quadruples of some core size than MAX_QUADRUPLES, an amount its frame
+        fixes at every t: the tail counts every class of what is left."""
         strata: List[StratumAnalysis] = []
         M, s0 = self.pres.countset, self.pres.s0
         for _ in range(10000):

@@ -467,11 +467,14 @@ def test_plan_is_built_once_per_sweep(monkeypatch):
 
 
 def test_an_unstable_threshold_doubles(monkeypatch):
-    # the structure at t = 2 and t = 3 made to disagree: the first stratum
-    # of d = 2 is counted at t = 4, so it is occupied only from n = 17
-    fingerprint = StratumAnalysis.fingerprint
+    # the peel at t = 2 made to remove one class more than the stratum
+    # counts: the first stratum of d = 2 is counted at t = 4, so it is
+    # occupied only from n = 17
+    removed_classes = StratumAnalysis.removed_classes
     monkeypatch.setattr(
-        StratumAnalysis, "fingerprint", lambda self: (fingerprint(self), self.t == 3)
+        StratumAnalysis,
+        "removed_classes",
+        lambda self, level: removed_classes(self, level) + (self.t == 2),
     )
     pres = roots_of_unity(2)
     plan = _plan(pres)
@@ -479,11 +482,19 @@ def test_an_unstable_threshold_doubles(monkeypatch):
         for n in range(1, 60):
             assert [a.t for a in plan.strata(n)[0]][:1] == ([4] if n >= 17 else []), n
             assert mf_count_via_groupoid(pres, n) == cube_orbit_count(2, n), n
-        # when no pair of thresholds agrees, doubling stops at MAX_T, whose
-        # stratum is occupied from n = 257
-        monkeypatch.setattr(StratumAnalysis, "fingerprint", lambda self: self.t)
-        with pytest.raises(Unstable, match="between t=64 and t=65"):
+        # when the self-check fails at every threshold, doubling stops at
+        # MAX_T, whose stratum is occupied from n = 257: the mismatch is
+        # named at its first check level, n = 256
+        monkeypatch.setattr(
+            StratumAnalysis,
+            "removed_classes",
+            lambda self, level: removed_classes(self, level) + 1,
+        )
+        with pytest.raises(
+            Unstable, match=re.escape("over I=(1, 2) counts 0 classes at n=256, its peel removes 1")
+        ) as raised:
             mf_count_via_groupoid(roots_of_unity(2), 257)
+        assert str(raised.value).endswith("(t=64)")
     finally:
         _PLAN_CACHE.clear()
 
@@ -625,8 +636,8 @@ def test_up_set_guard_rejects_a_minimum_past_the_cone_walk():
 
 
 def test_up_sets_are_built_only_at_the_counted_threshold(monkeypatch):
-    # the t + 1 analysis exists only for the stability check, which compares
-    # objects and arrows: it builds no up-set
+    # the self-check reads the counted stratum itself, so up-sets are built
+    # only at the thresholds the count reads
     built = []
     build = StratumAnalysis.up_antichain
 
@@ -855,6 +866,75 @@ def test_each_counted_stratum_counts_what_its_peel_removes(pres, levels):
     for n, t, count, removed in rows:
         assert count == removed, (n, t)
     assert len(rows) >= len(levels)
+
+
+def _removed_by_the_tails(analysis, level):
+    """The two-tail reference: the classes of M at the level less those of
+    the peeled set."""
+    pres, n = analysis.pres, level + analysis.pres.s0
+    return _tail_count(pres, analysis.M, n) - _tail_count(pres, analysis.peeled(), n)
+
+
+@pytest.mark.parametrize(
+    "pres,n",
+    [
+        # every stratum the oracle sweeps reach: t = 2, 6, 13, 27, 55 for
+        # d = 2, up to 27 for d = 3, up to 13 for d = 4, up to 23 for S_3 words
+        pytest.param(roots_of_unity(2), 400, id="roots2"),
+        pytest.param(roots_of_unity(3), 150, id="roots3"),
+        pytest.param(roots_of_unity(4), 90, id="roots4"),
+        pytest.param(S3_WORDS, 119, id="S3-words"),
+    ],
+)
+def test_removed_classes_equal_the_two_tails_on_builtins(pres, n):
+    # ten levels from one below the first occupied one, past the four the
+    # self-check reads
+    strata = _plan(pres).strata(n)[0]
+    assert len(strata) >= 3
+    for analysis in strata:
+        low = analysis.min_occupied_total()
+        counts = [analysis.removed_classes(level) for level in range(low - 1, low + 9)]
+        assert counts == [_removed_by_the_tails(analysis, level)
+                          for level in range(low - 1, low + 9)], analysis.t
+        assert counts[0] == 0 and all(counts[1:4]), analysis.t
+
+
+def test_removed_classes_equal_the_two_tails_on_random_presentations():
+    # the strata of the presentations of test_random_elementary_presentations
+    # at its largest n, at the four self-check levels
+    rng = random.Random(2026)
+    checked = 0
+    try:
+        for _ in range(40):
+            pres = elementary_embedding(_random_elementary(rng))
+            if pres.countset.is_finite():
+                continue
+            for analysis in _plan(pres).strata(3 * _first_occupied(pres))[0]:
+                low = analysis.min_occupied_total()
+                counts = [analysis.removed_classes(level) for level in range(low - 1, low + 3)]
+                assert counts == [_removed_by_the_tails(analysis, level)
+                                  for level in range(low - 1, low + 3)], pres
+                assert counts[0] == 0 and all(counts[1:]), pres
+                checked += 1
+    finally:
+        _PLAN_CACHE.clear()
+    assert checked > 70
+
+
+def test_removed_classes_refuse_a_shadow_that_splits_a_class():
+    # a shadow reaching (0, level) at the first occupied level leaves the
+    # points the peel removes at t = 2, which lie in the cone over (4, 4)
+    pres = roots_of_unity(2)
+    analysis = StratumAnalysis(pres, pres.countset, 2)
+    analysis.peeled()
+    low = analysis.min_occupied_total()
+    assert analysis.removed_classes(low) == 1
+    shadow = pres.count_equivalents
+    analysis.pres = dataclasses.replace(
+        pres, count_equivalents=lambda beta: shadow(beta) | {(0, sum(beta))}
+    )
+    with pytest.raises(Unstable, match=re.escape("would split a class")):
+        analysis.removed_classes(low)
 
 
 C3_OBSTRUCTED = elementary_embedding(

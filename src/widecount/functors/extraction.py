@@ -8,9 +8,9 @@ finite groupoid of quadruples acting on count vectors; their Sym-orbits are
 counted by the groupoid orbit-counting lemma, a sum each stratum keeps as
 level terms (shifted denumerants, see ``lattice``) built once and evaluated
 at each n.  The complement is a sub-model functor with a strictly smaller
-count set (Dickson recursion).  The recursion ends in a tail that counts one
-level of the count set left, with one shadow call per class: that set is
-finite, or its next stratum is not yet occupied at n.
+count set (Dickson recursion).  The strata form one chain per presentation,
+each calibrated once for every n; a tail counts, with one shadow call per
+class, one level of the count set the chain's prefix occupied at n leaves.
 
 Everything the oracle contributes is probed through targeted equivalence
 queries on canonical seed pairs; the count-vector shadow of builtin oracles
@@ -57,8 +57,8 @@ class Unstable(Exception):
     moves an entry by more than one, an up-set minimum is missing, past the
     cone walk or not seen by the oracle, its Burnside sum is not an integer,
     its count differs from the classes its peel removes at a self-check
-    level, or the strata do not end.  A failed peel or self-check at an
-    occupied stratum first doubles t; it is raised past MAX_T."""
+    level, or the strata do not end.  A failed peel or self-check first
+    doubles t, once per stratum and for every n; it is raised past MAX_T."""
 
 
 @dataclass(frozen=True)
@@ -776,11 +776,10 @@ def extract_groupoid(pres: ModelFunctorPresentation, e: int) -> ExtractedGroupoi
 
     Objects are the labeled quadruples realized by calibrated pairs with
     core [e]; arrows are the frequent-set bijections realized by equivalent
-    pairs; composition is composition of bijections.  The threshold is the
-    stratified count's for the presentation's count set, with the peel and
-    its self-check made whatever the word length.
+    pairs; composition is composition of bijections.  The analysis is the
+    first stratum of the stratified count's chain, shared with the count.
     """
-    analysis = _plan(pres).calibrated(pres.countset)
+    analysis = _plan(pres).first_stratum()
     objects: List[Quadruple] = []
     arrows: List[Arrow] = []
     seeds: Dict[Quadruple, MFPair] = {}
@@ -854,19 +853,17 @@ def _tail_count(pres: ModelFunctorPresentation, M: DownwardClosedSet, n: int) ->
 
 
 class StratifiedPlan:
-    """Everything of the stratified count that does not depend on n, for one
-    presentation.
-
-    The strata are recorded as the counts reach them, one analysis per count
-    set M and threshold t; each keeps its own structure, level terms, peeled
-    count set and self-check.  Each stratum starts at the least threshold
-    its cone admits (``default_threshold``), so it is first occupied at the
-    lowest length it can be: for d = 2 the strata at t = 2, 6, 13, 27 are
-    occupied from n = 9, 15, 28, 55.  A stratum is still peeled and
-    self-checked only at an n where it is occupied, so every n gets the
-    threshold a fresh count would pick.  A count set whose quadruples of
-    some core size exceed MAX_QUADRUPLES is never calibrated: the tail
-    counts it at every n.
+    """The strata of one presentation's stratified count, as one chain in
+    peel order: nothing about a stratum depends on n, since its classes are
+    groupoid orbits on the lattice points of its cone.  Each link is
+    calibrated and self-checked once, whatever the word length, and keeps its
+    structure, level terms and peeled count set.  The chain is extended as
+    far as the counts read it: the stratum after it is calibrated when a
+    count first finds it occupied at its default threshold, which needs only
+    its frame.  For d = 2 the strata at t = 2, 6, 13, 27 are occupied from
+    n = 9, 15, 28, 55.  The chain ends at a finite count set or at one with
+    more quadruples of some core size than MAX_QUADRUPLES, an amount its
+    frame fixes at every t: the tail counts it at every n.
     """
 
     def __init__(self, pres: ModelFunctorPresentation):
@@ -876,63 +873,67 @@ class StratifiedPlan:
                 "use mf_orbit_count_direct instead"
             )
         self.pres = pres
-        self._analyses: Dict[Tuple[DownwardClosedSet, int], StratumAnalysis] = {}
+        self._chain: List[StratumAnalysis] = []
+        self._left = pres.countset  # the count set after the chain
+        self._next: Optional[StratumAnalysis] = None  # its default-threshold analysis
 
-    def analysis(self, M: DownwardClosedSet, t: int) -> StratumAnalysis:
-        key = (M, t)
-        if key not in self._analyses:
-            self._analyses[key] = StratumAnalysis(self.pres, M, t)
-        return self._analyses[key]
-
-    def calibrated(self, M: DownwardClosedSet, n: Optional[int] = None) -> StratumAnalysis:
-        """The stratum's analysis at the threshold for n: from the default,
-        doubled while the stratum is occupied at n (at every n when n is
-        None) and either its peel raises Unstable, as on a hole, or the
-        self-check (``check_peel``) finds a level where the stratum does not
-        count the classes its peel removes.  The level terms are built first,
-        so an up-set guard raises at once rather than doubling t."""
-        s0 = self.pres.s0
-        t_cur = default_threshold(M)
+    def calibrated(self, analysis: StratumAnalysis) -> StratumAnalysis:
+        """The analysis's stratum, certified whatever the word length: t is
+        doubled while the peel raises Unstable, as on a hole, or the
+        self-check (``check_peel``) fails; Unstable past MAX_T.  The level
+        terms are built first, so an up-set guard raises rather than doubling t."""
         while True:
-            analysis = self.analysis(M, t_cur)
-            if n is not None and n - s0 < analysis.min_occupied_total():
-                return analysis
             analysis.stratum_terms()
             try:
                 analysis.peeled()
                 analysis.check_peel()
                 return analysis
             except Unstable as unstable:
-                reason = f"{unstable} (t={t_cur})"
-            if 2 * t_cur > MAX_T:
+                reason = f"{unstable} (t={analysis.t})"
+            if 2 * analysis.t > MAX_T:
                 raise Unstable(reason)
-            t_cur *= 2
+            analysis = StratumAnalysis(self.pres, analysis.M, 2 * analysis.t)
+
+    def _frontier(self) -> Optional[StratumAnalysis]:
+        """The default-threshold analysis of the count set after the chain,
+        built once; None where the chain ends."""
+        if self._left.is_finite():
+            return None
+        if self._next is None:
+            self._next = StratumAnalysis(self.pres, self._left, default_threshold(self._left))
+        return None if self._next.most_labeled > MAX_QUADRUPLES else self._next
+
+    def _extend(self) -> None:
+        link = self.calibrated(self._next)
+        self._chain.append(link)
+        self._left, self._next = link.peeled(), None
+
+    def first_stratum(self) -> StratumAnalysis:
+        """The chain's first stratum, calibrated whatever the word length; a
+        count set the chain ends at is calibrated all the same, outside it."""
+        if not self._chain:
+            if self._frontier() is None:
+                M = self.pres.countset
+                return self.calibrated(self._next or StratumAnalysis(self.pres, M, default_threshold(M)))
+            self._extend()
+        return self._chain[0]
 
     def strata(self, n: int) -> Tuple[List[StratumAnalysis], DownwardClosedSet]:
-        """The strata counted at n, in peel order, each calibrated and
-        self-checked, and the count set left for the tail.  The walk stops at
-        a finite count set or at a stratum not occupied at n: the shadow
-        preserves word length, so no peel from that or any deeper stratum can
-        remove a vector at level n - s0, and the classes left are countable
-        now.  That needs every deeper stratum to be first occupied no lower
-        than this one.  A peel leaves obstructions near 2t, so the next least
-        threshold is about 2t and the first occupied lengths rise on every
-        presentation checked; nothing here proves it for every presentation.
-        It also stops, before calibrating, at a count set with more labeled
-        quadruples of some core size than MAX_QUADRUPLES, an amount its frame
-        fixes at every t: the tail counts every class of what is left."""
-        strata: List[StratumAnalysis] = []
-        M, s0 = self.pres.countset, self.pres.s0
-        for _ in range(10000):
-            if M.is_finite():
-                return strata, M
-            if self.analysis(M, default_threshold(M)).most_labeled > MAX_QUADRUPLES:
-                return strata, M
-            analysis = self.calibrated(M, n)
-            if n - s0 < analysis.min_occupied_total():
-                return strata, M
-            strata.append(analysis)
-            M = analysis.peeled()
+        """The chain's prefix occupied at n, and the count set left for the
+        tail.  No peel from the first stratum not occupied at n, or a deeper
+        one, removes a vector at level n - s0 (a shadow keeps word length),
+        if the first occupied lengths rise along the chain: a peel leaves
+        obstructions near 2t, so the next least threshold is about 2t, as on
+        every presentation checked, though nothing here proves it."""
+        level = n - self.pres.s0
+        for i in range(10000):
+            if i == len(self._chain):
+                frontier = self._frontier()
+                if frontier is None or level < frontier.min_occupied_total():
+                    return self._chain[:], self._left
+                self._extend()
+            if level < self._chain[i].min_occupied_total():
+                return self._chain[:i], self._chain[i].M
         raise Unstable("stratification did not terminate")
 
 
@@ -953,13 +954,11 @@ def _plan(pres: ModelFunctorPresentation) -> StratifiedPlan:
 def mf_count_via_groupoid(pres: ModelFunctorPresentation, n: int) -> int:
     """Sym([n])-orbit count on F([n])/~ via the stratified groupoid formula.
 
-    Peels calibrated strata from the count set (each counted by a groupoid
-    Burnside sum over exact lattice level counts), recursing on the
-    complement sub-model functor until the count set is finite or its next
-    stratum is not occupied at n; the tail then counts the level n - s0 of
-    the count set left with one shadow call per class.  Requires the
-    presentation's count-vector shadow.  The n-independent work is kept in a
-    plan per presentation and reused by later calls.
+    Adds the counts of the strata occupied at n (groupoid Burnside sums over
+    exact lattice level counts) to the tail, which counts the level n - s0
+    of the count set they leave with one shadow call per class.  Requires
+    the presentation's count-vector shadow.  The strata are one chain per
+    presentation, extended only as far as the counts read it.
     """
     strata, M = _plan(pres).strata(n)
     return sum(analysis.stratum_count(n) for analysis in strata) + _tail_count(pres, M, n)

@@ -197,7 +197,7 @@ def test_stratified_count_matches_direct_default(d):
 
 
 def _first_occupied(pres):
-    return pres.s0 + _plan(pres).calibrated(pres.countset).min_occupied_total()
+    return pres.s0 + _plan(pres).first_stratum().min_occupied_total()
 
 
 def test_stratified_count_elementary_and_trivial():
@@ -243,9 +243,9 @@ def test_roots_d2_default_past_the_second_stratum():
         assert mf_count_via_groupoid(pres, n) == cube_orbit_count(2, n), n
 
 
-def _over_the_cap(plan, M):
+def _over_the_cap(pres, M):
     """Does M have more labeled quadruples of some core size than the cap?"""
-    return plan.analysis(M, default_threshold(M)).most_labeled > MAX_QUADRUPLES
+    return StratumAnalysis(pres, M, default_threshold(M)).most_labeled > MAX_QUADRUPLES
 
 
 def test_a_stratum_over_the_quadruple_cap_is_left_to_the_tail():
@@ -258,10 +258,10 @@ def test_a_stratum_over_the_quadruple_cap_is_left_to_the_tail():
     )
     pres = elementary_embedding(emf)
     plan = _plan(pres)
-    assert not _over_the_cap(plan, plan.strata(43)[1])
+    assert not _over_the_cap(pres, plan.strata(43)[1])
     for n in (44, 60):
         strata, left = plan.strata(n)
-        assert [a.t for a in strata] == [5, 11] and _over_the_cap(plan, left), n
+        assert [a.t for a in strata] == [5, 11] and _over_the_cap(pres, left), n
         assert mf_count_via_groupoid(pres, n) == elementary_count(emf, n), n
 
 
@@ -308,7 +308,7 @@ def test_random_elementary_presentations():
             for n in sorted(levels):
                 assert mf_count_via_groupoid(pres, n) == elementary_count(emf, n), (emf, n)
                 left = plan.strata(n)[1]
-                fallbacks += not left.is_finite() and _over_the_cap(plan, left)
+                fallbacks += not left.is_finite() and _over_the_cap(pres, left)
     finally:
         _PLAN_CACHE.clear()
     assert read > 20
@@ -469,31 +469,38 @@ def test_plan_is_built_once_per_sweep(monkeypatch):
 def test_an_unstable_threshold_doubles(monkeypatch):
     # the peel at t = 2 made to remove one class more than the stratum
     # counts: the first stratum of d = 2 is counted at t = 4, so it is
-    # occupied only from n = 17
+    # occupied only from n = 17; the failed check at t = 2 is made once
     removed_classes = StratumAnalysis.removed_classes
-    monkeypatch.setattr(
-        StratumAnalysis,
-        "removed_classes",
-        lambda self, level: removed_classes(self, level) + (self.t == 2),
-    )
+    checked_at_2 = []
+
+    def one_too_many_at_2(self, level):
+        if self.t == 2:
+            checked_at_2.append(level)
+        return removed_classes(self, level) + (self.t == 2)
+
+    monkeypatch.setattr(StratumAnalysis, "removed_classes", one_too_many_at_2)
     pres = roots_of_unity(2)
     plan = _plan(pres)
     try:
         for n in range(1, 60):
             assert [a.t for a in plan.strata(n)[0]][:1] == ([4] if n >= 17 else []), n
             assert mf_count_via_groupoid(pres, n) == cube_orbit_count(2, n), n
+        assert len(checked_at_2) == 1
         # when the self-check fails at every threshold, doubling stops at
-        # MAX_T, whose stratum is occupied from n = 257: the mismatch is
-        # named at its first check level, n = 256
+        # MAX_T, whose mismatch is named at its first check level, n = 256;
+        # it is raised at the first n that reaches the default threshold,
+        # n = 9, and below that the tail still counts
         monkeypatch.setattr(
             StratumAnalysis,
             "removed_classes",
             lambda self, level: removed_classes(self, level) + 1,
         )
+        pres = roots_of_unity(2)
+        assert mf_count_via_groupoid(pres, 8) == cube_orbit_count(2, 8)
         with pytest.raises(
             Unstable, match=re.escape("over I=(1, 2) counts 0 classes at n=256, its peel removes 1")
         ) as raised:
-            mf_count_via_groupoid(roots_of_unity(2), 257)
+            mf_count_via_groupoid(pres, 9)
         assert str(raised.value).endswith("(t=64)")
     finally:
         _PLAN_CACHE.clear()
@@ -569,6 +576,30 @@ def test_extract_groupoid_takes_the_plan_calibration(label, t, arrows):
     assert len(eg.groupoid.arrows) == arrows
 
 
+def test_extract_groupoid_shares_the_first_stratum_with_the_count(monkeypatch):
+    # the groupoid is read off the count's first stratum, so extracting it
+    # first builds no analysis the count alone would not
+    built = []
+    init = StratumAnalysis.__init__
+
+    def counting_init(self, pres, M, t):
+        built.append(t)
+        init(self, pres, M, t)
+
+    monkeypatch.setattr(StratumAnalysis, "__init__", counting_init)
+    pres = roots_of_unity(2)
+    try:
+        mf_count_via_groupoid(pres, 20)
+        alone = list(built)
+        built.clear()
+        pres = roots_of_unity(2)
+        extract_groupoid(pres, e=0)
+        mf_count_via_groupoid(pres, 20)
+        assert built == alone == [2, 6, 13]
+    finally:
+        _PLAN_CACHE.clear()
+
+
 @pytest.mark.parametrize(
     "route",
     [
@@ -597,7 +628,7 @@ def test_up_set_guard_rejects_a_minimum_the_oracle_does_not_see(monkeypatch):
     # must name that object and point, and search no further
     pres = roots_of_unity(2)
     _PLAN_CACHE.clear()
-    analysis = _plan(pres).calibrated(pres.countset)
+    analysis = _plan(pres).first_stratum()
     q = _objects(analysis)[-1]
     u = analysis.up_antichain(q)[0]
     seed = analysis.build_target(q, dict(zip(q.J, u)), q, {l: l for l in q.J})
@@ -702,8 +733,7 @@ def test_deadline_leaves_no_half_built_plan(monkeypatch):
 )
 def test_tail_count_is_the_shadow_component_count(pres, n):
     # n is the first length at which the first stratum is occupied
-    plan = _plan(pres)
-    analysis = plan.calibrated(pres.countset, n)
+    [analysis] = _plan(pres).strata(n)[0]
     assert n - pres.s0 == analysis.min_occupied_total()
     for M in (pres.countset, analysis.peeled()):
         betas = M.enumerate_level(n - pres.s0)
@@ -1017,7 +1047,7 @@ def test_built_up_sets_equal_the_brute_force_scan():
     # holds, scanned over the box [floor, floor + 2t + e + s0 + 3]
     for pres in (roots_of_unity(2), roots_of_unity(3), S3_WORDS, C3_OBSTRUCTED):
         _PLAN_CACHE.clear()
-        analysis = _plan(pres).calibrated(pres.countset)
+        analysis = _plan(pres).first_stratum()
         objects = _objects(analysis)
         assert objects
         for q in objects:

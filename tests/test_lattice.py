@@ -381,11 +381,10 @@ def test_enumerate_level_interval_cases(k, obstructions):
 
 
 def _tail_sized_sets():
-    for d, n in ((3, 49), (4, 81)):
-        # n is the first length at which the first stratum is occupied
+    for d in (3, 4):
+        # the count set the first stratum leaves, which the tail reads
         pres = roots_of_unity(d)
-        plan = _plan(pres)
-        yield f"roots{d}-peeled", plan.calibrated(pres.countset, n).peeled()
+        yield f"roots{d}-peeled", _plan(pres).first_stratum().peeled()
     rng = random.Random(11)
     for k in range(2, 6):
         for _ in range(3):

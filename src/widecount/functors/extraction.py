@@ -58,7 +58,8 @@ class Unstable(Exception):
     cone walk or not seen by the oracle, its Burnside sum is not an integer,
     its count differs from the classes its peel removes at a self-check
     level, or the strata do not end.  A failed peel or self-check first
-    doubles t, once per stratum and for every n; it is raised past MAX_T."""
+    doubles t, once per stratum and for every n; it is raised past MAX_T,
+    and again at every later count, with nothing rebuilt."""
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,13 @@ class CalibrationFrame:
 def compute_frame(M: DownwardClosedSet) -> CalibrationFrame:
     """Pick the canonical maximal pumpable I and the max-sum blocked profile v0.
 
-    I is pumpable iff no obstruction is supported inside I; v0 (supported
-    off I) must block every obstruction at some off-I coordinate, with
-    maximal total, tie-broken lexicographically largest.
+    I is pumpable iff no obstruction is supported inside I (none is if the
+    count set is empty: ValueError); v0 (supported off I) must block every
+    obstruction at some off-I coordinate, with maximal total, tie-broken
+    lexicographically largest.
     """
+    if M.is_empty():
+        raise ValueError(f"the count set {M} is empty: it has no pumpable letter set")
     k = M.k
     obstructions = M.obstructions
     supports = [frozenset(j + 1 for j, x in enumerate(o) if x > 0) for o in obstructions]
@@ -876,6 +880,7 @@ class StratifiedPlan:
         self._chain: List[StratumAnalysis] = []
         self._left = pres.countset  # the count set after the chain
         self._next: Optional[StratumAnalysis] = None  # its default-threshold analysis
+        self._unstable: Optional[str] = None  # why _next failed at every t up to MAX_T
 
     def calibrated(self, analysis: StratumAnalysis) -> StratumAnalysis:
         """The analysis's stratum, certified whatever the word length: t is
@@ -904,7 +909,13 @@ class StratifiedPlan:
         return None if self._next.most_labeled > MAX_QUADRUPLES else self._next
 
     def _extend(self) -> None:
-        link = self.calibrated(self._next)
+        if self._unstable:  # raised again, with nothing built
+            raise Unstable(self._unstable)
+        try:
+            link = self.calibrated(self._next)
+        except Unstable as unstable:
+            self._unstable = str(unstable)
+            raise
         self._chain.append(link)
         self._left, self._next = link.peeled(), None
 

@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter, le
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .actions import Permutation, tick
@@ -34,17 +35,13 @@ Vector = Tuple[int, ...]
 LevelTerms = Dict[Tuple[Tuple[int, ...], int], int | Fraction]
 
 
-def _leq(a: Vector, b: Vector) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def antichain_reduce(vectors: Iterable[Vector]) -> Tuple[Vector, ...]:
     """Keep only the componentwise-minimal vectors, sorted for determinism.
     In lexicographic order every vector below v comes before v, and so does
     a minimal one below it, so v is compared only with the minima kept."""
     keep: List[Vector] = []
     for v in sorted(set(map(tuple, vectors))):
-        if not any(_leq(w, v) for w in keep):
+        if not any(all(map(le, w, v)) for w in keep):
             keep.append(v)
     return tuple(keep)
 
@@ -81,7 +78,7 @@ class DownwardClosedSet:
         beta = tuple(beta)
         if len(beta) != self.k:
             raise ValueError("dimension mismatch")
-        return not any(_leq(o, beta) for o in self.obstructions)
+        return not any(all(map(le, o, beta)) for o in self.obstructions)
 
     def is_empty(self) -> bool:
         return bool(self.obstructions) and self.obstructions[0] == (0,) * self.k
@@ -105,46 +102,53 @@ class DownwardClosedSet:
 
         Compositions of n are built one coordinate at a time (stars and
         bars) over all coordinates but the last two, in lexicographic order.
-        An obstruction stays live while it lies below the prefix; once a
-        live one needs nothing of the coordinates still open, it is met by
-        every completion, so that prefix and every larger value of its last
-        coordinate are skipped.  A prefix leaving ``remaining`` is completed
-        by the points (x, remaining - x); a live obstruction o meets exactly
-        those with o[-2] <= x <= remaining - o[-1].  Each prefix with a
-        member is yielded once as (prefix, remaining, gaps), the gaps being
-        the ascending, disjoint, non-empty ranges of x between the merged
-        intervals.  The budget's deadline is checked once per prefix.
+        An obstruction stays live while it lies below the prefix; a live one
+        zero past coordinate j is met by every completion once x_j reaches
+        its entry there, so x_j stops, before its loop, at the least such
+        entry.  A prefix leaving ``remaining`` is completed by the points
+        (x, remaining - x); a live obstruction o meets exactly those with
+        o[-2] <= x <= remaining - o[-1].  The obstructions are sorted once by
+        o[-2], so these intervals come sorted by start and merge in one pass.
+        Each prefix with a member is yielded once as (prefix, remaining,
+        gaps), the gaps being the ascending, disjoint, non-empty ranges of x
+        between the intervals.  The budget's deadline is checked at every
+        node of the walk: each prefix and each shorter one.
         """
         if self.k < 2:
             raise ValueError("level runs need k >= 2")
         if n < 0 or self.is_empty():
             return
-        # (obstruction, index of its last nonzero coordinate)
-        obs = [(o, max(j for j, x in enumerate(o) if x)) for o in self.obstructions]
+        # (obstruction, index of its last nonzero coordinate), sorted by o[-2]
+        obs = [(o, max(j for j, x in enumerate(o) if x)) for o in sorted(self.obstructions, key=itemgetter(-2))]
         pair = self.k - 2
+
+        def gaps(cut: list, x: int, r: int) -> List[range]:
+            # the gaps of a prefix ending in x_j = x and leaving r; cut holds
+            # (o[j], o[-2], o[-2] + o[-1], o[-1]) per live o, in order of o[-2]
+            tick()
+            out, lo = [], 0
+            for a, start, need, b in cut:
+                if a <= x and need <= r:
+                    if lo < start:
+                        out.append(range(lo, start))
+                    lo = r - b + 1 if lo <= r - b else lo
+            if lo <= r:
+                out.append(range(lo, r + 1))
+            return out
 
         def rec(prefix: Vector, j: int, remaining: int, live: list):
             tick()
-            if j == pair:
-                gaps, lo = [], 0
-                for start, end in sorted(
-                    (o[j], remaining - o[j + 1]) for o, _ in live if o[j] + o[j + 1] <= remaining
-                ):
-                    if lo < start:
-                        gaps.append(range(lo, start))
-                    lo = max(lo, end + 1)
-                if lo <= remaining:
-                    gaps.append(range(lo, remaining + 1))
-                if gaps:
-                    yield prefix, remaining, gaps
-                return
-            for x in range(remaining + 1):
-                still = [ol for ol in live if ol[0][j] <= x]
-                if any(last <= j for _, last in still):
-                    break
-                yield from rec(prefix + (x,), j + 1, remaining - x, still)
+            cut = [(o[j], o[-2], o[-2] + o[-1], o[-1]) for o, _ in live] if j + 1 == pair else None
+            for x in range(min([o[j] for o, last in live if last == j] + [remaining + 1])):
+                if cut is None:
+                    yield from rec(prefix + (x,), j + 1, remaining - x, [ol for ol in live if ol[0][j] <= x])
+                elif run := gaps(cut, x, remaining - x):
+                    yield prefix + (x,), remaining - x, run
 
-        yield from rec((), 0, n, obs)
+        if pair:
+            yield from rec((), 0, n, obs)
+        elif run := gaps([(0, a, a + b, b) for (a, b), _ in obs], 0, n):
+            yield (), n, run
 
     def enumerate_level(self, n: int) -> List[Vector]:
         """All members of total degree n, in lexicographic order: the

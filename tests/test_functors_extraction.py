@@ -225,6 +225,24 @@ def test_degenerate_empty_countset():
         assert mf_orbit_count_direct(pres, n) == 0
 
 
+def test_the_empty_count_set_has_no_frame():
+    # the zero obstruction lies inside every letter set, so none is pumpable:
+    # the frame, the groupoid and a pair's quintuple are refused by name,
+    # while the count is 0 without a frame
+    pres = trivial_presentation(2, s0=1, countset=DownwardClosedSet.empty(2))
+    try:
+        for build in (
+            lambda: compute_frame(pres.countset),
+            lambda: extract_groupoid(pres, 0),
+            lambda: analyze_pair(pres, 3, MFPair(3, (1,), (1, 2)), t=1),
+        ):
+            with pytest.raises(ValueError, match="is empty: it has no pumpable letter set"):
+                build()
+        assert [mf_count_via_groupoid(pres, n) for n in range(4)] == [0, 0, 0, 0]
+    finally:
+        _PLAN_CACHE.clear()
+
+
 def test_core_size_bound():
     # every computed core has size <= s0 + infrequent budget
     pres = roots_of_unity(2)
@@ -502,6 +520,19 @@ def test_an_unstable_threshold_doubles(monkeypatch):
         ) as raised:
             mf_count_via_groupoid(pres, 9)
         assert str(raised.value).endswith("(t=64)")
+        # the plan keeps the failure: the next count builds no analysis and
+        # raises the same message
+        built = []
+        init = StratumAnalysis.__init__
+
+        def counting_init(self, *args):
+            built.append(args[-1])
+            init(self, *args)
+
+        monkeypatch.setattr(StratumAnalysis, "__init__", counting_init)
+        with pytest.raises(Unstable) as again:
+            mf_count_via_groupoid(pres, 10)
+        assert str(again.value) == str(raised.value) and built == []
     finally:
         _PLAN_CACHE.clear()
 

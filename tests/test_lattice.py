@@ -38,6 +38,23 @@ def test_membership_examples():
     assert m3.membership((0, 7, 7))
 
 
+def test_membership_equals_the_componentwise_definition():
+    # small entries, and some vectors equal to an obstruction, so that many
+    # comparisons tie at some or all coordinates
+    rng = random.Random(35)
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        obs = [tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(rng.randint(0, 5))]
+        M = DownwardClosedSet(k, obs)
+        for _ in range(20):
+            beta = rng.choice(obs) if obs and rng.random() < 0.3 else tuple(rng.randint(0, 3) for _ in range(k))
+            blocked = any(all(o[j] <= beta[j] for j in range(k)) for o in obs)
+            assert M.membership(beta) == (beta in M) == (not blocked), (obs, beta)
+    for beta in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            DownwardClosedSet(3, [(1, 0, 0)]).membership(beta)
+
+
 def test_antichain_reduction_and_json():
     m = DownwardClosedSet(2, [(2, 0), (3, 1), (2, 0)])
     assert m.obstructions == ((2, 0),)
@@ -346,6 +363,50 @@ def test_level_runs_are_prefixes_with_disjoint_gaps():
             assert expanded == M.enumerate_level(n) == expected, (M, n)
     with pytest.raises(ValueError):
         next(DownwardClosedSet.full(1).level_runs(3))
+
+
+def _expanded_runs(M, n):
+    return [prefix + (x, remaining - x) for prefix, remaining, gaps in M.level_runs(n) for gap in gaps for x in gap]
+
+
+def _assert_is_the_level(M, n, members):
+    """members are the level n of M: ascending, members of M, and as many
+    as the cycle-contraction count of the identity says."""
+    assert all(a < b for a, b in zip(members, members[1:])), (M, n)
+    assert all(sum(beta) == n and M.membership(beta) for beta in members), (M, n)
+    assert len(members) == fixed_count_level(M, Permutation(tuple(range(1, M.k + 1))), n), (M, n)
+
+
+@pytest.mark.parametrize("d,levels", [(3, range(49, 85)), (4, (81,))])
+def test_level_runs_on_the_count_sets_the_tail_reads(d, levels):
+    # the stratified benchmark's levels: the walk of the count set the
+    # strata occupied at n leave, at level n - s0
+    pres = roots_of_unity(d)
+    for n in levels:
+        M = _plan(pres).strata(n)[1]
+        level = n - pres.s0
+        members = _expanded_runs(M, level)
+        if d == 3:
+            assert members == _level_brute_force(M, level), n
+        _assert_is_the_level(M, level, members)
+
+
+def test_level_runs_stop_at_the_last_recursive_coordinate():
+    # every set holds an obstruction whose last nonzero entry is at k - 3,
+    # the walk's last recursive coordinate, so its stop point cuts that loop
+    rng = random.Random(37)
+    for _ in range(40):
+        k = rng.randint(5, 6)
+        stop = tuple(rng.randint(0, 2) for _ in range(k - 3)) + (rng.randint(1, 3), 0, 0)
+        # positive last entries: none of these lies below the stop obstruction
+        others = [tuple(rng.randint(0, 4) for _ in range(k - 1)) + (rng.randint(1, 4),) for _ in range(4)]
+        M = DownwardClosedSet(k, [stop] + others[: rng.randint(0, 4)])
+        assert stop in M.obstructions
+        for n in range(-1, 13):
+            members = _expanded_runs(M, n)
+            if n <= 4:
+                assert members == (_level_brute_force(M, n) if n >= 0 else []), (M, n)
+            _assert_is_the_level(M, n, members)
 
 
 def test_deadline_stops_the_tail_during_the_walk():

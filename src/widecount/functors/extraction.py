@@ -792,9 +792,10 @@ def extract_groupoid(pres: ModelFunctorPresentation, e: int) -> ExtractedGroupoi
         if seed is not None:
             objects.append(q)
             seeds[q] = seed
+    known = set(objects)
     for q in objects:
         for q_target, g_images in analysis.discover_arrows(q, seeds[q]):
-            if q_target in set(objects):
+            if q_target in known:
                 arrows.append(Arrow(q, q_target, g_images))
 
     def compose_fn(a: Arrow, b: Arrow) -> Arrow:
@@ -881,6 +882,7 @@ class StratifiedPlan:
         self._left = pres.countset  # the count set after the chain
         self._next: Optional[StratumAnalysis] = None  # its default-threshold analysis
         self._unstable: Optional[str] = None  # why _next failed at every t up to MAX_T
+        self._outside: Optional[StratumAnalysis] = None  # a count set the chain ends at, calibrated
 
     def calibrated(self, analysis: StratumAnalysis) -> StratumAnalysis:
         """The analysis's stratum, certified whatever the word length: t is
@@ -921,21 +923,24 @@ class StratifiedPlan:
 
     def first_stratum(self) -> StratumAnalysis:
         """The chain's first stratum, calibrated whatever the word length; a
-        count set the chain ends at is calibrated all the same, outside it."""
+        count set the chain ends at is calibrated once, outside it, and kept."""
         if not self._chain:
             if self._frontier() is None:
-                M = self.pres.countset
-                return self.calibrated(self._next or StratumAnalysis(self.pres, M, default_threshold(M)))
+                if self._outside is None:
+                    M = self.pres.countset
+                    analysis = self._next or StratumAnalysis(self.pres, M, default_threshold(M))
+                    self._outside = self.calibrated(analysis)
+                return self._outside
             self._extend()
         return self._chain[0]
 
     def strata(self, n: int) -> Tuple[List[StratumAnalysis], DownwardClosedSet]:
         """The chain's prefix occupied at n, and the count set left for the
-        tail.  No peel from the first stratum not occupied at n, or a deeper
-        one, removes a vector at level n - s0 (a shadow keeps word length),
-        if the first occupied lengths rise along the chain: a peel leaves
-        obstructions near 2t, so the next least threshold is about 2t, as on
-        every presentation checked, though nothing here proves it."""
+        tail.  Any stopping point gives the right count, whatever order the
+        first occupied lengths take along the chain: each peel removes whole
+        classes (``check_peel`` certifies it), so the strata read and the set
+        left split the classes at level n - s0, and the tail counts every
+        class of the set it is given, deeper strata's included."""
         level = n - self.pres.s0
         for i in range(10000):
             if i == len(self._chain):

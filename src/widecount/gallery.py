@@ -2,11 +2,12 @@
 component enumerators, and the fixed-rank and tree applications.
 
 Rank computations are exact: matrices are scaled to integers and ranked by
-fraction-free elimination over the integers, with each basis row kept
-primitive.  The fixed-rank counts rank no matrix one by one: they settle
-rows in order and count prefixes per reduced state (the rank so far and the
-unsettled rows' parts reduced modulo the settled span, fraction-free and
-divided by their gcd), so each state's new row values are listed once.
+fraction-free elimination over the integers, one step for every rank: a
+row reduces the rows after it, whose pivot coordinate is then dropped, and
+the result is divided by its gcd.  The fixed-rank counts rank no matrix
+one by one: they settle rows in order and count prefixes per reduced state
+(the rank so far and the unsettled rows' parts reduced modulo the settled
+span by that step), so each state's new row values are listed once.
 Row 0 lists the values on the orbits of the cells (0, j), j a fixed point
 other than 0, once per multiset, weighted by its arrangements: the
 symmetric group of those points commutes with the permutation and keeps
@@ -116,46 +117,60 @@ def _integerize(entries: Sequence[Fraction]) -> List[int]:
 
 
 def exact_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals by fraction-free elimination over the integers."""
-    rows = len(matrix)
-    if rows == 0:
+    """Rank over the rationals by fraction-free elimination over the
+    integers: each integerized row in turn reduces the rows after it
+    (`_rank_mod`).  Rows of unequal length raise ValueError."""
+    if not matrix:
         return 0
     cols = len(matrix[0])
+    for i, row in enumerate(matrix):
+        if len(row) != cols:
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {cols}")
     flat = _integerize([x for row in matrix for x in row])
-    basis: Tuple[Tuple[int, List[int]], ...] = ()
-    for i in range(rows):
-        basis = _rank_mod(basis, flat[i * cols : (i + 1) * cols])
-    return len(basis)
+    m = cols
+    for _ in matrix:
+        raised, flat = _rank_mod(flat, flat[m:], m)
+        m -= raised
+    return cols - m
 
 
-def _rank_mod(
-    basis: Tuple[Tuple[int, List[int]], ...], row: List[int]
-) -> Tuple[Tuple[int, List[int]], ...]:
+@lru_cache(maxsize=None)
+def _others(m: int, p: int) -> Tuple[int, ...]:
+    """The coordinates 0..m-1 but p."""
+    return tuple(c for c in range(m) if c != p)
+
+
+# not modular, whatever its name says: the benchmark's trace wraps it by name
+def _rank_mod(row: Sequence[int], rest: List[int], m: int) -> Tuple[int, List[int]]:
     """The one elimination step, fraction-free over the integers: reduce
-    `row` against an echelon basis of (pivot column, primitive row) pairs,
-    each row zero before its pivot and at the pivots before it.  Returns the
-    basis extended by the reduced row, divided by the gcd of its entries,
-    when that is nonzero, else the same basis, so the length of the result
-    is the rank of the rows reduced so far.
-
-    Entries stay small.  A reduced row is zero at every earlier pivot, so it
-    spans the one-dimensional part of span(basis rows, row) that vanishes on
-    those pivots; its primitive form is the primitive part of a vector of
-    minors of the original rows, which the Hadamard bound limits.  Before
-    the division, each step multiplies entries by at most one such pivot.
+    the flat rows of m coordinates `rest` modulo the span of the row held
+    by `row`'s first m entries.  If that row is nonzero, with first
+    nonzero coordinate p, each stored x becomes row[p] x - x[p] row, which
+    keeps one common scale, and coordinate p is dropped.  Either way the
+    result is divided by the gcd of its entries and its first nonzero entry
+    made positive.  Returns the rank the row raises, 1 or 0, and the result.
     """
-    for pivot, brow in basis:
-        f = row[pivot]
-        if f:
-            pv = brow[pivot]
-            row = [a * pv - f * b for a, b in zip(row, brow)]
-    for col, x in enumerate(row):
+    raised = 0
+    for p in range(m):
+        wp = row[p]
+        if wp:
+            raised = 1
+            cols = _others(m, p)
+            rest = [
+                wp * rest[s + c] - f * row[c]
+                for s in range(0, len(rest), m)
+                for f in (rest[s + p],)
+                for c in cols
+            ]
+            break
+    g = gcd(*rest)
+    for x in rest:
         if x:
-            g = gcd(*row)
-            if g > 1:
-                row = [a // g for a in row]
-            return basis + ((col, row),)
-    return basis
+            g = -g if x < 0 else g
+            break
+    if g != 1 and g:
+        rest = [x // g for x in rest]
+    return raised, rest
 
 
 def exact_rank_fraction(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -343,12 +358,8 @@ def _fixed_rank_histogram(
     orbits as one nondecreasing tuple per multiset and weights each prefix
     by the tuple's number of arrangements.  Every other choice has weight 1.
 
-    Reduction is fraction-free: a nonzero reduced row w with first nonzero
-    coordinate p maps every stored x to w[p] x - x[p] w, which keeps one
-    common scale, and drops coordinate p.  Either way the whole state is
-    then divided by the gcd of its entries and its first nonzero entry made
-    positive.  Pivots and projection depend only on the span, so equal
-    states get equal keys.
+    A settled row reduces the rest of the state by `_rank_mod`.  Pivots and
+    projection depend only on the span, so equal states get equal keys.
     """
     n = len(images)
     orbits = _cell_orbits(images, symmetric)
@@ -369,7 +380,6 @@ def _fixed_rank_histogram(
     # the known parts of rows r..n-1, then the blocks still alive
     start = [0] * (n * n) + [v for vec in blocks for v in vec]
     states = {(0, tuple(start)): 1}
-    others = [[[c for c in range(m) if c != p] for p in range(m)] for m in range(n + 1)]
     hist = [0] * (n + 1)
     # the orbits of the cells (0, j), j in F: each opens at that cell
     permuted = [k for k, ((i, j), *_) in enumerate(orbits) if i == 1 < j == images[j - 1]]
@@ -416,27 +426,8 @@ def _fixed_rank_histogram(
                 hist[rank + 1] += count * (total - zero)
                 continue
             for known, weight in zip(partial, weights):
-                rest = [*known[m:], *later]
-                key_rank = rank
-                for p in range(m):
-                    if known[p]:
-                        key_rank += 1
-                        wp = known[p]
-                        rest = [
-                            wp * rest[s + c] - f * known[c]
-                            for s in range(0, len(rest), m)
-                            for f in (rest[s + p],)
-                            for c in others[m][p]
-                        ]
-                        break
-                g = gcd(*rest)
-                for x in rest:
-                    if x:
-                        g = -g if x < 0 else g
-                        break
-                if g != 1 and g:
-                    rest = [x // g for x in rest]
-                key = (key_rank, tuple(rest))
+                raised, rest = _rank_mod(known, [*known[m:], *later], m)
+                key = (rank + raised, tuple(rest))
                 nxt[key] = nxt.get(key, 0) + count * weight
             require(len(nxt), RANK_STATE_BUDGET, "reduced rank states")
             require(len(nxt), integer_cap, integers)

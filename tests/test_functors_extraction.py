@@ -631,6 +631,26 @@ def test_extract_groupoid_shares_the_first_stratum_with_the_count(monkeypatch):
         _PLAN_CACHE.clear()
 
 
+def test_extract_groupoid_calibrates_a_finite_count_set_once(monkeypatch):
+    # the chain ends at a finite count set, which is calibrated outside it
+    # and kept on the plan, so later extractions build no analysis
+    built = []
+    init = StratumAnalysis.__init__
+
+    def counting_init(self, pres, M, t):
+        built.append(t)
+        init(self, pres, M, t)
+
+    monkeypatch.setattr(StratumAnalysis, "__init__", counting_init)
+    pres = trivial_presentation(2, s0=1, countset=DownwardClosedSet(2, [(3, 0), (0, 3)]))
+    try:
+        groupoids = [extract_groupoid(pres, 0) for _ in range(3)]
+        assert len(built) == 1
+        assert groupoids[0].analysis is groupoids[2].analysis
+    finally:
+        _PLAN_CACHE.clear()
+
+
 @pytest.mark.parametrize(
     "route",
     [

@@ -122,6 +122,14 @@ def test_exact_rank_rectangular_and_rank_deficient():
     assert exact_rank([]) == 0
 
 
+@pytest.mark.parametrize(
+    "matrix, row", [([[1, 2], [3]], 1), ([[1], [2, 3]], 1), ([[1, 2], [3, 4], []], 2)]
+)
+def test_exact_rank_rejects_ragged_rows(matrix, row):
+    with pytest.raises(ValueError, match=f"row {row} has {len(matrix[row])} entries"):
+        exact_rank(matrix)
+
+
 def test_exact_rank_large_entries():
     # Hadamard bounds above 3.3e24: 8 x 8 with entries up to 1000, and
     # products of rank 8 and 5 with entries up to 4500
@@ -144,19 +152,23 @@ def _product(rng, rows, rank, cols, bound):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def test_rank_basis_rows_are_primitive_echelon_rows():
+def test_rank_step_leaves_primitive_rows():
+    # each step reduces the rows after a row and leaves them primitive, with
+    # a positive first nonzero entry; the ranks it raises sum to the rank
     rng = random.Random(45)
     for _ in range(300):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         m = _product(rng, rows, rng.randint(0, 5), cols, 9)
-        basis = ()
-        for row in m:
-            basis = gallery._rank_mod(basis, list(row))
-            for i, (pivot, brow) in enumerate(basis):
-                assert gcd(*brow) == 1
-                assert brow[pivot] != 0 and not any(brow[:pivot])
-                assert all(brow[earlier] == 0 for earlier, _ in basis[:i])
-        assert len(basis) == exact_rank_fraction(m)
+        flat, width, rank = [x for row in m for x in row], len(m[0]), 0
+        for i in range(rows):
+            raised, flat = gallery._rank_mod(flat, flat[width:], width)
+            assert raised in (0, 1)
+            width -= raised
+            rank += raised
+            assert len(flat) == (rows - 1 - i) * width
+            if any(flat):
+                assert gcd(*flat) == 1 and next(x for x in flat if x) > 0
+        assert rank == exact_rank_fraction(m)
     m = [[rng.randint(-1000, 1000) for _ in range(40)] for _ in range(40)]
     assert exact_rank(m) == exact_rank_fraction(m) == 40
     m = _product(rng, 30, 15, 30, 1000)

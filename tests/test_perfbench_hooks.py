@@ -4,7 +4,7 @@ benchmark."""
 import importlib.util
 from pathlib import Path
 
-from widecount import lattice, quasipoly
+from widecount import gallery, lattice, quasipoly
 from widecount.actions import Permutation
 from widecount.functors import extraction
 
@@ -50,6 +50,22 @@ def test_interpolation_counter_counts_one_call_per_residue_class():
         assert fitted.qp.period == 3
         assert tracer.calls["quasipoly.interpolate"] == 3
         assert tracing.layer_metrics(tracer)["quasipoly.candidates_per_fit"] == 3
+        tracer.end()
+    finally:
+        tracer.uninstall()
+
+
+def test_rank_programme_counts_its_elimination_steps():
+    # gallery.matrices_ranked reads the rank_mod counter, so the fixed-rank
+    # counts must make their elimination steps through gallery._rank_mod
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install_layers(tracer)
+        tracer.begin(0)
+        assert gallery.fixed_rank_orbit_counts([0, 1], 4) == {0: 1, 1: 4, 2: 14, 3: 31, 4: 40}
+        assert tracer.calls["gallery.rank_mod"] > 0
+        assert tracing.layer_metrics(tracer)["gallery.matrices_ranked"] > 0
         tracer.end()
     finally:
         tracer.uninstall()

@@ -8,11 +8,12 @@ the result is divided by its gcd.  The fixed-rank counts rank no matrix
 one by one: they settle rows in order and count prefixes per reduced state
 (the rank so far and the unsettled rows' parts reduced modulo the settled
 span by that step), so each state's new row values are listed once.
-Row 0 lists the values on the orbits of the cells (0, j), j a fixed point
-other than 0, once per multiset, weighted by its arrangements: the
-symmetric group of those points commutes with the permutation and keeps
-rank.  The caps bound the states of one row, the value choices of one state
-and the prefixes one row expands over all its states.
+Every row r lists the values on the orbits of the cells (r, j), j a fixed
+point after r, once per multiset within each block of such points whose
+columns agree on the settled rows, weighted by its arrangements: the
+symmetric group of a block commutes with the permutation, fixes the settled
+rows and keeps rank.  The caps bound the states of one row, the value
+choices of one listing and the prefixes one row expands over all its states.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import heapq
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations_with_replacement, groupby, permutations, product
 from math import comb, factorial, gcd, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -340,23 +341,28 @@ def _fixed_rank_histogram(
 
     A fixed matrix is constant on the cell orbits, and an orbit gets its
     value at its first row.  Rows are settled in order, keeping a count of
-    prefixes per reduced state: the rank so far, then, reduced modulo the
-    span of the settled rows, each later row's known part (its cells whose
-    orbit has a value) and one block per distinct indicator vector that an
-    orbit without a value puts on a later row (reduction keeps equal vectors
-    equal, so copies would merge no other prefixes).  Completions, and so
-    final ranks, depend only on that state, so settling a row lists its new
-    orbits' values once per state, summed one orbit at a time so that
-    choices share prefixes.  The last row's choices are only counted: at
-    the state's rank where the row is zero, one above elsewhere.
+    prefixes per reduced state: the rank so far, the blocks of fixed points
+    below, then, reduced modulo the span of the settled rows, each later
+    row's known part (its cells whose orbit has a value) and one vector per
+    distinct indicator that an orbit without a value puts on a later row
+    (reduction keeps equal vectors equal, so copies would merge no other
+    prefixes).  Completions, and so final ranks, depend only on that state,
+    so settling a row lists its new orbits' values once per state, summed
+    one orbit at a time so that choices share prefixes.  The last row's
+    choices are only counted: at the state's rank where the row is zero,
+    one above elsewhere.
 
-    Let F be the fixed points j != 0 (0-based; index 0 opens the first
-    cycle).  Sym(F) commutes with the permutation, fixes index 0 and keeps
-    rank, and it permutes the orbits of the cells (0, j), j in F, while
-    fixing row 0's other orbits.  So a row-0 choice has the completions of
-    every choice in its Sym(F)-orbit: row 0 lists the values on those
-    orbits as one nondecreasing tuple per multiset and weights each prefix
-    by the tuple's number of arrangements.  Every other choice has weight 1.
+    The fixed points after row r (0-based) come last and are split into
+    consecutive blocks whose columns agree on every settled row.  The
+    symmetric group of a block commutes with the permutation, keeps rank
+    and fixes the settled rows and row r, and it permutes the orbits
+    cycle(r) x {j}, j in the block, which open at row r and fix row r's
+    other orbits.  So row r lists the values on each block's orbits as one
+    nondecreasing tuple per multiset, weighted by its arrangements, and the
+    next state splits the blocks where the values change and drops r + 1
+    from its block (Read's orderly generation, one row at a time).  Blocks
+    are part of the state, as they decide what the next row lists, and
+    each row builds one listing per block sizes (`_row_choices`).
 
     A settled row reduces the rest of the state by `_rank_mod`.  Pivots and
     projection depend only on the span, so equal states get equal keys.
@@ -370,52 +376,64 @@ def _fixed_rank_histogram(
         for i, j in orbit:
             for a, b in ((i, j), (j, i)) if symmetric else ((i, j),):
                 indicator.setdefault((k, a - 1), [0] * n)[b - 1] = 1
-    # one block per distinct indicator, alive until the last first row of
-    # the orbits that use it; blocks that leave sooner come first
+    # one vector per distinct indicator, alive until the last first row of
+    # the orbits that use it; vectors that leave sooner come first
     last: Dict[Tuple[int, ...], int] = {}
     for (k, _), vec in indicator.items():
         last[tuple(vec)] = max(last.get(tuple(vec), 0), first[k])
-    blocks = sorted(last, key=last.__getitem__)
-    # before row r a state holds, flat, n - rank coordinates for each of:
-    # the known parts of rows r..n-1, then the blocks still alive
-    start = [0] * (n * n) + [v for vec in blocks for v in vec]
-    states = {(0, tuple(start)): 1}
+    vectors = sorted(last, key=last.__getitem__)
+    # the orbits cycle(r) x {j}, j a fixed point after their first row r,
+    # each by its column: each opens at cell (r, j)
+    column = {k: j for k, ((i, j), *_) in enumerate(orbits) if i < j == images[j - 1]}
+    fixed = [j == images[j] - 1 for j in range(n)] + [False]
+    after = sum(fixed[1:n])
+    # before row r a state holds its blocks of the fixed points after r,
+    # then, flat, n - rank coordinates for each of: the known parts of rows
+    # r..n-1, then the vectors still alive
+    start = [0] * (n * n) + [v for vec in vectors for v in vec]
+    states = {(0, (after,) if after else (), tuple(start)): 1}
     hist = [0] * (n + 1)
-    # the orbits of the cells (0, j), j in F: each opens at that cell
-    permuted = [k for k, ((i, j), *_) in enumerate(orbits) if i == 1 < j == images[j - 1]]
     for r in range(n):
-        alive = [vec for vec in blocks if last[vec] >= r]
+        alive = [vec for vec in vectors if last[vec] >= r]
         drop = sum(last[vec] == r for vec in alive)
-        # row 0's Sym(F)-orbits come last, to take their values together
-        own = sorted((k for k, f in enumerate(first) if f == r), key=permuted.__contains__)
-        picks, weights = _row_choices(len(own), len(permuted) if r == 0 else 0, entries)
-        total = sum(weights)
+        # the blocks' orbits come last, in the order of their columns
+        own = sorted((k for k, f in enumerate(first) if f == r), key=lambda k: column.get(k, 0))
+        free = sum(k not in column for k in own)
+        # per orbit of row r: its row's offset among rows r.., its vector
+        places = [[(a - r, alive.index(tuple(vec))) for (o, a), vec in indicator.items() if o == k] for k in own]
+        # one listing per blocks: per orbit, per prefix it lists, the prefix
+        # it extends and its value; each full prefix's weight; the next
+        # state's blocks
+        listings = {}
+        for _, sizes, _ in states:
+            if sizes not in listings:
+                # a row inside a cycle opens no orbit and keeps its blocks
+                picks, weights, splits = _row_choices(free, sizes, entries) if own else ([], [1], [sizes])
+                if fixed[r + 1]:
+                    # r + 1 leaves its block, the first
+                    splits = [(s[0] - 1, *s[1:]) if s[0] > 1 else s[1:] for s in splits]
+                listings[sizes] = picks, weights, splits
         # the row's time, capped by the route alone: --max-states caps the
         # states kept, not the prefixes every state expands into
-        expanded = len(states) * len(weights)
+        expanded = sum(len(listings[sizes][1]) for _, sizes, _ in states)
         if expanded > RANK_STATE_BUDGET:
             raise TooLarge(f"row value choices over all states: {expanded} exceeds the budget {RANK_STATE_BUDGET}")
-        # per orbit of row r: (its row's offset among rows r.., its block),
-        # then per prefix it lists, the prefix it extends and its value
-        spread = [
-            ([(a - r, alive.index(tuple(vec))) for (o, a), vec in indicator.items() if o == k], pick)
-            for k, pick in zip(own, picks)
-        ]
         # a key of the next row holds at most n coordinates for each later
-        # row and each block still alive (none after the last row)
+        # row and each vector still alive (none after the last row)
         width = (n - r - 1 + len(alive) - drop) * n
         integer_cap = RANK_INTEGER_BUDGET // max(width, 1)
         integers = f"reduced rank states of {width} integers"
-        nxt: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        for (rank, flat), count in states.items():
+        nxt: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int] = {}
+        for (rank, sizes, flat), count in states.items():
             tick()
+            picks, weights, blocks = listings[sizes]
             m = n - rank
             known_end = (n - r) * m
             later = flat[known_end + drop * m :]
             partial = [flat[:known_end]]
-            for places, choices in spread:
+            for where, choices in zip(places, picks):
                 step = [0] * known_end
-                for row, t in places:
+                for row, t in where:
                     at = known_end + t * m
                     step[row * m : (row + 1) * m] = flat[at : at + m]
                 partial = [[a + v * d for a, d in zip(partial[j], step)] for j, v in choices]
@@ -423,11 +441,11 @@ def _fixed_rank_histogram(
                 # no state follows: the row is zero or raises the rank
                 zero = sum(u for w, u in zip(partial, weights) if not any(w))
                 hist[rank] += count * zero
-                hist[rank + 1] += count * (total - zero)
+                hist[rank + 1] += count * (sum(weights) - zero)
                 continue
-            for known, weight in zip(partial, weights):
+            for known, weight, split in zip(partial, weights, blocks):
                 raised, rest = _rank_mod(known, [*known[m:], *later], m)
-                key = (rank + raised, tuple(rest))
+                key = (rank + raised, split, tuple(rest))
                 nxt[key] = nxt.get(key, 0) + count * weight
             require(len(nxt), RANK_STATE_BUDGET, "reduced rank states")
             require(len(nxt), integer_cap, integers)
@@ -435,21 +453,29 @@ def _fixed_rank_histogram(
     return hist if n else [1]  # the 0 x 0 matrix, of rank 0
 
 
-def _row_choices(orbits: int, together: int, entries: List[int]) -> Tuple[List[List[Tuple[int, int]]], List[int]]:
-    """How each state lists its prefixes over a row's orbits: per orbit, for
+def _row_choices(
+    free: int, sizes: Tuple[int, ...], entries: List[int]
+) -> Tuple[List[List[Tuple[int, int]]], List[int], List[Tuple[int, ...]]]:
+    """How a state lists its prefixes over a row's orbits: `free` orbits,
+    then consecutive blocks of the given sizes.  Returns, per orbit, for
     each prefix it lists, the prefix it extends and the orbit's value; then
-    each full prefix's weight.  The last `together` orbits take their values
-    in nondecreasing order of index, one prefix per multiset, weighted by
-    its number of arrangements; every other choice has weight 1.  One
-    state's value choices are capped before they are listed."""
+    each full prefix's weight and its blocks split into runs of equal
+    values.  A block's orbits take their values in nondecreasing order of
+    index, one prefix per multiset, weighted by its number of arrangements;
+    a free orbit takes every value.  One listing's value choices are capped
+    before they are listed."""
+    opens = set(accumulate(sizes, initial=free))
     picks, held = [], [()]
-    for k in range(orbits):
-        starts = [h[-1] if h else 0 for h in held]
+    for k in range(free + sum(sizes)):
+        starts = [0 if k < free or k in opens else h[-1] for h in held]
         require(sum(len(entries) - i for i in starts), RANK_CHOICE_BUDGET, "row value choices")
         step = [(j, i) for j, lo in enumerate(starts) for i in range(lo, len(entries))]
-        held = [held[j] + (i,) if k >= orbits - together else () for j, i in step]
+        held = [held[j] + (i,) if k >= free else () for j, i in step]
         picks.append([(j, entries[i]) for j, i in step])
-    return picks, [factorial(len(h)) // prod(factorial(h.count(i)) for i in set(h)) for h in held]
+    bounds = list(zip(accumulate(sizes, initial=0), sizes))
+    splits = [tuple(len(list(run)) for at, size in bounds for _, run in groupby(h[at : at + size])) for h in held]
+    arrangements = prod(map(factorial, sizes))
+    return picks, [arrangements // prod(map(factorial, s)) for s in splits], splits
 
 
 def fixed_rank_orbit_count(

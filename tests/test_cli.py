@@ -241,15 +241,15 @@ def test_time_limit_truncates(capsys):
 
 
 def test_time_limit_stops_inside_a_count(capsys):
-    # at most 36 822 reduced states in one row, within the default cap: a
-    # couple of seconds of counting without the deadline
+    # at most 8 162 reduced states in one row, within the default cap: about
+    # a second of counting without the deadline
     argv = ["ranks", "--entries", "0,1", "--k", "4", "--n", "7", "--shape", "symmetric"]
     start = time.monotonic()
-    code, data = _run_json(argv + ["--max-states", "100000000", "--time-limit", "0.5"], capsys)
+    code, data = _run_json(argv + ["--max-states", "100000000", "--time-limit", "0.2"], capsys)
     assert time.monotonic() - start < 3
     assert code == 0 and data["truncated"] is True and data["sequence"] == []
     # below that peak the cap stops the count while it settles the rows
-    code, data = _run_json(argv + ["--max-states", "10000"], capsys)
+    code, data = _run_json(argv + ["--max-states", "5000"], capsys)
     assert code == 0 and data["truncated"] is True and data["sequence"] == []
     reason = data["checks"][0]["witness"]["truncated_by"]
-    assert "reduced rank states" in reason and "exceeds the budget 10000" in reason
+    assert "reduced rank states" in reason and "exceeds the budget 5000" in reason

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
 
@@ -110,7 +110,8 @@ def test_exact_rank_rectangular_and_rank_deficient():
         rows, cols, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
         left = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)] for _ in range(rows)]
         right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)] for _ in range(k)]
-        m = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)] for row in left]
+        m = [[sum((a * b[c] for a, b in zip(row, right)), Fraction(0)) for c in range(cols)] for row in left]
+        assert len(m) == rows and all(len(row) == cols for row in m)
         r = exact_rank_fraction(m)
         assert exact_rank(m) == r <= min(rows, cols, k)
         seen.add((r < min(rows, cols), rows == cols))
@@ -149,7 +150,7 @@ def test_exact_rank_large_entries():
 def _product(rng, rows, rank, cols, bound):
     a = [[rng.randint(-bound, bound) for _ in range(rank)] for _ in range(rows)]
     b = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rank)]
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    return [[sum(x * y[c] for x, y in zip(row, b)) for c in range(cols)] for row in a]
 
 
 def test_rank_step_leaves_primitive_rows():
@@ -159,7 +160,7 @@ def test_rank_step_leaves_primitive_rows():
     for _ in range(300):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         m = _product(rng, rows, rng.randint(0, 5), cols, 9)
-        flat, width, rank = [x for row in m for x in row], len(m[0]), 0
+        flat, width, rank = [x for row in m for x in row], cols, 0
         for i in range(rows):
             raised, flat = gallery._rank_mod(flat, flat[width:], width)
             assert raised in (0, 1)
@@ -176,11 +177,13 @@ def test_rank_step_leaves_primitive_rows():
 
 
 def test_symmetric_binary_rank_counts():
-    for n in range(1, 6):
+    # n = 6 and 7 settle rows whose fixed points split into several blocks
+    for n in range(1, 8):
         counts = fixed_rank_orbit_counts([Fraction(0), Fraction(1)], n, "symmetric")
         for k in (0, 1, 2):
             want = symmetric_binary_rank_formula(k, n) if k <= n else 0
             assert counts.get(k, 0) == want, (n, k)
+        assert sum(counts.values()) == matrix_orbit_count([0, 1], n, "symmetric"), n
 
 
 def test_symmetric_examples():
@@ -336,7 +339,7 @@ def test_budget_only_tightens_the_rank_cap():
     # choices, over the route's own cap of 10^4 whatever the budget
     with budget(max_states=10**9), pytest.raises(TooLarge, match="choices: 16384 exceeds the budget 10000"):
         fixed_rank_orbit_counts([0, 1, 2, 3], 8, "general")
-    # at most 1 787 reduced states in one row: within the route's cap, above
+    # at most 1 553 reduced states in one row: within the route's cap, above
     # a budget of 1000
     assert fixed_rank_orbit_counts([0, 1], 5, "general")
     with budget(max_states=1000), pytest.raises(TooLarge, match="reduced rank states: .* exceeds the budget 1000"):
@@ -347,7 +350,7 @@ def test_budget_only_tightens_the_rank_cap():
 
 
 def test_integer_cap_bounds_what_a_row_stores(monkeypatch):
-    # {0,1} general at n = 5 keeps at most 53 610 integers in a row, by the
+    # {0,1} general at n = 5 keeps at most 46 590 integers in a row, by the
     # bound of states times the longest key: within the default cap, over
     # a cap of 10^4
     assert fixed_rank_orbit_counts([0, 1], 5, "general")
@@ -359,7 +362,7 @@ def test_integer_cap_bounds_what_a_row_stores(monkeypatch):
 def test_row_cap_refuses_before_a_row_expands():
     # 100 values on two cell orbits a row: the first row's 10^4 prefixes
     # leave 6 010 states, each of which the last row would expand 10^4
-    # ways.  The widest row the tests settle expands 866 943 prefixes.
+    # ways.  The widest row the tests settle expands 793 800 prefixes.
     start = time.perf_counter()
     with budget(max_states=10**9), pytest.raises(
         TooLarge, match="row value choices over all states: 60100000 exceeds the budget 1000000"
@@ -440,8 +443,9 @@ def test_fixed_rank_counts_sum_to_all_orbits_beyond_enumeration(n, shape):
 
 
 def test_fixed_rank_counts_lifted_by_the_row_0_multisets():
-    # the identity's row 0 lists 3 * 10 prefixes, not 3^4: its widest row
-    # expands 866 943 prefixes, where 1 111 644 were refused
+    # the identity's row 0 lists 3 * 10 prefixes, not 3^4, and its later
+    # rows list by blocks: the widest row expands 793 800 prefixes, where
+    # 1 111 644 were refused
     counts = fixed_rank_orbit_counts([0, 2, 3], 4, "general")
     assert sorted(counts) == list(range(5))
     assert sum(counts.values()) == matrix_orbit_count([0, 2, 3], 4, "general")
@@ -454,15 +458,29 @@ def test_deadline_stops_a_rank_count():
 
 def test_fixed_rank_histogram_merges_equal_states(monkeypatch):
     # tick() runs once per source state; a key that kept the sign would
-    # split states that have the same completions (818 and 270 states)
+    # split states that have the same completions (667 and 223 states)
     states = []
     monkeypatch.setattr(gallery, "tick", lambda: states.append(1))
     identity = (1, 2, 3, 4)
     assert gallery._fixed_rank_histogram(identity, True, [0, 1, 2]) == [1, 30, 884, 9018, 49116]
-    assert len(states) == 1 + 29 + 432 + 223
+    assert len(states) == 1 + 29 + 323 + 203
     states.clear()
     assert gallery._fixed_rank_histogram(identity, False, [0, 1]) == [1, 225, 6750, 36000, 22560]
-    assert len(states) == 182
+    assert len(states) == 1 + 8 + 46 + 112
+
+
+def test_every_row_lists_its_fixed_points_by_blocks(monkeypatch):
+    # the identity's later rows list the orbits of their fixed points once
+    # per multiset within each block too: listing row 0 alone that way
+    # took 2 318 and 4 701 elimination steps
+    steps = []
+    rank_mod = gallery._rank_mod
+    monkeypatch.setattr(gallery, "_rank_mod", lambda *args: steps.append(1) or rank_mod(*args))
+    assert gallery._fixed_rank_histogram((1, 2, 3, 4, 5), True, [0, 1]) == [1, 31, 360, 2980, 10800, 18596]
+    assert len(steps) == 1210
+    steps.clear()
+    assert gallery._fixed_rank_histogram((1, 2, 3, 4), True, [0, 1, 2]) == [1, 30, 884, 9018, 49116]
+    assert len(steps) == 3567
 
 
 @pytest.mark.parametrize(
@@ -473,20 +491,26 @@ def test_fixed_rank_histogram_merges_equal_states(monkeypatch):
 def test_fixed_rank_histogram_lists_row_0_by_multisets(monkeypatch, images, symmetric, entries):
     # a transposition that fixes two or three points besides index 0: row 0
     # lists the values of their orbits once per multiset, and the weights
-    # still count every value of row 0
+    # still count every value of row 0; each later row lists once per
+    # multiset within each block, and the blocks split after row 0
     calls = []
     row_choices = gallery._row_choices
     monkeypatch.setattr(gallery, "_row_choices", lambda *args: calls.append((args, row_choices(*args))) or calls[-1][1])
     values = sorted(Fraction(e) for e in entries)
     hist = gallery._fixed_rank_histogram(images, symmetric, gallery._integerize(values))
     assert hist == _brute_histogram(images, symmetric, values)
-    (orbits, together, ints), (_, weights) = calls[0]
+    (free, sizes, ints), _ = calls[0]
     row_0 = sum(min(i for i, _ in orbit) == 1 for orbit in gallery._cell_orbits(images, symmetric))
     fixed = sum(images[j - 1] == j for j in range(2, len(images) + 1))
     size = len(ints)
-    assert (orbits, together, size) == (row_0, fixed, len(values)) and fixed >= 2
-    assert sum(weights) == size**row_0
-    assert len(weights) == size ** (row_0 - fixed) * comb(size + fixed - 1, fixed)
+    assert (free, sizes, size) == (row_0 - fixed, (fixed,), len(values)) and fixed >= 2
+    for (free, sizes, _), (_, weights, splits) in calls:
+        assert sum(weights) == size ** (free + sum(sizes))
+        assert len(weights) == size**free * prod(comb(size + s - 1, s) for s in sizes)
+        assert all(sum(split) == sum(sizes) for split in splits)
+    # after row 0 every split of the fixed points after the next row is listed
+    later = {sizes for (_, sizes, _), _ in calls[1:]}
+    assert {(fixed - 1,), (1,) * (fixed - 1)} <= later
 
 
 def _reference_histogram(images, symmetric, entries):
@@ -594,8 +618,8 @@ def _least_state_budget(histogram, images, symmetric, entries):
 
 
 # (least budget, the reference's) where two or more fixed points besides
-# index 0 let row 0 list one choice per multiset of their values
-SOONER_THAN_THE_REFERENCE = {(1, 2, 3, 4): (432, 725), (1, 2, 3): (100, 105), (2, 1, 3, 4): (30, 33)}
+# index 0 let the rows list one choice per multiset of their values
+SOONER_THAN_THE_REFERENCE = {(1, 2, 3, 4): (323, 725), (1, 2, 3): (100, 105), (2, 1, 3, 4): (30, 33)}
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,12 @@ equivalence class), which powers the groupoid-based counting route.  The
 direct count builds one seed class per Sym([n])-orbit and reads the orbit
 off the count vectors its class realizes (``seed_blocks``); ``mf_classes``
 still builds every class, as a reference.
+
+Every exhaustive route lists F([n]) through ``counted_pairs``: the words
+with their count vectors once per n, then each sigma with every word, each
+pair built with its letter table.  A pair is valid exactly when its sigma
+and its word are, so the listing checks each sigma once and each word once;
+the pairs it builds skip the per-pair check that ``MFPair(...)`` runs.
 """
 from __future__ import annotations
 
@@ -45,17 +51,14 @@ class MFPair:
     alpha: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(set(self.sigma)) != len(self.sigma):
-            raise ValueError("sigma is not injective")
-        if any(not 1 <= p <= self.n for p in self.sigma):
-            raise ValueError("sigma image out of range")
-        if len(self.alpha) != self.n - len(self.sigma):
-            raise ValueError("alpha length mismatch")
+        _check_sigma(self.n, self.sigma)
+        _check_word(self.n, len(self.sigma), self.alpha)
 
     @cached_property
     def letter_table(self) -> Tuple[Optional[int], ...]:
         """The letter at each position 0..n, None at 0 and on the sigma
-        image; built once per pair and read by the oracles."""
+        image; built once per pair and read by the oracles.  The listing
+        and the maps below set it when they build the pair."""
         table: List[Optional[int]] = [None, *self.alpha]
         for p in sorted(self.sigma):
             table.insert(p, None)
@@ -79,6 +82,24 @@ class MFPair:
         return tuple(counts)
 
 
+def _check_sigma(n: int, sigma: Tuple[int, ...]) -> None:
+    if len(set(sigma)) != len(sigma):
+        raise ValueError("sigma is not injective")
+    if sigma and not 1 <= min(sigma) <= max(sigma) <= n:
+        raise ValueError("sigma image out of range")
+
+
+def _check_word(n: int, s0: int, alpha: Tuple[int, ...]) -> None:
+    if len(alpha) != n - s0:
+        raise ValueError("alpha length mismatch")
+
+
+def _tabled(pair: MFPair, table: Tuple[Optional[int], ...]) -> MFPair:
+    """The pair with its letter table set, so no oracle builds it again."""
+    vars(pair)["letter_table"] = table
+    return pair
+
+
 def apply_injection(pair: MFPair, images: Sequence[int], n_target: int) -> Optional[MFPair]:
     """The contravariant map F(pi) for the injection pi: [m] -> [n_target].
 
@@ -96,9 +117,9 @@ def apply_injection(pair: MFPair, images: Sequence[int], n_target: int) -> Optio
         sigma_new.append(j)
     # pi covers the sigma image, so the positions of [m] without a letter
     # are exactly sigma_new
-    table = pair.letter_table
-    alpha_new = tuple(letter for p in images if (letter := table[p]) is not None)
-    return MFPair(len(images), tuple(sigma_new), alpha_new)
+    table = (None, *map(pair.letter_table.__getitem__, images))
+    alpha_new = tuple(letter for letter in table if letter is not None)
+    return _tabled(MFPair(len(images), tuple(sigma_new), alpha_new), table)
 
 
 def apply_permutation(pair: MFPair, images: Sequence[int]) -> MFPair:
@@ -115,7 +136,7 @@ def transposed(pair: MFPair, i: int, j: int) -> MFPair:
     table[i], table[j] = table[j], table[i]
     swap = {i: j, j: i}
     sigma = tuple(swap.get(p, p) for p in pair.sigma)
-    return MFPair(pair.n, sigma, tuple(x for x in table if x is not None))
+    return _tabled(MFPair(pair.n, sigma, tuple(x for x in table if x is not None)), tuple(table))
 
 
 EqOracle = Callable[[int, MFPair, MFPair], bool]
@@ -144,40 +165,62 @@ class ModelFunctorPresentation:
     provenance: str = "user"
     count_equivalents: Optional[CountEquivalents] = field(default=None, compare=False)
 
-    def words(self, length: int) -> Iterable[Tuple[int, ...]]:
-        """All words of the given length whose count vector is in the count set."""
+    def words(self, length: int) -> List[Tuple[Tuple[int, ...], Vector]]:
+        """All words of the given length whose count vector is in the count
+        set, in lexicographic order, each with its count vector.
+
+        Built one letter at a time.  Every prefix of such a word has a
+        smaller count vector, so in a downward-closed set each prefix is
+        tested as it grows; a full set tests none."""
         if self.countset.is_empty():
-            return
-        counts = [0] * self.k
+            return []
+        test = None if self.countset.is_full() else self.countset.membership
+        level: List[Tuple[Tuple[int, ...], Vector]] = [((), (0,) * self.k)]
+        for _ in range(length):
+            longer = []
+            for word, beta in level:
+                for i in range(self.k):
+                    gamma = (*beta[:i], beta[i] + 1, *beta[i + 1:])
+                    if test is None or test(gamma):
+                        longer.append(((*word, i + 1), gamma))
+            level = longer
+        return level
 
-        def admissible(letter: int) -> bool:
-            counts[letter - 1] += 1
-            ok = self.countset.membership(tuple(counts))
-            counts[letter - 1] -= 1
-            return ok
+    def counted_pairs(self, n: int) -> List[Tuple[MFPair, Vector]]:
+        """All of F([n]), each pair with its count vector: sigma-major, the
+        words in lexicographic order.
 
-        def rec(prefix: List[int]):
-            if len(prefix) == length:
-                yield tuple(prefix)
-                return
-            for letter in range(1, self.k + 1):
-                if admissible(letter):
-                    counts[letter - 1] += 1
-                    prefix.append(letter)
-                    yield from rec(prefix)
-                    prefix.pop()
-                    counts[letter - 1] -= 1
-
-        yield from rec([])
-
-    def pairs(self, n: int) -> Iterable[MFPair]:
-        """All of F([n])."""
+        Each pair is built with its letter table, read off the word by one
+        getter per sigma.  The sigmas and words are checked once each, so
+        the pairs skip ``MFPair``'s own check."""
         if n < self.s0:
-            return
-        word_list = list(self.words(n - self.s0))
+            return []
+        words = self.words(n - self.s0)
+        for word, _ in words:
+            _check_word(n, self.s0, word)
+        # (None, *word) is the table for an empty sigma; a sigma puts None
+        # on its image, so its getter reads index 0 there, as letter_table
+        # inserts it
+        padded = [(None, *word) for word, _ in words]
+        new = object.__new__
+        out = []
         for sigma in permutations(range(1, n + 1), self.s0):
-            for word in word_list:
-                yield MFPair(n, sigma, word)
+            _check_sigma(n, sigma)
+            tables = padded
+            if sigma:
+                at = list(range(n - self.s0 + 1))
+                for p in sorted(sigma):
+                    at.insert(p, 0)
+                tables = map(itemgetter(*at), padded)
+            for (word, beta), table in zip(words, tables):
+                pair = new(MFPair)
+                vars(pair).update(n=n, sigma=sigma, alpha=word, letter_table=table)
+                out.append((pair, beta))
+        return out
+
+    def pairs(self, n: int) -> List[MFPair]:
+        """All of F([n]): ``counted_pairs`` without the count vectors."""
+        return [pair for pair, _ in self.counted_pairs(n)]
 
     def pair_count(self, n: int) -> int:
         """|F([n])| without listing a pair: the words of a count vector
@@ -205,35 +248,36 @@ class ModelFunctorPresentation:
 
 
 def bucketed(
-    items: Iterable[T], vector: Callable[[T], V], key: Callable[[V], object]
+    counted: Iterable[Tuple[T, V]], key: Callable[[V], object]
 ) -> Dict[object, List[Tuple[T, V]]]:
-    """The items with their count vectors, bucketed by ``key`` of the count
+    """The (item, count vector) entries bucketed by ``key`` of the count
     vector, asked once per vector.  ``key`` must be constant on classes, so
     no class crosses two buckets."""
-    keys: Dict[V, object] = {}
+    bucket_of: Dict[V, List[Tuple[T, V]]] = {}
     buckets: Dict[object, List[Tuple[T, V]]] = {}
-    for item in items:
-        beta = vector(item)
-        if beta not in keys:
-            keys[beta] = key(beta)
-        buckets.setdefault(keys[beta], []).append((item, beta))
+    for entry in counted:
+        beta = entry[1]
+        bucket = bucket_of.get(beta)
+        if bucket is None:
+            bucket = bucket_of[beta] = buckets.setdefault(key(beta), [])
+        bucket.append(entry)
     return buckets
 
 
 def group_in_buckets(
-    items: Iterable[T],
-    vector: Callable[[T], V],
+    counted: Iterable[Tuple[T, V]],
     key: Callable[[V], object],
     same: Callable[[T, T], bool],
 ) -> List[List[T]]:
-    """The classes of the equivalence ``same`` on the items, each item
-    grouped against the class representatives of its own bucket only.
+    """The classes of the equivalence ``same`` on the items of the
+    (item, count vector) entries, each item grouped against the class
+    representatives of its own bucket only.
 
     Buckets (``bucketed``) are visited in sorted key order, and within one
     the classes come in the order of their first member.  Grouping against
     representatives relies on ``same`` being transitive.
     """
-    buckets = bucketed(items, vector, key)
+    buckets = bucketed(counted, key)
     classes: List[List[T]] = []
     for bucket_key in sorted(buckets):
         bucket_classes: List[List[T]] = []
@@ -257,10 +301,7 @@ def mf_classes(pres: ModelFunctorPresentation, n: int) -> List[List[MFPair]]:
     the oracle is a presentation invariant (see check_equivalence).
     """
     require(pres.pair_count(n), CLASS_BUDGET, f"|F([{n}])|")
-    k = pres.k
-    return group_in_buckets(
-        pres.pairs(n), lambda pair: pair.count_vector(k), pres.shadow_key, partial(pres.eq, n)
-    )
+    return group_in_buckets(pres.counted_pairs(n), pres.shadow_key, partial(pres.eq, n))
 
 
 def count_vector_blocks(classes: Iterable[Sequence[T]], key: Callable[[T], object]) -> Dict:
@@ -280,12 +321,12 @@ def count_vector_blocks(classes: Iterable[Sequence[T]], key: Callable[[T], objec
 
 
 def seed_blocks(
-    items: Iterable[T],
-    vector: Callable[[T], V],
+    counted: Iterable[Tuple[T, V]],
     key: Callable[[V], object],
     same: Callable[[T, T], bool],
 ) -> List[Tuple[T, Optional[T]]]:
-    """One (seed, witness) per Sym([n])-orbit of the classes of ``same``.
+    """One (seed, witness) per Sym([n])-orbit of the classes of ``same`` on
+    the items of the (item, count vector) entries.
 
     Sym([n]) is transitive on the items with one count vector, so the class
     of any one item fixes its orbit's block: the count vectors its members
@@ -307,7 +348,7 @@ def seed_blocks(
         return NotAnAction(f"eq is not Sym([n])-equivariant at the count vector {beta}: {why}")
 
     blocks: List[Tuple[T, Optional[T]]] = []
-    for bucket in bucketed(items, vector, key).values():
+    for bucket in bucketed(counted, key).values():
         sizes = Counter(beta for _, beta in bucket)
         blocked: Set[V] = set()
 
@@ -345,10 +386,7 @@ def mf_orbit_count_direct(pres: ModelFunctorPresentation, n: int) -> int:
     """Number of Sym([n])-orbits on F([n]) / ~, one seed class per orbit
     (``seed_blocks``)."""
     require(pres.pair_count(n), CLASS_BUDGET, f"|F([{n}])|")
-    k = pres.k
-    return len(seed_blocks(
-        pres.pairs(n), lambda pair: pair.count_vector(k), pres.shadow_key, partial(pres.eq, n)
-    ))
+    return len(seed_blocks(pres.counted_pairs(n), pres.shadow_key, partial(pres.eq, n)))
 
 
 def _equivalence_classes(
@@ -362,7 +400,7 @@ def _equivalence_classes(
     after a failure, so the classes are the same either way.
     """
     require(pres.pair_count(n), CHECK_BUDGET, f"|F([{n}])|")
-    pairs = list(pres.pairs(n))
+    pairs = pres.pairs(n)
     witness = next(
         ({"axiom": "reflexive", "witness": (p,)} for p in pairs if not pres.eq(n, p, p)), None
     )

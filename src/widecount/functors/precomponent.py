@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..actions import NotAnAction, require, tick
 from ..lattice import DownwardClosedSet
 from ..quasipoly import FittedQuasipolynomial, fit
-from .model import MFPair, ModelFunctorPresentation, apply_injection, seed_blocks, trivial_presentation
+from .model import MFPair, ModelFunctorPresentation, Vector, apply_injection, seed_blocks, trivial_presentation
 
 Item = Tuple[int, MFPair]
 PrecOrder = Callable[[int, Item, Item], bool]
@@ -43,11 +43,17 @@ class PreComponentPresentation:
 
         return PreComponentPresentation(f"single[{pres.name}]", (pres,), preceq)
 
+    def counted_items(self, n: int) -> List[Tuple[Item, Tuple[int, Vector]]]:
+        """The items functor by functor, each with its (functor index, count
+        vector), from each functor's ``counted_pairs``."""
+        return [
+            ((b, pair), (b, beta))
+            for b, pres in enumerate(self.functors, start=1)
+            for pair, beta in pres.counted_pairs(n)
+        ]
+
     def items(self, n: int) -> List[Item]:
-        out: List[Item] = []
-        for b, pres in enumerate(self.functors, start=1):
-            out.extend((b, pair) for pair in pres.pairs(n))
-        return out
+        return [item for item, _ in self.counted_items(n)]
 
     def item_count(self, n: int) -> int:
         return sum(pres.pair_count(n) for pres in self.functors)
@@ -84,8 +90,9 @@ def verify_compatibility(pc: PreComponentPresentation, n_max: int, max_failures:
                         if record("transitive", n=n, witness=(x, y, z)):
                             return CompatibilityReport(False, failures)
         for b, pres in enumerate(pc.functors, start=1):
-            for pair_a in pres.pairs(n):
-                for pair_b in pres.pairs(n):
+            pairs = [pair for c, pair in items if c == b]
+            for pair_a in pairs:
+                for pair_b in pairs:
                     same = rel[((b, pair_a), (b, pair_b))]
                     if same != pres.eq(n, pair_a, pair_b):
                         if record("compat2", n=n, witness=(b, pair_a, pair_b)):
@@ -130,11 +137,11 @@ def precomp_count(pc: PreComponentPresentation, n: int) -> int:
     permutes the maximal classes among themselves, so a block whose witness
     gets another verdict than its seed raises NotAnAction."""
     require(pc.item_count(n), ITEM_BUDGET, f"items on [{n}]")
-    items = pc.items(n)
+    counted = pc.counted_items(n)
+    items = [item for item, _ in counted]
     functors = pc.functors
     blocks = seed_blocks(
-        items,
-        lambda item: (item[0], item[1].count_vector(functors[item[0] - 1].k)),
+        counted,
         lambda gamma: (gamma[0], functors[gamma[0] - 1].shadow_key(gamma[1])),
         lambda x, y: pc.preceq(n, x, y) and pc.preceq(n, y, x),
     )

@@ -66,7 +66,7 @@ def test_single_functor_domination_asks_nothing():
     assert precomp_count(pc, 9) == mf_orbit_count_direct(pres, 9)
     counted = len(calls)
     calls.clear()
-    seed_blocks(pc.items(9), _vector(pc), _key(pc), lambda x, y: preceq(9, x, y) and preceq(9, y, x))
+    seed_blocks(pc.counted_items(9), _key(pc), lambda x, y: preceq(9, x, y) and preceq(9, y, x))
     assert counted == len(calls)
 
 
@@ -75,7 +75,9 @@ def _class_route(pc, n):
     every later class representative, orbits as count-vector blocks."""
     vector = _vector(pc)
     classes = group_in_buckets(
-        pc.items(n), vector, _key(pc), lambda x, y: pc.preceq(n, x, y) and pc.preceq(n, y, x)
+        [(item, vector(item)) for item in pc.items(n)],
+        _key(pc),
+        lambda x, y: pc.preceq(n, x, y) and pc.preceq(n, y, x),
     )
     reps = [cls[0] for cls in classes]
     maximal = [not any(pc.preceq(n, rep, y) for y in reps if y[0] > rep[0]) for rep in reps]
@@ -138,6 +140,21 @@ def test_planes_counts_one():
     pc = planes_precomponent()
     for n in range(8):
         assert precomp_count(pc, n) == 1
+
+
+def test_planes_count_asks_preceq_a_pinned_number_of_times():
+    # the benchmark's planes sweep; the listing's order decides the seeds,
+    # the witnesses and so every call
+    base = planes_precomponent()
+    calls = []
+
+    def preceq(n, x, y):
+        calls.append(n)
+        return base.preceq(n, x, y)
+
+    pc = PreComponentPresentation(base.name, base.functors, preceq)
+    assert [precomp_count(pc, n) for n in range(13)] == [1] * 13
+    assert len(calls) == 1143
 
 
 def test_planes_quasipolynomial_is_one():

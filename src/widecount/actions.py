@@ -69,6 +69,41 @@ def tick() -> None:
         raise TooLarge("time limit reached")
 
 
+def cycles(step: Callable[[Hashable], Hashable], points: Iterable[Hashable]) -> List[List[Hashable]]:
+    """The cycles of the bijection ``step`` through ``points``, each cycle
+    starting at its first point in the given order."""
+    seen = set()
+    out = []
+    for start in points:
+        if start in seen:
+            continue
+        cycle = [start]
+        cur = step(start)
+        while cur != start:
+            cycle.append(cur)
+            cur = step(cur)
+        seen.update(cycle)
+        out.append(cycle)
+    return out
+
+
+def closure(generators: Sequence[Tuple[int, ...]], identity: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """The group the value tables ``generators`` generate, each element once
+    in the order found: ``identity`` first, then every element found is
+    composed with each generator, table[g[i]], in turn."""
+    elements = [identity]
+    seen = {identity}
+    for table in elements:  # grows while it is walked
+        tick()
+        for g in generators:
+            image = tuple([table[i] for i in g])
+            if image not in seen:
+                seen.add(image)
+                elements.append(image)
+                require(len(elements), MAX_GROUP_ORDER, "group order")
+    return elements
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of [k] = {1, ..., k}, stored as its image table."""
@@ -105,21 +140,7 @@ class Permutation:
 
     def cycles(self, include_fixed: bool = True) -> List[Tuple[int, ...]]:
         """Cycle decomposition, each cycle starting at its least element."""
-        seen = set()
-        out = []
-        for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            j = self(start)
-            while j != start:
-                cyc.append(j)
-                seen.add(j)
-                j = self(j)
-            if include_fixed or len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
+        return [tuple(c) for c in cycles(self, range(1, self.degree + 1)) if include_fixed or len(c) > 1]
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
@@ -154,24 +175,6 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
-def _close_under_product(gens: Sequence[Permutation]) -> List[Permutation]:
-    degree = gens[0].degree
-    identity = Permutation.identity(degree)
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for g in gens:
-            for h in frontier:
-                prod = g * h
-                if prod not in elements:
-                    elements.add(prod)
-                    new.append(prod)
-                    require(len(elements), MAX_GROUP_ORDER, "group order")
-        frontier = new
-    return sorted(elements, key=lambda p: p.images)
-
-
 class PermGroup:
     """A permutation group on [k], materialized eagerly from its generators."""
 
@@ -182,8 +185,8 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
         self.degree = degree
         self.generators: Tuple[Permutation, ...] = tuple(gens)
-        seed = list(gens) if gens else [Permutation.identity(degree)]
-        self.elements: Tuple[Permutation, ...] = tuple(_close_under_product(seed))
+        tables = closure([(0, *g.images) for g in gens], tuple(range(degree + 1)))
+        self.elements: Tuple[Permutation, ...] = tuple(Permutation(t[1:]) for t in sorted(tables))
         self.order = len(self.elements)
 
     def __iter__(self):

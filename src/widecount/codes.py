@@ -25,7 +25,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .actions import MAX_CANONICAL_OPS, MAX_GROUP_ORDER, require, tick
+from .actions import MAX_CANONICAL_OPS, MAX_GROUP_ORDER, closure, cycles, require, tick
 from .lattice import denumerant, terms_quasipolynomial
 # fit is not called here; the benchmark's traced run wraps it at this module
 from .quasipoly import FittedQuasipolynomial, fit  # noqa: F401
@@ -106,7 +106,7 @@ class FiniteField:
         return out
 
     def _validate(self) -> None:
-        rng, add, mul = range(self.q), self.add_table, self.mul_table
+        rng, add, mul, fr = range(self.q), self.add_table, self.mul_table, self.frobenius
         for axiom, holds in (
             ("identity and zero", all(add[a][0] == a and mul[a][1] == a and mul[a][0] == 0 for a in rng)),
             ("commutativity", all(add[a][b] == add[b][a] and mul[a][b] == mul[b][a] for a in rng for b in rng)),
@@ -115,7 +115,10 @@ class FiniteField:
                 and mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
                 for a in rng for b in rng for c in rng
             )),
-            # Frobenius is a field automorphism of order f
+            ("a Frobenius that keeps sums and products", all(
+                fr[add[a][b]] == add[fr[a]][fr[b]] and fr[mul[a][b]] == mul[fr[a]][fr[b]]
+                for a in rng for b in rng
+            )),
             ("an automorphism group of order f", len(self.automorphisms()) == self.f),
         ):
             if not holds:
@@ -137,12 +140,7 @@ class FiniteField:
 
     def automorphisms(self) -> List[Tuple[int, ...]]:
         """Powers of Frobenius, as value tables; the identity comes first."""
-        out = [tuple(range(self.q))]
-        cur = tuple(range(self.q))
-        for _ in range(self.f - 1):
-            cur = tuple(self.frobenius[x] for x in cur)
-            out.append(cur)
-        return out
+        return closure([self.frobenius], tuple(range(self.q)))
 
     def __repr__(self) -> str:
         return f"FiniteField(q={self.q})"
@@ -301,16 +299,7 @@ def semilinear_point_maps(q: int, m: int) -> Tuple[Tuple[int, ...], ...]:
     tables over indices 1..k (index 0 unused): PGammaL(m, q), found as the
     closure of the generators' point maps under composition."""
     order = _semilinear_order(q, m)
-    generators = _semilinear_generators(q, m)
-    maps = [tuple(range(projective_points(q, m).k + 1))]
-    seen = set(maps)
-    for table in maps:  # grows while it is walked
-        tick()
-        for g in generators:
-            image = tuple([table[i] for i in g])
-            if image not in seen:
-                seen.add(image)
-                maps.append(image)
+    maps = closure(_semilinear_generators(q, m), tuple(range(projective_points(q, m).k + 1)))
     if len(maps) != order:
         raise AssertionError(f"the generators give {len(maps)} point maps of GammaL({m}, {q}), not {order}")
     return tuple(maps)
@@ -321,18 +310,18 @@ def semilinear_point_maps(q: int, m: int) -> Tuple[Tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def canonical_point_multiset(code: LinearCode) -> Tuple[int, ...]:
-    """The lexicographically least image of the column point multiset under
-    the semilinear group; equal iff the codes are equivalent."""
-    base = code.column_points()
-    return min(tuple(sorted(table[i] for i in base)) for table in semilinear_point_maps(code.q, code.m))
+def canonical_point_multiset(q: int, m: int, points: Sequence[int]) -> Tuple[int, ...]:
+    """The lexicographically least image of a multiset of points of P (the
+    column points of an m-dimensional code over F_q, in any order) under the
+    semilinear group; equal iff the codes are equivalent."""
+    return min(tuple(sorted(table[i] for i in points)) for table in semilinear_point_maps(q, m))
 
 
 def canonical_code(code: LinearCode) -> LinearCode:
     """A canonical representative of the code's equivalence class: the RREF
     basis of the columns realizing the canonical point multiset, in order."""
     pts = projective_points(code.q, code.m)
-    columns = [pts.rep(i) for i in canonical_point_multiset(code)]
+    columns = [pts.rep(i) for i in canonical_point_multiset(code.q, code.m, code.column_points())]
     return LinearCode.from_rows(code.q, tuple(zip(*columns)), expect_dim=code.m)
 
 
@@ -364,17 +353,18 @@ def count_codes_direct(q: int, m: int, n: int, family=None) -> int:
     e1..em, so every class has a column multiset holding e1..em; conversely
     every size-n multiset holding them spans.  Those anchored multisets,
     C(k + n - m - 1, n - m) of them for k = alphabet_size(q, m), are each
-    built into one code and canonicalised once; no generator matrix is
+    canonicalised once as point multisets; no generator matrix is
     enumerated.  Each canonical form is a least image over the point maps
     of PGammaL(m, q); the multisets are capped at
     MAX_CANONICAL_OPS // |PGammaL(m, q)|, checked with the group order
     before the group is listed.
 
     ``family`` optionally restricts to a user family via a membership
-    predicate on LinearCode, asked once per anchored multiset.  It must be
-    equivalence-invariant and closed under puncturing; closure is
-    spot-checked on the counted codes (one allowed puncture each), not
-    proved.
+    predicate on LinearCode, asked once per anchored multiset; only then is
+    a code built, with the columns e1..em first, which puts it in RREF as
+    it stands.  It must be equivalence-invariant and closed under
+    puncturing; closure is spot-checked on the counted codes (one allowed
+    puncture each), not proved.
     """
     group = _semilinear_order(q, m)
     if n < m:
@@ -382,17 +372,17 @@ def count_codes_direct(q: int, m: int, n: int, family=None) -> int:
     k = alphabet_size(q, m)
     require(comb(k + n - m - 1, n - m), MAX_CANONICAL_OPS // group,
             f"anchored column multisets of length {n}, each under {group} semilinear maps")
-    F = field(q)
     pts = projective_points(q, m)
     anchor = tuple(pts.index_of(tuple(int(i == j) for j in range(m))) for i in range(m))
     seen = {}
     for extra in combinations_with_replacement(range(1, pts.k + 1), n - m):
         tick()
-        columns = [pts.rep(i) for i in anchor + extra]
-        code = LinearCode(q, n, rref(F, list(zip(*columns))))
-        if family is not None and not family(code):
-            continue
-        seen.setdefault(canonical_point_multiset(code), code)
+        points, code = anchor + extra, None
+        if family is not None:
+            code = LinearCode(q, n, tuple(zip(*map(pts.rep, points))))
+            if not family(code):
+                continue
+        seen.setdefault(canonical_point_multiset(q, m, points), code)
     if family is not None:
         for code in seen.values():
             for coordinate in range(1, code.n + 1):
@@ -445,24 +435,6 @@ def _subspace_count(q: int, m: int) -> int:
     return sum(prod(q**m - q**i for i in range(j)) // prod(q**j - q**i for i in range(j)) for j in range(m + 1))
 
 
-def _cycles(table: Tuple[int, ...], points: Iterable[int]) -> List[List[int]]:
-    """The cycles of a point map (a value table over indices 1..k) that
-    pass through ``points``."""
-    cycles: List[List[int]] = []
-    seen = set()
-    for start in sorted(points):
-        if start in seen:
-            continue
-        cycle = [start]
-        cur = table[start]
-        while cur != start:
-            cycle.append(cur)
-            cur = table[cur]
-        seen.update(cycle)
-        cycles.append(cycle)
-    return cycles
-
-
 @lru_cache(maxsize=None)
 def _burnside_terms(q: int, m: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     """The Burnside sum of count_codes_burnside with its terms gathered by
@@ -478,9 +450,9 @@ def _burnside_terms(q: int, m: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     terms: Dict[Tuple[int, ...], int] = {}
     for table in semilinear_point_maps(q, m):
         tick()
-        cycles = _cycles(table, range(1, len(table)))
+        walk = cycles(table.__getitem__, range(1, len(table)))
         for points, moebius in subspaces:
-            weights = tuple(sorted(len(c) for c in cycles if points.issuperset(c)))
+            weights = tuple(sorted(len(c) for c in walk if points.issuperset(c)))
             terms[weights] = terms.get(weights, 0) + moebius
     return tuple((w, coeff) for w, coeff in sorted(terms.items()) if coeff)
 

@@ -25,7 +25,7 @@ from itertools import accumulate, combinations_with_replacement, groupby, permut
 from math import comb, factorial, gcd, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .actions import PermGroup, TooLarge, require, tick
+from .actions import PermGroup, TooLarge, cycles, require, tick
 from .functors.elementary import ElementaryModelFunctor, elementary_brute
 from .lattice import DownwardClosedSet
 
@@ -239,19 +239,7 @@ def _cell_orbits(images: Tuple[int, ...], symmetric: bool) -> List[List[Tuple[in
         i, j = images[cell[0] - 1], images[cell[1] - 1]
         return (min(i, j), max(i, j)) if symmetric else (i, j)
 
-    seen = set()
-    orbits = []
-    for cell in cells:
-        if cell in seen:
-            continue
-        orbit = []
-        cur = cell
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            cur = act(cur)
-        orbits.append(orbit)
-    return orbits
+    return cycles(act, cells)
 
 
 def _is_symmetric(shape: str, n: int) -> bool:

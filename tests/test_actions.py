@@ -13,6 +13,8 @@ from widecount.actions import (
     TooLarge,
     budget,
     canonical_form,
+    closure,
+    cycles,
     require,
     tick,
     group_orbit_count,
@@ -20,6 +22,7 @@ from widecount.actions import (
     groupoid_orbit_count,
     groupoid_orbits_enumerate,
 )
+from widecount.functors.elementary import all_subgroups
 
 
 def test_permutation_parsing_and_algebra():
@@ -43,6 +46,56 @@ def test_group_materialization():
     assert PermGroup.trivial(5).order == 1
     g = PermGroup.from_json({"degree": 4, "generators": ["(1 2)", "(3 4)"]})
     assert g.order == 4
+
+
+def test_permutation_cycles_with_and_without_fixed_points():
+    p = Permutation.from_cycles("(2 5)(3 6 4)", 7)
+    assert p.cycles() == [(1,), (2, 5), (3, 6, 4), (7,)]
+    assert p.cycles(include_fixed=False) == [(2, 5), (3, 6, 4)]
+    assert Permutation.identity(3).cycles() == [(1,), (2,), (3,)]
+    assert Permutation.identity(3).cycles(include_fixed=False) == []
+    assert Permutation.identity(0).cycles() == []
+
+
+def test_cycles_start_at_the_first_point_in_the_given_order():
+    step = {"a": "b", "b": "c", "c": "a", "d": "d"}.__getitem__
+    assert cycles(step, "cdab") == [["c", "a", "b"], ["d"]]
+    # only the cycles through the given points
+    assert cycles((0, 2, 1, 3).__getitem__, [2]) == [[2, 1]]
+
+
+def test_closure_lists_each_element_once_in_the_order_found():
+    rotation, swap = (0, 2, 3, 1), (0, 2, 1, 3)
+    assert closure([rotation], (0, 1, 2, 3)) == [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)]
+    s3 = closure([rotation, swap], (0, 1, 2, 3))
+    assert s3[:3] == [(0, 1, 2, 3), (0, 2, 3, 1), (0, 2, 1, 3)]
+    assert len(s3) == len(set(s3)) == 6
+    assert closure([], (0, 1)) == [(0, 1)]
+
+
+def test_group_order_cap():
+    with budget(max_states=50), pytest.raises(TooLarge, match="group order: 51 exceeds the budget 50"):
+        PermGroup.symmetric(5)
+    with budget(max_states=120):
+        assert PermGroup.symmetric(5).order == 120
+
+
+def _closure_by_products(degree, generators):
+    """The group the generators generate, by Permutation products from the
+    identity, sorted by images."""
+    elements = {Permutation.identity(degree)}
+    frontier = list(elements)
+    while frontier:
+        frontier = [g * h for g in generators for h in frontier if g * h not in elements]
+        elements.update(frontier)
+    return sorted(elements, key=lambda p: p.images)
+
+
+def test_subgroup_elements_equal_a_closure_by_products():
+    groups = all_subgroups(4)
+    assert len(groups) == 30
+    for group in groups:
+        assert list(group.elements) == _closure_by_products(4, group.generators), group
 
 
 def test_group_orbit_count_swap_on_pairs():

@@ -8,11 +8,10 @@ from math import comb, prod
 import pytest
 
 from widecount import codes
-from widecount.actions import TooLarge, budget
+from widecount.actions import TooLarge, budget, cycles
 from widecount.codes import (
     FiniteField,
     LinearCode,
-    _cycles,
     _subspace_count,
     _subspace_point_sets,
     alphabet_size,
@@ -42,6 +41,19 @@ def test_fields_construct_and_validate():
     for q in (0, -4, 1):
         with pytest.raises(ValueError, match="prime power"):
             FiniteField(q)
+
+
+def test_frobenius_tripwire(monkeypatch):
+    F = field(4)
+    F._validate()
+    # the identity keeps sums and products but generates a group of order 1
+    monkeypatch.setattr(F, "frobenius", tuple(range(4)))
+    with pytest.raises(AssertionError, match="automorphism group of order f fails"):
+        F._validate()
+    # a map that swaps 0 and 1 keeps neither
+    monkeypatch.setattr(F, "frobenius", (1, 0, 3, 2))
+    with pytest.raises(AssertionError, match="keeps sums and products fails"):
+        F._validate()
 
 
 def test_f4_arithmetic():
@@ -77,14 +89,14 @@ def test_canonical_invariance_random_group_elements():
     pts = projective_points(2, 2)
     maps = semilinear_point_maps(2, 2)
     for code in list(all_codes(2, 2, 4))[:20]:
-        base = canonical_point_multiset(code)
+        base = canonical_point_multiset(2, 2, code.column_points())
         for _ in range(100):
             table = maps[rng.randrange(len(maps))]
             moved_points = sorted(table[i] for i in code.column_points())
             columns = [pts.rep(i) for i in moved_points]
             rows = tuple(tuple(col[i] for col in columns) for i in range(2))
             moved = LinearCode.from_rows(2, rows, expect_dim=2)
-            assert canonical_point_multiset(moved) == base
+            assert canonical_point_multiset(2, 2, moved.column_points()) == base
 
 
 def test_direct_counts():
@@ -106,8 +118,8 @@ def test_direct_matches_burnside():
 def _recorded_canonical_forms(monkeypatch, q, m, n):
     forms = []
 
-    def recording(code):
-        forms.append(canonical_point_multiset(code))
+    def recording(q, m, points):
+        forms.append(canonical_point_multiset(q, m, points))
         return forms[-1]
 
     with monkeypatch.context() as patch:
@@ -128,7 +140,7 @@ def test_direct_route_reaches_every_class_of_all_codes(monkeypatch):
         for m in (0, 1, 2):
             for n in range(m, 6):
                 forms = _recorded_canonical_forms(monkeypatch, q, m, n)
-                every = {canonical_point_multiset(code) for code in all_codes(q, m, n)}
+                every = {canonical_point_multiset(q, m, code.column_points()) for code in all_codes(q, m, n)}
                 assert set(forms) == every, (q, m, n)
 
 
@@ -176,12 +188,12 @@ def test_alphabet_size():
 def test_puncturing_closure():
     # puncturing any counted code in any allowed coordinate stays a code of
     # the family at length n-1
-    shorter = {canonical_point_multiset(c) for c in all_codes(2, 2, 4)}
+    shorter = {canonical_point_multiset(2, 2, c.column_points()) for c in all_codes(2, 2, 4)}
     for code in all_codes(2, 2, 5):
         for coord in range(1, 6):
             punctured = puncture(code, coord)
             if punctured is not None:
-                assert canonical_point_multiset(punctured) in shorter
+                assert canonical_point_multiset(2, 2, punctured.column_points()) in shorter
 
 
 def test_quasipolynomial_binary_dimension_one():
@@ -245,7 +257,7 @@ def test_burnside_terms_equal_the_literal_sum():
     for q, m, top in cases:
         maps, subspaces = semilinear_point_maps(q, m), _subspace_point_sets(q, m)
         weights = [
-            (moebius, [len(c) for c in _cycles(table, points) if points.issuperset(c)])
+            (moebius, [len(c) for c in cycles(table.__getitem__, sorted(points)) if points.issuperset(c)])
             for table in maps
             for points, moebius in subspaces
         ]

@@ -1,11 +1,11 @@
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 
 from widecount import gallery
-from widecount.actions import TooLarge, budget, require, tick
+from widecount.actions import Permutation, TooLarge, budget, require, tick
 from widecount.functors.elementary import elementary_count
 from widecount.gallery import (
     canonical_tree,
@@ -511,6 +511,33 @@ def test_fixed_rank_histogram_lists_row_0_by_multisets(monkeypatch, images, symm
     # after row 0 every split of the fixed points after the next row is listed
     later = {sizes for (_, sizes, _), _ in calls[1:]}
     assert {(fixed - 1,), (1,) * (fixed - 1)} <= later
+
+
+def _orbit_partition(images, symmetric):
+    """The cell orbits of the permutation, each listed along the powers of
+    the permutation from its first cell in row-major order."""
+    n = len(images)
+    perm = Permutation(images)
+    powers = [Permutation.identity(n)]
+    while len(powers) < factorial(n):
+        powers.append(perm * powers[-1])
+    orbits, covered = [], set()
+    for i in range(1, n + 1):
+        for j in range(i if symmetric else 1, n + 1):
+            if (i, j) not in covered:
+                cells = [(p(i), p(j)) for p in powers]
+                orbit = list(dict.fromkeys(tuple(sorted(c)) if symmetric else c for c in cells))
+                covered.update(orbit)
+                orbits.append(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize("shape", ["symmetric", "general"])
+def test_cell_orbits_equal_the_orbit_partition(shape):
+    symmetric = shape == "symmetric"
+    for n in range(6):
+        for images, _ in gallery._cycle_type_representatives(n):
+            assert gallery._cell_orbits(images, symmetric) == _orbit_partition(images, symmetric), images
 
 
 def _reference_histogram(images, symmetric, entries):
